@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -331,15 +332,10 @@ def convergents(cf: ContinuedFraction, K: int) -> list:
     """Convergents p_k/q_k for k = 0..K via the exact recursion."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    out = []
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = cf.a0, 1
-    out.append(Convergent(0, p_cur, q_cur))
-    for k in range(1, K + 1):
-        a = cf.quotient(k)
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-        out.append(Convergent(k, p_cur, q_cur))
+    out = list(islice(iter_convergents(cf), K + 1))
+    if len(out) <= K:
+        raise ExpansionExhausted(
+            f"finite expansion has only {len(out) - 1} quotients")
     return out
 
 

@@ -182,4 +182,4 @@ def check_bounds(corpus: str = "small") -> Tuple[int, List[str]]:
     for label, K, ok in gaps:
         if not ok:
             violations.append(f"quotient gap {label} K={K}")
-    return len(records) * 2 + len(ineqs) * 3 + len(gaps), violations
+    return len(records) + 3 * len(ineqs) + len(gaps), violations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Iterator, Tuple, Union
 
 from .cf import ContinuedFraction, Finite, PrecisionExhausted, iter_convergents
 
@@ -102,6 +102,38 @@ def dist_to_int(x: RealValue) -> RealValue:
     return FixedPointReal(min(x.mantissa, half - x.mantissa), x.bits, x.err_ulp)
 
 
+def walk_data(x) -> Tuple[int, int, int]:
+    """(step, modulus, err_ulp) of an Alpha, a Fraction or a FixedPointReal:
+    {m alpha} = (m*step mod modulus)/modulus, off by at most m*err_ulp/modulus.
+    Exact (err_ulp = 0) for rational alpha."""
+    if not isinstance(x, (Fraction, FixedPointReal)):
+        x = x.value
+    if isinstance(x, Fraction):
+        v = x % 1
+        return v.numerator, v.denominator, 0
+    return x.mantissa, 1 << x.bits, x.err_ulp
+
+
+_WALK_BLOCK = 4096
+
+
+def residues(step: int, mod: int, start: int, stop: int) -> Iterator[list]:
+    """n*step mod mod for start <= n < stop, in order, as lists of at most
+    _WALK_BLOCK values.  This is the one walk behind every {n alpha} and
+    ||m alpha|| loop of the package."""
+    step %= mod
+    v = (start * step) % mod
+    for lo in range(start, stop, _WALK_BLOCK):
+        block = []
+        append = block.append
+        for _ in range(min(_WALK_BLOCK, stop - lo)):
+            append(v)
+            v += step
+            if v >= mod:
+                v -= mod
+        yield block
+
+
 @dataclass(frozen=True)
 class BirkhoffSums:
     """T_0..T_{N-1} and their average E_N, exact in the representation.
@@ -113,42 +145,26 @@ class BirkhoffSums:
     N: int
     T: tuple
     E: Fraction
-    err_bound: float
+    err_bound: Fraction
 
     def __post_init__(self):
         assert self.E * self.N == sum(self.T)
 
 
-def _scaled_running_sums(value: RealValue, N: int):
-    """Integers u_0..u_{N-1} and scale D with T_n = u_n / D, plus the step
-    (p-like, mod-like) data.  Exact integer arithmetic throughout."""
+def _scaled_running_sums(value, N: int):
+    """Integers u_0..u_{N-1} and scale D with T_n = u_n / D, plus a bound on
+    how far each T_n can sit from the true T_n.  Exact integer arithmetic
+    throughout."""
+    step, modulus, err_ulp = walk_data(value)
     u = []
-    if isinstance(value, Fraction):
-        p, q = value.numerator % value.denominator, value.denominator
-        D = 2 * q
-        v = 0  # n*p mod q
-        s = 0
-        for _ in range(N):
-            s += q - 2 * v
-            u.append(s)
-            v += p
-            if v >= q:
-                v -= q
-        return u, D, 0.0
-    B = value.bits
-    modulus = 1 << B
-    D = modulus << 1
-    m = 0  # n*mantissa mod 2^B
+    append = u.append
     s = 0
-    for _ in range(N):
-        s += modulus - 2 * m
-        u.append(s)
-        m += value.mantissa
-        if m >= modulus:
-            m -= modulus
+    for block in residues(step, modulus, 0, N):
+        for v in block:
+            s += modulus - 2 * v
+            append(s)
     # each {l*alpha} is off by <= l*err ulps, so T_n is off by <= n^2 * err ulps
-    err = value.err_ulp * N * N / modulus
-    return u, D, err
+    return u, modulus << 1, Fraction(err_ulp * N * N, modulus)
 
 
 def birkhoff_sums(value: RealValue, N: int) -> BirkhoffSums:
@@ -168,30 +184,24 @@ def starred_sums(p: int, q: int) -> BirkhoffSums:
     from math import gcd
     if q < 1 or gcd(p, q) != 1:
         raise ValueError("need q >= 1 and gcd(p, q) = 1")
-    p %= q
-    D = 2 * q
-    v = 0
-    s = 0
-    u = []
-    for _ in range(q):
-        s += q - 1 - 2 * v
-        u.append(s)
-        v += p
-        if v >= q:
-            v -= q
+    # T*_n = T_n - (n+1)/(2q), and T_n = u_n/(2q)
+    u, D, _ = _scaled_running_sums(Fraction(p, q), q)
+    u = [x - n for n, x in enumerate(u, 1)]
     T = tuple(Fraction(x, D) for x in u)
     E = Fraction(sum(u), D * q)
-    return BirkhoffSums(q, T, E, 0.0)
+    return BirkhoffSums(q, T, E, Fraction(0))
 
 
-def birkhoff_mean(value: RealValue, N: int) -> Tuple[Fraction, float]:
-    """E_N in the representation, plus an error bound for fixed point."""
+def birkhoff_mean(value, N: int) -> Tuple[Fraction, Fraction]:
+    """E_N in the representation, plus an error bound for fixed point.
+    value is an Alpha, a Fraction or a FixedPointReal."""
     u, D, err = _scaled_running_sums(value, N)
     return Fraction(sum(u), D * N), err
 
 
-def birkhoff_quad_block(value: RealValue, N: int):
-    """(1/N) sum_n (T_n^2 + T_n/2) together with sum statistics.
+def birkhoff_quad_block(value, N: int):
+    """(1/N) sum_n (T_n^2 + T_n/2) together with sum statistics; value is an
+    Alpha, a Fraction or a FixedPointReal.
 
     Returns (block, E, var, err) where block and var = (1/N) sum (T_n - E)^2
     are exact Fractions of the representation and err bounds the drift of the
@@ -204,6 +214,6 @@ def birkhoff_quad_block(value: RealValue, N: int):
     E = Fraction(su, D * N)
     var = Fraction(su2, D * D * N) - E * E
     if err:
-        tmax = max(abs(min(u)), abs(max(u))) / D
-        err = (2.0 * tmax + err + 0.5) * err
+        tmax = Fraction(max(abs(min(u)), abs(max(u))), D)
+        err = (2 * tmax + err + Fraction(1, 2)) * err
     return block, E, var, err

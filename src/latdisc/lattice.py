@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Tuple, Union
+from itertools import chain
+from typing import Iterator, Tuple
 
-from .alphas import Alpha
 from .cf import PrecisionExhausted
-from .fixedpoint import FixedPointReal
+from .fixedpoint import residues, walk_data
 
 
 @dataclass(frozen=True)
@@ -44,35 +44,23 @@ class LatticePointSet:
             yield xn / self.x_den, yn / self.y_den
 
 
-def _value_of(alpha) -> Union[Fraction, FixedPointReal]:
-    return alpha.value if isinstance(alpha, Alpha) else alpha
-
-
-def _step_data(value, N: int):
+def _step_data(alpha, N: int):
     """(step, modulus, per-point error) so that the n-th x numerator is
     n*step mod modulus."""
-    if isinstance(value, Fraction):
-        v = value % 1
-        return v.numerator, v.denominator, Fraction(0)
-    if N > 1 and (N - 1) * value.err_ulp >= (1 << (value.bits // 2)):
+    step, mod, err_ulp = walk_data(alpha)
+    bits = mod.bit_length() - 1  # mod = 2^bits whenever err_ulp > 0
+    if N > 1 and (N - 1) * err_ulp >= (1 << (bits // 2)):
         raise PrecisionExhausted("error budget overflow while building lattice")
-    err = Fraction(max(N - 1, 0) * value.err_ulp, 1 << value.bits)
-    return value.mantissa, 1 << value.bits, err
+    return step, mod, Fraction((N - 1) * err_ulp, mod)
 
 
 def build_L(alpha, N: int) -> LatticePointSet:
     """The N points ({n alpha}, n/N), n = 0..N-1, in n-order."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    step, mod, err = _step_data(_value_of(alpha), N)
-    xs = []
-    x = 0
-    for _ in range(N):
-        xs.append(x)
-        x += step
-        if x >= mod:
-            x -= mod
-    return LatticePointSet(N, False, tuple(xs), mod, tuple(range(N)), N, err)
+    step, mod, err = _step_data(alpha, N)
+    xs = tuple(chain.from_iterable(residues(step, mod, 0, N)))
+    return LatticePointSet(N, False, xs, mod, tuple(range(N)), N, err)
 
 
 def build_S(alpha, N: int) -> LatticePointSet:
@@ -80,16 +68,10 @@ def build_S(alpha, N: int) -> LatticePointSet:
     ({-n alpha}, n/N).  n = 0 contributes (0, 0) twice."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    step, mod, err = _step_data(_value_of(alpha), N)
-    xs = []
-    ys = []
-    x = 0
-    for n in range(N):
-        xs.append(x)
-        xs.append(mod - x if x else 0)
-        ys.append(n)
-        ys.append(n)
-        x += step
-        if x >= mod:
-            x -= mod
+    step, mod, err = _step_data(alpha, N)
+    xs = [0] * (2 * N)
+    ys = [0] * (2 * N)
+    xs[0::2] = chain.from_iterable(residues(step, mod, 0, N))
+    xs[1::2] = [mod - x if x else 0 for x in xs[0::2]]
+    ys[0::2] = ys[1::2] = list(range(N))
     return LatticePointSet(N, True, tuple(xs), mod, tuple(ys), N, err)

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alphas import Alpha
-from .cf import PrecisionExhausted
+from .cf import PrecisionExhausted, cf_of_rational
 from .discrepancy import d2_exact_fast
 from .lattice import build_S
 from .parseval import enclosure_S
@@ -49,12 +49,6 @@ def levy_cdf(t: float) -> float:
     if t <= 0:
         return 0.0
     return math.erfc(1.0 / math.sqrt(2.0 * t))
-
-
-def levy_density(x: float) -> float:
-    if x <= 0:
-        return 0.0
-    return math.exp(-1.0 / (2.0 * x)) / (math.sqrt(2.0 * math.pi) * x ** 1.5)
 
 
 @dataclass(frozen=True)
@@ -114,20 +108,10 @@ def farey_enumerate(Q: int) -> Iterator[Tuple[int, int]]:
         yield a, b
 
 
-def _cf_quotients_of_fraction(p: int, q: int) -> List[int]:
-    """Canonical quotients of p/q in (0,1] written as [0;a_1,...,a_r];
+def _cf_quotients_of_fraction(p: int, q: int) -> tuple:
+    """Canonical quotients of p/q in [0,1] written as [0;a_1,...,a_r];
     the endpoint 1/1 is [0;1], and 0/1 has the empty list."""
-    if p == 0:
-        return []
-    if p == q:
-        return [1]
-    out = []
-    a, b = q, p
-    while b:
-        t, r = divmod(a, b)
-        out.append(t)
-        a, b = b, r
-    return out
+    return (1,) if p == q else cf_of_rational(p, q).body.terms
 
 
 def cf_reversed_fraction(p: int, q: int) -> Tuple[int, int]:

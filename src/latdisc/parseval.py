@@ -24,10 +24,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .alphas import Alpha
 from .cf import PrecisionExhausted
 from .discrepancy import d2_exact_fast
-from .fixedpoint import birkhoff_mean, birkhoff_quad_block
+from .fixedpoint import birkhoff_mean, birkhoff_quad_block, residues, walk_data
 from .intervals import (
     INV_2PI4,
     INV_4PI4,
@@ -48,14 +47,40 @@ _EXACT_TERM_LIMIT = 3000
 # Certified Diophantine sums
 # ---------------------------------------------------------------------------
 
-def _norm_data(alpha):
-    """(step, modulus, err0) describing ||m alpha|| = dist(m*step mod modulus)
-    with per-m error m*err0 (in modulus units)."""
-    value = alpha.value if isinstance(alpha, Alpha) else alpha
-    if isinstance(value, Fraction):
-        v = value % 1
-        return v.numerator, v.denominator, 0
-    return value.mantissa, 1 << value.bits, value.err_ulp
+def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
+    """Certified sum of 1/(m^2 ||m alpha||^power), power 1 or 2, over
+    m_start <= m <= m_end, as described at dioph_sum2."""
+    if m_end < m_start:
+        return Interval.zero()
+    step, mod, err0 = walk_data(alpha)
+    walk = residues(step, mod, m_start, m_end + 1)
+    m = m_start
+    if err0 == 0 and (m_end - m_start) < _EXACT_TERM_LIMIT:
+        num = mod ** power
+        total = Fraction(0)
+        for block in walk:
+            for v in block:
+                t = v if 2 * v <= mod else mod - v
+                if t == 0:
+                    raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
+                total += Fraction(num, m * m * t ** power)
+                m += 1
+        return Interval(total, total)
+    num = (mod ** power) << _SCALE_BITS
+    lo = hi = 0
+    for block in walk:
+        for v in block:
+            d = v if 2 * v <= mod else mod - v
+            e = m * err0
+            dl, dh = d - e, d + e
+            if dl <= 0:
+                raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
+            m2 = m * m
+            lo += num // (m2 * dh ** power)
+            hi += ceil_div(num, m2 * dl ** power)
+            m += 1
+    s = 1 << _SCALE_BITS
+    return Interval(Fraction(lo, s), Fraction(hi, s))
 
 
 def dioph_sum2(alpha, m_start: int, m_end: int) -> Interval:
@@ -65,74 +90,12 @@ def dioph_sum2(alpha, m_start: int, m_end: int) -> Interval:
     endpoints are outward-rounded at 2^-64 per term.  Terms with
     ||m alpha|| = 0 raise ZeroDivisionError.
     """
-    if m_end < m_start:
-        return Interval.zero()
-    step, mod, err0 = _norm_data(alpha)
-    if err0 == 0 and (m_end - m_start) < _EXACT_TERM_LIMIT:
-        total = Fraction(0)
-        v = (m_start * step) % mod
-        for m in range(m_start, m_end + 1):
-            t = v if 2 * v <= mod else mod - v
-            if t == 0:
-                raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
-            total += Fraction(mod * mod, m * m * t * t)
-            v += step
-            if v >= mod:
-                v -= mod
-        return Interval(total, total)
-    num = (mod * mod) << _SCALE_BITS
-    lo = hi = 0
-    v = (m_start * step) % mod
-    for m in range(m_start, m_end + 1):
-        d = v if 2 * v <= mod else mod - v
-        e = m * err0
-        dl, dh = d - e, d + e
-        if dl <= 0:
-            raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
-        m2 = m * m
-        lo += num // (m2 * dh * dh)
-        hi += ceil_div(num, m2 * dl * dl)
-        v += step
-        if v >= mod:
-            v -= mod
-    s = 1 << _SCALE_BITS
-    return Interval(Fraction(lo, s), Fraction(hi, s))
+    return _dioph_sum(alpha, m_start, m_end, 2)
 
 
 def dioph_sum1(alpha, m_start: int, m_end: int) -> Interval:
     """Certified sum of 1/(m^2 ||m alpha||) over the range."""
-    if m_end < m_start:
-        return Interval.zero()
-    step, mod, err0 = _norm_data(alpha)
-    if err0 == 0 and (m_end - m_start) < _EXACT_TERM_LIMIT:
-        total = Fraction(0)
-        v = (m_start * step) % mod
-        for m in range(m_start, m_end + 1):
-            t = v if 2 * v <= mod else mod - v
-            if t == 0:
-                raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
-            total += Fraction(mod, m * m * t)
-            v += step
-            if v >= mod:
-                v -= mod
-        return Interval(total, total)
-    num = mod << _SCALE_BITS
-    lo = hi = 0
-    v = (m_start * step) % mod
-    for m in range(m_start, m_end + 1):
-        d = v if 2 * v <= mod else mod - v
-        e = m * err0
-        dl, dh = d - e, d + e
-        if dl <= 0:
-            raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
-        m2 = m * m
-        lo += num // (m2 * dh)
-        hi += ceil_div(num, m2 * dl)
-        v += step
-        if v >= mod:
-            v -= mod
-    s = 1 << _SCALE_BITS
-    return Interval(Fraction(lo, s), Fraction(hi, s))
+    return _dioph_sum(alpha, m_start, m_end, 1)
 
 
 _WEIGHTS = {
@@ -168,7 +131,7 @@ def dioph_sum2_float(alpha, M: int, skip_zero: bool = False,
     (ascending).  skip_zero drops the undefined terms of a rational alpha
     (multiples of the denominator), which is what lets the sum saturate.
     """
-    step, mod, _ = _norm_data(alpha)
+    step, mod, _ = walk_data(alpha)
     marks = sorted(record_at) if record_at is not None else [M]
     if marks and marks[-1] > M:
         raise ValueError("checkpoint beyond M")
@@ -177,21 +140,20 @@ def dioph_sum2_float(alpha, M: int, skip_zero: bool = False,
     out = []
     mi = 0
     total = 0.0
-    v = step % mod
-    for m in range(1, M + 1):
-        d = v if 2 * v <= mod else mod - v
-        if d == 0:
-            if not skip_zero:
-                raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
-        else:
-            x = d / fmod
-            total += coeff / (m * m * x * x)
-        v += step
-        if v >= mod:
-            v -= mod
-        while mi < len(marks) and marks[mi] == m:
-            out.append(total)
-            mi += 1
+    m = 1
+    for block in residues(step, mod, 1, M + 1):
+        for v in block:
+            d = v if 2 * v <= mod else mod - v
+            if d == 0:
+                if not skip_zero:
+                    raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
+            else:
+                x = d / fmod
+                total += coeff / (m * m * x * x)
+            while mi < len(marks) and marks[mi] == m:
+                out.append(total)
+                mi += 1
+            m += 1
     if record_at is None:
         return total
     return out
@@ -245,24 +207,23 @@ def tail_min_bound(alpha, K: int, n: int,
         return BoundPair(Interval.zero(), rhs)
     if m_max is None:
         m_max = 8 * max(qK * n, 10 ** 6)
-    step, mod, err0 = _norm_data(alpha)
+    step, mod, err0 = walk_data(alpha)
     s = 1 << _SCALE_BITS
     n2s = (n * n) << _SCALE_BITS
     num = (mod * mod) << (_SCALE_BITS - 2)  # 2^{2B+S}/4
     hi = 0
-    v = (qK * step) % mod
-    for m in range(qK, m_max + 1):
-        d = v if 2 * v <= mod else mod - v
-        dl = d - m * err0
-        m2 = m * m
-        cap = ceil_div(n2s, m2)
-        if dl > 0:
-            hi += min(cap, ceil_div(num, m2 * dl * dl))
-        else:
-            hi += cap
-        v += step
-        if v >= mod:
-            v -= mod
+    m = qK
+    for block in residues(step, mod, qK, m_max + 1):
+        for v in block:
+            d = v if 2 * v <= mod else mod - v
+            dl = d - m * err0
+            m2 = m * m
+            cap = ceil_div(n2s, m2)
+            if dl > 0:
+                hi += min(cap, ceil_div(num, m2 * dl * dl))
+            else:
+                hi += cap
+            m += 1
     lhs = Interval(Fraction(0), Fraction(hi, s)) * (INV_PI2 * Fraction(1, 2))
     rem = (Fraction(n * n, 2 * (m_max - 1)) * INV_PI2).hi
     lhs = Interval(lhs.lo, lhs.hi + rem)
@@ -284,42 +245,37 @@ def _min_weighted_sum(alpha, m_start: int, m_end: int, N: int) -> Interval:
     """Certified sum of (1/(m^2 ||m a||^2)) * min(1/(4N ||2m a||), 1)."""
     if m_end < m_start:
         return Interval.zero()
-    step, mod, err0 = _norm_data(alpha)
+    step, mod, err0 = walk_data(alpha)
     s = 1 << _SCALE_BITS
     num2 = (mod * mod) << _SCALE_BITS
     num3 = (mod * mod * mod) << _SCALE_BITS
     lo = hi = 0
-    v = (m_start * step) % mod
-    w = (2 * m_start * step) % mod
-    step2 = (2 * step) % mod
-    for m in range(m_start, m_end + 1):
-        d = v if 2 * v <= mod else mod - v
-        d2 = w if 2 * w <= mod else mod - w
-        e = m * err0
-        e2 = 2 * m * err0
-        dl, dh = d - e, d + e
-        d2l, d2h = d2 - e2, d2 + e2
-        if dl <= 0:
-            raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
-        m2 = m * m
-        # upper endpoint: largest 1/||.||^2, largest min-factor
-        if d2l <= 0:
-            hi += ceil_div(num2, m2 * dl * dl)
-        else:
-            hi += min(ceil_div(num2, m2 * dl * dl),
-                      ceil_div(num3, m2 * dl * dl * 4 * N * d2l))
-        # lower endpoint
-        if d2h == 0:
-            lo += num2 // (m2 * dh * dh)
-        else:
-            lo += min(num2 // (m2 * dh * dh),
-                      num3 // (m2 * dh * dh * 4 * N * d2h))
-        v += step
-        if v >= mod:
-            v -= mod
-        w += step2
-        if w >= mod:
-            w -= mod
+    m = m_start
+    for vs, ws in zip(residues(step, mod, m_start, m_end + 1),
+                      residues(2 * step, mod, m_start, m_end + 1)):
+        for v, w in zip(vs, ws):
+            d = v if 2 * v <= mod else mod - v
+            d2 = w if 2 * w <= mod else mod - w
+            e = m * err0
+            e2 = 2 * m * err0
+            dl, dh = d - e, d + e
+            d2l, d2h = d2 - e2, d2 + e2
+            if dl <= 0:
+                raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
+            m2 = m * m
+            # upper endpoint: largest 1/||.||^2, largest min-factor
+            if d2l <= 0:
+                hi += ceil_div(num2, m2 * dl * dl)
+            else:
+                hi += min(ceil_div(num2, m2 * dl * dl),
+                          ceil_div(num3, m2 * dl * dl * 4 * N * d2l))
+            # lower endpoint
+            if d2h == 0:
+                lo += num2 // (m2 * dh * dh)
+            else:
+                lo += min(num2 // (m2 * dh * dh),
+                          num3 // (m2 * dh * dh * 4 * N * d2h))
+            m += 1
     return Interval(Fraction(lo, s), Fraction(hi, s))
 
 
@@ -364,20 +320,19 @@ def xi_direct(alpha, N: int, K: int, variant: str = "S",
         return 0.0
     if N * (m_hi - m_lo + 1) > term_guard:
         raise ValueError("instance too large for direct window evaluation")
-    step, mod, _ = _norm_data(alpha)
+    step, mod, _ = walk_data(alpha)
     ns = 2.0 * np.arange(N) + 1.0 if variant == "S" else np.arange(N) + 1.0
     total = 0.0
-    v = (m_lo * step) % mod
-    for m in range(m_lo, m_hi + 1):
-        d = v if 2 * v <= mod else mod - v
-        am = v / mod
-        phases = np.mod(am * ns, 1.0)
-        ssum = float(np.sum(np.sin(np.pi * phases) ** 2))
-        x = d / mod
-        total += ssum / (2 * np.pi ** 4 * m * m * x * x)
-        v += step
-        if v >= mod:
-            v -= mod
+    m = m_lo
+    for block in residues(step, mod, m_lo, m_hi + 1):
+        for v in block:
+            d = v if 2 * v <= mod else mod - v
+            am = v / mod
+            phases = np.mod(am * ns, 1.0)
+            ssum = float(np.sum(np.sin(np.pi * phases) ** 2))
+            x = d / mod
+            total += ssum / (2 * np.pi ** 4 * m * m * x * x)
+            m += 1
     return total / N
 
 
@@ -462,11 +417,10 @@ def enclosure_L(alpha, N: int, K: Optional[int] = None) -> Enclosure:
     if K is None:
         K = alpha.index_for(N)
     _check_range(alpha, N, K)
-    value = alpha.value if isinstance(alpha, Alpha) else alpha
-    block, _, _, block_err = birkhoff_quad_block(value, N)
+    block, _, _, block_err = birkhoff_quad_block(alpha, N)
     block_int = Interval.exact(block)
     if block_err:
-        block_int = block_int.widened(2 * Fraction(block_err))
+        block_int = block_int.widened(2 * block_err)
     factor = Fraction(2 * N - 1, 2 * N)
     main = dioph_sum2(alpha, 1, alpha.q(K - 1) - 1) * INV_4PI4 * factor
     tail_unit, zsum_main, slack = _window_and_budget(alpha, N, K)
@@ -527,8 +481,7 @@ def variance_check(alpha, N: int, growth: Optional[Tuple[float, float]] = None):
         for k in range(1, K + 1):
             if alpha.a(k) > c * k ** d:
                 raise ValueError(f"quotient growth bound violated at k={k}")
-    value = alpha.value if isinstance(alpha, Alpha) else alpha
-    _, _, var, _ = birkhoff_quad_block(value, N)
+    _, _, var, _ = birkhoff_quad_block(alpha, N)
     rhs = dioph_sum2(alpha, 1, alpha.q(K) - 1) * INV_8PI4
     lhs = float(var)
     r = rhs.midpoint_float()
@@ -543,7 +496,6 @@ def mean_check(alpha, K: int) -> Tuple[Fraction, Fraction, float]:
     E_{q_K} = (1/12) sum_k (-1)^(k+1) a_k + O(1): e.g. alpha = 1/q gives
     E_q = (q+1)(q+2)/(12q), matching +a_1/12 and not -a_1/12.
     """
-    value = alpha.value if isinstance(alpha, Alpha) else alpha
-    E, _ = birkhoff_mean(value, alpha.q(K))
+    E, _ = birkhoff_mean(alpha, alpha.q(K))
     main = -Fraction(alpha.stats(K).alt_sum, 12)
     return E, main, float(E - main)

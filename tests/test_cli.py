@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -116,6 +118,41 @@ def test_check_bounds_small(capsys):
     assert main(["check-bounds", "--corpus", "small"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["violations"] == [] and doc["checks"] > 100
+
+
+def test_check_bounds_counts_each_check_once(monkeypatch):
+    # containment_sweep already returns one record per S/L variant
+    from latdisc import corpus
+    monkeypatch.setattr(corpus, "containment_sweep",
+                        lambda *a, **k: [SimpleNamespace(ok=True)] * 5)
+    monkeypatch.setattr(corpus, "inequality_sweep",
+                        lambda *a, **k: [("x", 1, True)] * 4)
+    monkeypatch.setattr(corpus, "gap_sweep",
+                        lambda *a, **k: [("x", 1, True)] * 3)
+    assert corpus.check_bounds("small") == (5 + 3 * 4 + 3, [])
+
+
+# recorded stdout of the README's CLI commands, the two sweeps shrunk to desk
+# size: a refactor that keeps results must keep these bytes
+GOLDEN = {
+    "cf_13_30": "cf --alpha 13/30",
+    "cf_surd_3": "cf --alpha surd:0,3,1",
+    "disc_surd_5": "disc --alpha surd:0,5,2 --N 89 --sym --algo fast",
+    "estimate_euler_e": "estimate --alpha rule:euler_e --N 1001 --sym",
+    "dioph_surd_5": "dioph --alpha surd:-1,5,2 --M 10000 --weight quarter_pi4_sq",
+    "quadratic_constants": "quadratic --surd 0,3,1 --report constants",
+    "quadratic_beck": "quadratic --surd 0,3,1 --report beck --out json",
+    "lattice_2_5": "lattice --alpha 2/5 --N 5",
+    "sweep_rational": "sweep-rational --Q 60 --mode full --out json",
+    "sweep_irrational": "sweep-irrational --N 10000 --M 200 --estimator cf_moment",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_readme_commands_match_golden_transcript(name, capsys):
+    assert main(GOLDEN[name].split()) == 0
+    expected = (Path(__file__).parent / "data" / "cli" / f"{name}.out").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
 
 
 def test_float_formatting(capsys):

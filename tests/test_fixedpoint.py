@@ -3,17 +3,22 @@
 import cmath
 import random
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latdisc.cf import PrecisionExhausted, QuadraticSurd, cf_of_bits, cf_of_rational, cf_of_surd, cf_rule
 from latdisc.fixedpoint import (
+    _WALK_BLOCK,
     FixedPointReal,
     birkhoff_mean,
     birkhoff_sums,
     dist_to_int,
     eval_alpha,
     frac_multiple,
+    residues,
     starred_sums,
 )
 
@@ -186,3 +191,37 @@ class TestFiniteFourier:
                 rhs = 1.0 / (1.0 - w)
                 assert abs(lhs - rhs) < 1e-10
             assert abs(sum(vals)) < 1e-12
+
+
+class TestWalk:
+    @given(mod=st.one_of(st.just(1), st.integers(2, 500), st.just(1 << 256)),
+           step=st.integers(0, 1 << 257), start=st.integers(1, 10 ** 6),
+           length=st.integers(0, 3 * _WALK_BLOCK))
+    @example(mod=1 << 256, step=3 ** 160, start=_WALK_BLOCK - 1,
+             length=_WALK_BLOCK + 2)
+    @settings(max_examples=40, deadline=None)
+    def test_residues_match_direct_formula(self, mod, step, start, length):
+        blocks = list(residues(step, mod, start, start + length))
+        assert all(len(b) == _WALK_BLOCK for b in blocks[:-1])
+        assert sum(blocks, []) == [(n * step) % mod
+                                   for n in range(start, start + length)]
+
+    @given(p=st.integers(0, 10 ** 4), q=st.integers(1, 300),
+           N=st.integers(1, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_birkhoff_sums_match_definition(self, p, q, N):
+        alpha = Fraction(p, q)
+        T = list(accumulate(Fraction(1, 2) - (l * alpha) % 1
+                            for l in range(N)))
+        b = birkhoff_sums(alpha, N)
+        assert b.T == tuple(T) and b.E == sum(T) / N and b.err_bound == 0
+
+    @given(p=st.integers(0, 10 ** 4), q=st.integers(1, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_starred_sums_match_definition(self, p, q):
+        assume(gcd(p, q) == 1)
+        alpha = Fraction(p, q)
+        T = list(accumulate(Fraction(q - 1, 2 * q) - (l * alpha) % 1
+                            for l in range(q)))
+        s = starred_sums(p, q)
+        assert s.T == tuple(T) and s.E == sum(T) / q

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latdisc.alphas import Alpha
 from latdisc.lattice import build_L, build_S
@@ -84,3 +85,15 @@ def test_realization_error_annotation():
     assert 0 < S.x_err <= F(99 * 2, 2 ** 256)
     assert realization_error(S) == 5 * 200 * 200 * S.x_err
     assert build_L(Alpha.from_rational(2, 5), 5).x_err == 0
+
+
+@given(p=st.integers(0, 10 ** 4), q=st.integers(1, 500), N=st.integers(1, 300))
+@settings(max_examples=40, deadline=None)
+def test_lattices_match_definition(p, q, N):
+    alpha = Fraction(p, q)
+    L = [((n * alpha) % 1, Fraction(n, N)) for n in range(N)]
+    S = [pt for n in range(N)
+         for pt in (((n * alpha) % 1, Fraction(n, N)),
+                    ((-n * alpha) % 1, Fraction(n, N)))]
+    assert list(build_L(alpha, N).points()) == L
+    assert list(build_S(alpha, N).points()) == S

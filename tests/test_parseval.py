@@ -4,15 +4,19 @@ term, and the D2^2 enclosures."""
 import math
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from latdisc.alphas import Alpha
 from latdisc.discrepancy import d2_exact_fast
 from latdisc.lattice import build_L, build_S
 from latdisc.parseval import (
     dioph_inequalities,
+    _EXACT_TERM_LIMIT,
     dioph_sum,
+    dioph_sum1,
     dioph_sum2,
     dioph_sum2_float,
     enclosure_L,
@@ -28,6 +32,15 @@ from latdisc.parseval import (
 @pytest.fixture(scope="module")
 def phi():
     return Alpha.from_surd(-1, 5, 2)
+
+
+def _direct_dioph_sum(alpha: Fraction, m_start: int, m_end: int, power: int):
+    """sum 1/(m^2 ||m alpha||^power) straight from the definition."""
+    total = Fraction(0)
+    for m in range(m_start, m_end + 1):
+        f = (m * alpha) % 1
+        total += 1 / (m * m * min(f, 1 - f) ** power)
+    return total
 
 
 class TestDiophSum:
@@ -87,6 +100,34 @@ class TestDiophSum:
         v4, v5 = dioph_sum2_float(sq3, 10 ** 5, record_at=[10 ** 4, 10 ** 5])
         c = 1 / (12 * math.sqrt(3) * math.log(2 + math.sqrt(3)))
         assert abs((v5 - v4) / math.log(10) - c) < 0.15 * c
+
+
+class TestDiophSumProperties:
+    @given(p=st.integers(1, 2000), q=st.integers(2, 2000), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_exact_path_equals_direct_sum(self, p, q, data):
+        assume(gcd(p, q) == 1)
+        m_start = data.draw(st.integers(1, q - 1))
+        m_end = data.draw(st.integers(m_start, q - 1))
+        alpha = Fraction(p, q)
+        for fn, power in ((dioph_sum1, 1), (dioph_sum2, 2)):
+            iv = fn(alpha, m_start, m_end)
+            assert iv.lo == iv.hi == _direct_dioph_sum(alpha, m_start, m_end,
+                                                       power)
+
+    @given(p=st.integers(1, 20000), q=st.integers(_EXACT_TERM_LIMIT + 2, 20000),
+           data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_scaled_path_contains_direct_sum(self, p, q, data):
+        assume(gcd(p, q) == 1)
+        m_start = data.draw(st.integers(1, q - 1 - _EXACT_TERM_LIMIT))
+        m_end = data.draw(st.integers(m_start + _EXACT_TERM_LIMIT,
+                                      min(q - 1, m_start + 2 * _EXACT_TERM_LIMIT)))
+        alpha = Fraction(p, q)
+        for fn, power in ((dioph_sum1, 1), (dioph_sum2, 2)):
+            iv = fn(alpha, m_start, m_end)
+            assert iv.lo < iv.hi  # outward-rounded, not the exact path
+            assert iv.lo <= _direct_dioph_sum(alpha, m_start, m_end, power) <= iv.hi
 
 
 class TestInequalities:
