@@ -25,7 +25,7 @@ from .cf import (
     convergents,
     optimality_stats,
 )
-from .discrepancy import DiscrepancyValue, d2, d2_exact_fast, d2_exact_quadratic
+from .discrepancy import DiscrepancyValue, d2_exact_fast, d2_exact_quadratic
 from .fixedpoint import (
     BirkhoffSums,
     FixedPointReal,

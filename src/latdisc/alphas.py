@@ -32,7 +32,6 @@ class Alpha:
         self.cf = cf
         self.value = value
         self.label = label
-        self._p: List[int] = [1, cf.a0]   # p_{-1}, p_0, ...
         self._q: List[int] = [0, 1]       # q_{-1}, q_0, ...
 
     def __repr__(self):
@@ -50,14 +49,6 @@ class Alpha:
         g = gcd(p % q, q)
         value = Fraction((p % q) // g, q // g)
         return cls(cf, value, f"{p}/{q}")
-
-    @classmethod
-    def from_cf(cls, cf: ContinuedFraction, label: str,
-                bits: int = DEFAULT_BITS) -> "Alpha":
-        from .cf import Finite, cf_value
-        if isinstance(cf.body, Finite):
-            return cls(cf, cf_value(cf) % 1, label)
-        return cls(cf, eval_alpha(cf, bits), label)
 
     @classmethod
     def from_surd(cls, P: int, D: int, Q: int, bits: int = DEFAULT_BITS) -> "Alpha":
@@ -106,18 +97,12 @@ class Alpha:
     # -- convergent cache ---------------------------------------------------
 
     def _extend(self, k: int) -> None:
-        while len(self._p) - 2 < k:
-            a = self.cf.quotient(len(self._p) - 1)
-            self._p.append(a * self._p[-1] + self._p[-2])
+        while len(self._q) - 2 < k:
+            a = self.cf.quotient(len(self._q) - 1)
             self._q.append(a * self._q[-1] + self._q[-2])
 
     def a(self, k: int) -> int:
         return self.cf.quotient(k)
-
-    def p(self, k: int) -> int:
-        """Convergent numerator p_k (k >= -1)."""
-        self._extend(k)
-        return self._p[k + 1]
 
     def q(self, k: int) -> int:
         """Convergent denominator q_k (k >= -1)."""

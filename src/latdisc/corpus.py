@@ -14,7 +14,7 @@ from .alphas import Alpha
 from .cf import ExpansionExhausted, PrecisionExhausted
 from .discrepancy import d2_exact_fast
 from .lattice import build_L, build_S
-from .metric import _rand_bits, _substream
+from .metric import _substream, sample_irrational
 from .parseval import dioph_inequalities, enclosure_L, enclosure_S, quotient_gap_check
 
 NAMED_SPECS = (
@@ -47,15 +47,7 @@ def random_rational_alphas(count: int = 20, q_max: int = 500,
 
 def random_irrational_alphas(count: int = 20, bits: int = 256,
                              seed: int = 77130) -> List[Alpha]:
-    out = []
-    i = 0
-    while len(out) < count:
-        gen = _substream(seed, i)
-        i += 1
-        m = _rand_bits(gen, bits)
-        if m:
-            out.append(Alpha.from_bits(m, bits))
-    return out
+    return [sample_irrational("lebesgue", bits, seed, i) for i in range(count)]
 
 
 def full_corpus() -> List[Alpha]:

@@ -143,11 +143,3 @@ def realization_error(P: PointsLike) -> Fraction:
         return 5 * P.size * P.size * P.x_err
     return Fraction(0)
 
-
-def d2(P: PointsLike, algo: str = "fast") -> float:
-    """Square root of the exact squared discrepancy, as a double."""
-    if algo == "fast":
-        return d2_exact_fast(P).d2
-    if algo == "quad":
-        return d2_exact_quadratic(P).d2
-    raise ValueError(f"unknown algorithm {algo!r}")

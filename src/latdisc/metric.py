@@ -154,26 +154,25 @@ def _rand_bits(gen: np.random.Generator, bits: int) -> int:
     return x & ((1 << bits) - 1)
 
 
+def _farey_draw(gen: np.random.Generator, Q: int, min_q: int) -> Tuple[int, int]:
+    """Rejection over the full coprime-pair grid: q and p are both drawn
+    uniformly from [1,Q] and the draw is kept when q >= min_q, p <= q and
+    gcd(p,q) = 1, which weights every kept reduced fraction equally."""
+    while True:
+        q = int(gen.integers(1, Q + 1))
+        p = int(gen.integers(1, Q + 1))
+        if q >= min_q and p <= q and gcd(p, q) == 1:
+            return p, q
+
+
 def farey_sample(Q: int, M: int, seed: int) -> List[Tuple[int, int]]:
     """M fractions drawn uniformly from F_Q intersected with (0,1].
 
-    Rejection over the full coprime-pair grid: q and p are both drawn
-    uniformly from [1,Q] and the draw is kept when p <= q and gcd(p,q) = 1,
-    which weights every reduced fraction equally.  Deterministic per seed,
-    one substream per sample index.
+    Deterministic per seed, one substream per sample index.
     """
     if Q < 1 or M < 1:
         raise ValueError("need Q >= 1 and M >= 1")
-    out = []
-    for i in range(M):
-        gen = _substream(seed, i)
-        while True:
-            q = int(gen.integers(1, Q + 1))
-            p = int(gen.integers(1, Q + 1))
-            if p <= q and gcd(p, q) == 1:
-                out.append((p, q))
-                break
-    return out
+    return [_farey_draw(_substream(seed, i), Q, 1) for i in range(M)]
 
 
 def sample_irrational(measure: str, bits: int = 256, seed: int = 0,
@@ -262,19 +261,42 @@ class SweepResult:
         return self.emp.n
 
 
-def _rational_stat(args) -> Tuple[float, float]:
-    p, q, estimator = args
-    logsq = math.log(q) ** 2
+def _levy_stat(alpha, N: int, estimator: str) -> Tuple[float, float]:
+    """5 pi^3 D2^2(S(alpha, N)) / log^2 N, exact or at the enclosure's
+    midpoint, and the enclosure width on the same scale (0 for exact)."""
+    logsq = math.log(N) ** 2
     if estimator == "exact":
-        d2sq = float(d2_exact_fast(build_S(Fraction(p, q), q)).d2_squared)
+        d2sq = float(d2_exact_fast(build_S(alpha, N)).d2_squared)
         return FIVE_PI3 * d2sq / logsq, 0.0
-    if estimator == "enclosure_mid":
-        enc = enclosure_S(Alpha.from_rational(p, q), q)
-        return (FIVE_PI3 * float(enc.mid) / logsq,
-                FIVE_PI3 * float(enc.width) / logsq)
-    terms = _cf_quotients_of_fraction(p, q)
-    s2 = sum(a * a for a in terms)
-    return MOMENT_COEFF_RATIONAL * s2 / logsq, 0.0
+    enc = enclosure_S(alpha, N)
+    return (FIVE_PI3 * float(enc.mid) / logsq,
+            FIVE_PI3 * float(enc.width) / logsq)
+
+
+def _sweep(score, args, chunksize: int, threads: int,
+           estimator: str) -> SweepResult:
+    """Score every argument, in a process pool when threads > 1; score
+    returns (source, stat, width, redraws)."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as ex:
+            outs = list(ex.map(score, args, chunksize=chunksize))
+    else:
+        outs = [score(a) for a in args]
+    rows = tuple(SweepRow(str(i), source, s, estimator, w)
+                 for i, (source, s, w, _) in enumerate(outs))
+    emp = EmpiricalDistribution.from_samples([r.stat for r in rows])
+    return SweepResult(rows, emp, kolmogorov_distance(emp, levy_cdf),
+                       resampled=sum(o[3] for o in outs))
+
+
+def _rational_stat(args) -> Tuple[str, float, float, int]:
+    p, q, estimator = args
+    source = f"{p}/{q}"
+    if estimator == "cf_moment":
+        s2 = sum(a * a for a in _cf_quotients_of_fraction(p, q))
+        return source, MOMENT_COEFF_RATIONAL * s2 / math.log(q) ** 2, 0.0, 0
+    alpha = Fraction(p, q) if estimator == "exact" else Alpha.from_rational(p, q)
+    return (source, *_levy_stat(alpha, q, estimator), 0)
 
 
 def rational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
@@ -285,28 +307,12 @@ def rational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     if cfg.mode == "farey_full":
         fracs = [(p, q) for p, q in farey_enumerate(cfg.Q) if q >= 2]
     elif cfg.mode == "farey_sample":
-        fracs = []
-        for i in range(cfg.M):
-            gen = _substream(cfg.seed, i)
-            while True:
-                q = int(gen.integers(1, cfg.Q + 1))
-                p = int(gen.integers(1, cfg.Q + 1))
-                if q >= 2 and p <= q and gcd(p, q) == 1:
-                    fracs.append((p, q))
-                    break
+        fracs = [_farey_draw(_substream(cfg.seed, i), cfg.Q, 2)
+                 for i in range(cfg.M)]
     else:
         raise ValueError("rational_sweep needs a farey mode")
-    args = [(p, q, cfg.estimator) for p, q in fracs]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            outs = list(ex.map(_rational_stat, args, chunksize=256))
-    else:
-        outs = [_rational_stat(a) for a in args]
-    rows = tuple(
-        SweepRow(str(i), f"{p}/{q}", s, cfg.estimator, w)
-        for i, ((p, q), (s, w)) in enumerate(zip(fracs, outs)))
-    emp = EmpiricalDistribution.from_samples([r.stat for r in rows])
-    return SweepResult(rows, emp, kolmogorov_distance(emp, levy_cdf))
+    return _sweep(_rational_stat, [(p, q, cfg.estimator) for p, q in fracs],
+                  256, threads, cfg.estimator)
 
 
 def _irrational_stat(args) -> Tuple[str, float, float, int]:
@@ -321,13 +327,7 @@ def _irrational_stat(args) -> Tuple[str, float, float, int]:
                 return (alpha.label,
                         MOMENT_COEFF_IRRATIONAL * st.sum_a2 / (K * K), 0.0,
                         retries)
-            logsq = math.log(N) ** 2
-            if estimator == "exact":
-                d2sq = float(d2_exact_fast(build_S(alpha, N)).d2_squared)
-                return alpha.label, FIVE_PI3 * d2sq / logsq, 0.0, retries
-            enc = enclosure_S(alpha, N)
-            return (alpha.label, FIVE_PI3 * float(enc.mid) / logsq,
-                    FIVE_PI3 * float(enc.width) / logsq, retries)
+            return (alpha.label, *_levy_stat(alpha, N, estimator), retries)
         except PrecisionExhausted:
             retries += 1
             if retries > 8:
@@ -342,16 +342,7 @@ def irrational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
         raise ValueError("irrational_sweep needs mode='irrational'")
     args = [(cfg.measure, cfg.bits, cfg.seed, i, cfg.N, cfg.estimator)
             for i in range(cfg.M)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            outs = list(ex.map(_irrational_stat, args, chunksize=16))
-    else:
-        outs = [_irrational_stat(a) for a in args]
-    rows = tuple(SweepRow(str(i), label, s, cfg.estimator, w)
-                 for i, (label, s, w, _) in enumerate(outs))
-    emp = EmpiricalDistribution.from_samples([r.stat for r in rows])
-    return SweepResult(rows, emp, kolmogorov_distance(emp, levy_cdf),
-                       resampled=sum(o[3] for o in outs))
+    return _sweep(_irrational_stat, args, 16, threads, cfg.estimator)
 
 
 def trimmed_quotient_mean(measure: str, K: int, M: int, seed: int,

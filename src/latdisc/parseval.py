@@ -74,6 +74,8 @@ def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
             e = m * err0
             dl, dh = d - e, d + e
             if dl <= 0:
+                if err0 == 0:  # alpha is exact, so this is a true zero
+                    raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
                 raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
             m2 = m * m
             lo += num // (m2 * dh ** power)
@@ -363,86 +365,71 @@ class Enclosure:
         return self.width / 2
 
 
-def _window_and_budget(alpha, N: int, K: int):
-    """Shared pieces: window sums over [q_{K-1}, q_K), quotient budgets."""
-    q_lo, q_hi = alpha.q(K - 1), alpha.q(K)
-    tail_unit = dioph_sum2(alpha, q_lo, q_hi - 1)
-    zsum_main = sum((alpha.a(k + 1) + 2) ** 3 * alpha.q(k) for k in range(K - 1))
-    slack = ZETA3_16PI4 * Fraction((alpha.a(K) + 2) ** 3 * alpha.q(K - 1), N)
-    return tail_unit, zsum_main, slack
+def _enclosure(alpha, N: int, K: Optional[int], sym: bool) -> Enclosure:
+    """The one assembly behind enclosure_S (sym) and enclosure_L.
 
-
-def _check_range(alpha, N: int, K: int) -> None:
-    if not (alpha.q(K - 1) <= N <= alpha.q(K)):
-        raise ValueError(f"need q_(K-1) <= N <= q_K, got K={K}, N={N}")
-
-
-def enclosure_S(alpha, N: int, K: Optional[int] = None) -> Enclosure:
-    """Certified enclosure of D2^2(S(alpha, N)).
-
-    K defaults to the smallest index with q_K >= N.  The window term is
-    bracketed by the intersection of the one-sided bracket [0, 2 * window]
-    and the refined two-sided bracket around the window sum; both are
-    guaranteed, so their intersection is too.
+    Both take the main sum below q_{K-1}, the window sum over
+    [q_{K-1}, q_K) and the quotient budget.  The window term is bracketed by
+    the intersection of the one-sided bracket [0, 2 * window] and the
+    refined two-sided bracket around the window sum; both are guaranteed, so
+    their intersection is too.  L differs only in data: the exact block
+    (1/N) sum (T_n^2 + T_n/2), the factor (2N-1)/(2N) on the main and window
+    sums, no 0.07 pad on the refined bracket, and the budget weight
+    a/(8 q_k) with constant 2.78 in place of a/(2 q_k) and 6.28.
     """
     if K is None:
         K = alpha.index_for(N)
-    _check_range(alpha, N, K)
-    main = dioph_sum2(alpha, 1, alpha.q(K - 1) - 1) * INV_4PI4
-    tail_unit, zsum_main, slack = _window_and_budget(alpha, N, K)
-    xi_one_sided = Interval(Fraction(0), (tail_unit * INV_2PI4).hi)
-    tq = tail_unit * INV_4PI4
-    pad = (slack + Fraction(7, 100)).hi
-    xi_refined = Interval(tq.lo - pad, tq.hi + pad)
-    xi = xi_one_sided.intersect(xi_refined)
-    budget = Fraction(0)
-    for a, qk in _quotient_denoms(alpha, K):
-        budget += Fraction(a, 2 * qk)
-    budget += (ZETA3_16PI4 * Fraction(zsum_main, N)).hi + Fraction(628, 100)
+    q_lo, q_hi = alpha.q(K - 1), alpha.q(K)
+    if not (q_lo <= N <= q_hi):
+        raise ValueError(f"need q_(K-1) <= N <= q_K, got K={K}, N={N}")
+    main = dioph_sum2(alpha, 1, q_lo - 1) * INV_4PI4
+    window = dioph_sum2(alpha, q_lo, q_hi - 1)
+    tq = window * INV_4PI4
+    pad = (ZETA3_16PI4 * Fraction((alpha.a(K) + 2) ** 3 * q_lo, N)).hi
+    if sym:
+        pad += Fraction(7, 100)
+        weight, const = 2, Fraction(628, 100)
+    else:
+        factor = Fraction(2 * N - 1, 2 * N)
+        main = main * factor
+        tq = tq * factor
+        weight, const = 8, Fraction(278, 100)
+    xi = Interval(Fraction(0), (window * INV_2PI4).hi).intersect(
+        Interval(tq.lo - pad, tq.hi + pad))
+    zsum = sum((alpha.a(k + 1) + 2) ** 3 * alpha.q(k) for k in range(K - 1))
+    budget = sum(Fraction(a, weight * qk) for a, qk in _quotient_denoms(alpha, K))
+    budget += (ZETA3_16PI4 * Fraction(zsum, N)).hi + const
     raw_lo = main.lo + xi.lo - budget
     hi = main.hi + xi.hi + budget
+    parts = {}
+    if not sym:
+        block, _, _, block_err = birkhoff_quad_block(alpha, N)
+        raw_lo += block - 2 * block_err
+        hi += block + 2 * block_err
+        parts["t_block"] = float(block)
     return Enclosure(max(raw_lo, Fraction(0)), hi, K, {
-        "main_sum": float(main.mid),
+        "main_sum": float(main.mid), **parts,
         "xi_lo": float(xi.lo),
         "xi_hi": float(xi.hi),
         "err_budget": float(budget),
         "raw_lo": float(raw_lo),
     })
+
+
+def enclosure_S(alpha, N: int, K: Optional[int] = None) -> Enclosure:
+    """Certified enclosure of D2^2(S(alpha, N)).
+
+    K defaults to the smallest index with q_K >= N; it must satisfy
+    q_{K-1} <= N <= q_K.
+    """
+    return _enclosure(alpha, N, K, True)
 
 
 def enclosure_L(alpha, N: int, K: Optional[int] = None) -> Enclosure:
     """Certified enclosure of D2^2(L(alpha, N)): the running-sum block enters
     exactly, the main sum carries the factor (1 - 1/(2N)), and the budget
     uses the 1/8-weighted quotient sum plus 2.78."""
-    if K is None:
-        K = alpha.index_for(N)
-    _check_range(alpha, N, K)
-    block, _, _, block_err = birkhoff_quad_block(alpha, N)
-    block_int = Interval.exact(block)
-    if block_err:
-        block_int = block_int.widened(2 * block_err)
-    factor = Fraction(2 * N - 1, 2 * N)
-    main = dioph_sum2(alpha, 1, alpha.q(K - 1) - 1) * INV_4PI4 * factor
-    tail_unit, zsum_main, slack = _window_and_budget(alpha, N, K)
-    xi_one_sided = Interval(Fraction(0), (tail_unit * INV_2PI4).hi)
-    tq = tail_unit * INV_4PI4 * factor
-    pad = slack.hi
-    xi_refined = Interval(tq.lo - pad, tq.hi + pad)
-    xi = xi_one_sided.intersect(xi_refined)
-    budget = Fraction(0)
-    for a, qk in _quotient_denoms(alpha, K):
-        budget += Fraction(a, 8 * qk)
-    budget += (ZETA3_16PI4 * Fraction(zsum_main, N)).hi + Fraction(278, 100)
-    raw_lo = block_int.lo + main.lo + xi.lo - budget
-    hi = block_int.hi + main.hi + xi.hi + budget
-    return Enclosure(max(raw_lo, Fraction(0)), hi, K, {
-        "main_sum": float(main.mid),
-        "t_block": float(block),
-        "xi_lo": float(xi.lo),
-        "xi_hi": float(xi.hi),
-        "err_budget": float(budget),
-        "raw_lo": float(raw_lo),
-    })
+    return _enclosure(alpha, N, K, False)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,10 @@ def test_exit_codes():
     assert main(["estimate", "--alpha", "2/5", "--N", "6", "--sym"]) == 2
     assert main(["nonsense"]) == 2
     assert main(["disc", "--alpha", "1/3", "--N", "3", "--bogus-flag"]) == 2
+    # ||30 * 13/30|| = 0 is an input error on the exact path (M < 3001) and
+    # on the scaled one alike, not exhausted precision (exit 3)
+    assert main(["dioph", "--alpha", "13/30", "--M", "2000"]) == 2
+    assert main(["dioph", "--alpha", "13/30", "--M", "5000"]) == 2
 
 
 def test_check_bounds_small(capsys):
@@ -139,12 +143,19 @@ GOLDEN = {
     "cf_surd_3": "cf --alpha surd:0,3,1",
     "disc_surd_5": "disc --alpha surd:0,5,2 --N 89 --sym --algo fast",
     "estimate_euler_e": "estimate --alpha rule:euler_e --N 1001 --sym",
+    "estimate_euler_e_unsym": "estimate --alpha rule:euler_e --N 1001 --unsym",
     "dioph_surd_5": "dioph --alpha surd:-1,5,2 --M 10000 --weight quarter_pi4_sq",
     "quadratic_constants": "quadratic --surd 0,3,1 --report constants",
     "quadratic_beck": "quadratic --surd 0,3,1 --report beck --out json",
     "lattice_2_5": "lattice --alpha 2/5 --N 5",
     "sweep_rational": "sweep-rational --Q 60 --mode full --out json",
     "sweep_irrational": "sweep-irrational --N 10000 --M 200 --estimator cf_moment",
+    "sweep_rational_sample": "sweep-rational --Q 60 --mode sample --M 300 "
+                             "--seed 3 --estimator enclosure_mid --out json",
+    "sweep_irrational_mid": "sweep-irrational --N 500 --M 40 --seed 2 "
+                            "--estimator enclosure_mid",
+    "sweep_irrational_exact": "sweep-irrational --N 500 --M 40 --seed 2 "
+                              "--estimator exact",
 }
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latdisc.alphas import Alpha
-from latdisc.discrepancy import d2, d2_exact_fast, d2_exact_quadratic
+from latdisc.discrepancy import d2_exact_fast, d2_exact_quadratic
 from latdisc.lattice import build_L, build_S
 
 from oracles import cell_integration_d2sq
@@ -110,9 +110,3 @@ def test_empty_rejected():
     with pytest.raises(ValueError):
         d2_exact_fast([])
 
-
-def test_sqrt_convenience():
-    v = d2([(Fraction(0), Fraction(0))], algo="quad")
-    assert v == pytest.approx((11 / 18) ** 0.5)
-    with pytest.raises(ValueError):
-        d2([(Fraction(0), Fraction(0))], algo="nope")

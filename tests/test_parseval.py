@@ -130,6 +130,20 @@ class TestDiophSumProperties:
             assert iv.lo <= _direct_dioph_sum(alpha, m_start, m_end, power) <= iv.hi
 
 
+class TestEnclosureProperties:
+    @given(q=st.integers(2, 2000), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_enclosures_contain_exact_value(self, q, data):
+        p = data.draw(st.integers(1, q - 1))
+        assume(gcd(p, q) == 1)
+        alpha = Alpha.from_rational(p, q)
+        K = data.draw(st.integers(1, len(alpha.cf.body.terms)))
+        N = data.draw(st.integers(alpha.q(K - 1), alpha.q(K)))
+        for enclosure, build in ((enclosure_S, build_S), (enclosure_L, build_L)):
+            d = d2_exact_fast(build(alpha, N)).d2_squared
+            assert enclosure(alpha, N, K).contains(d)
+
+
 class TestInequalities:
     def test_golden_grid(self, phi):
         br = dioph_inequalities(phi, 12, n=9, N=phi.q(12), m_max=10 ** 6)
