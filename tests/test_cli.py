@@ -76,7 +76,8 @@ def test_sweep_rational_csv_and_summary(capsys):
     rows = cap.out.splitlines()
     assert rows[0] == "id,q_or_seed,stat,estimator,enclosure_width"
     summary = json.loads(cap.err.strip().splitlines()[-1])
-    assert set(summary) == {"n", "ks", "threshold", "pass"}
+    assert set(summary) == {"n", "ks", "threshold", "pass", "resampled"}
+    assert summary["resampled"] == 0
 
 
 def test_sweep_irrational_json(capsys):
@@ -116,6 +117,15 @@ def test_exit_codes():
     # on the scaled one alike, not exhausted precision (exit 3)
     assert main(["dioph", "--alpha", "13/30", "--M", "2000"]) == 2
     assert main(["dioph", "--alpha", "13/30", "--M", "5000"]) == 2
+
+
+def test_realization_wrap_exits_3():
+    # alpha = 1/2 to one ulp: 2 alpha may sit on either side of 1, so the
+    # lattice can be built only while N <= 2
+    half = "bits:8" + "0" * 63 + "@256"
+    for sym in ([], ["--sym"]):
+        assert main(["disc", "--alpha", half, "--N", "2", *sym]) == 0
+        assert main(["disc", "--alpha", half, "--N", "4", "--out", "json", *sym]) == 3
 
 
 def test_check_bounds_small(capsys):

@@ -1,12 +1,14 @@
 """Exact discrepancy: the pairwise oracle, the sweep, and their agreement."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from latdisc.alphas import Alpha
-from latdisc.discrepancy import d2_exact_fast, d2_exact_quadratic
+from latdisc.discrepancy import _BLOCK, d2_exact_fast, d2_exact_quadratic
 from latdisc.lattice import build_L, build_S
 
 from oracles import cell_integration_d2sq
@@ -110,3 +112,52 @@ def test_empty_rejected():
     with pytest.raises(ValueError):
         d2_exact_fast([])
 
+
+def tied_points(rng, n, dx, dy):
+    """n points drawn from about n/3 x values and n/3 y values, so both
+    coordinates repeat; above 2^64, x values also share their top 64 bits
+    while differing in the low ones."""
+    k = max(1, n // 3)
+    if dx > 1 << 64:
+        xs = [rng.randrange(dx >> 20) << 20 | rng.randrange(3) for _ in range(k)]
+    else:
+        xs = [rng.randrange(dx) for _ in range(k)]
+    ys = [rng.randrange(dy) for _ in range(k)]
+    return [(Fraction(rng.choice(xs), dx), Fraction(rng.choice(ys), dy))
+            for _ in range(n)]
+
+
+# sizes around the pairwise base block and one merge level or more; the
+# 2^70-scale y denominators give n*B >= 2^61, where the weights are Python ints
+@given(n=st.one_of(st.integers(1, 600),
+                   st.sampled_from([_BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 4 * _BLOCK + 1])),
+       dx=st.sampled_from([2, 7, 64, 3 ** 40, 2 ** 80 + 1]),
+       dy=st.sampled_from([2, 5, 64, 2 ** 70 + 3]),
+       rng=st.randoms(use_true_random=False))
+@example(n=600, dx=2 ** 80 + 1, dy=2 ** 70 + 3, rng=random.Random(0))
+@settings(max_examples=100, deadline=None)
+def test_fast_equals_quadratic_property(n, dx, dy, rng):
+    pts = tied_points(rng, n, dx, dy)
+    assert d2_exact_fast(pts).d2_squared == d2_exact_quadratic(pts).d2_squared
+
+
+# sha256 of "numerator/denominator" of D2^2 at N = 20000, recorded with an
+# independent per-point Fenwick-tree sweep
+SCALE_DIGESTS = {
+    ("surd:-1,5,2", "S"): "54ab97e893461ccc62a0e65174821dc646bc4c6e473c4cb846e32eb866a31fda",
+    ("surd:-1,5,2", "L"): "368e3f6371fdbc4d984495d7d2ddd3b40ff39fbf46e37553d228255b1eba6488",
+    ("12345/27941", "S"): "2debc18bfddbc8a89d429a7f6ec1ae5785af124f1f2c53437a66f1fc75209b48",
+    ("12345/27941", "L"): "1a88d69c1777bd3d1df699f22bce3da040ae4c3f209faecf4c080bd025d342e7",
+    ("bits:243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89@256", "S"):
+        "c8cb158a29dffaadc143db8b4bce6b2c4eb7e11fd10a977fc56fd1cfb97bd189",
+    ("bits:243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89@256", "L"):
+        "a7a7d55b02a5278d8cd9dd801e57804fda7ed583fe818c9fb921afbf443b3478",
+}
+
+
+@pytest.mark.parametrize("spec,variant", sorted(SCALE_DIGESTS))
+def test_bit_identical_at_scale(spec, variant):
+    build = build_S if variant == "S" else build_L
+    v = d2_exact_fast(build(Alpha.parse(spec), 20000)).d2_squared
+    text = f"{v.numerator}/{v.denominator}".encode()
+    assert hashlib.sha256(text).hexdigest() == SCALE_DIGESTS[spec, variant]

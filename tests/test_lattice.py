@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latdisc.alphas import Alpha
+from latdisc.cf import PrecisionExhausted
+from latdisc.fixedpoint import FixedPointReal
 from latdisc.lattice import build_L, build_S
 
 
@@ -97,3 +99,28 @@ def test_lattices_match_definition(p, q, N):
                     ((-n * alpha) % 1, Fraction(n, N)))]
     assert list(build_L(alpha, N).points()) == L
     assert list(build_S(alpha, N).points()) == S
+
+
+# mantissas m near p/n * 2^bits (within a few error units) as well as free
+# ones; with n a power of two, |n m - p 2^bits| = n err is hit exactly
+@given(bits=st.integers(16, 22), err=st.integers(1, 4), N=st.integers(1, 300),
+       p=st.integers(0, 300),
+       n0=st.one_of(st.integers(1, 300), st.sampled_from([2, 4, 8, 64, 256])),
+       shift=st.integers(-12, 12), free=st.booleans(),
+       m=st.integers(0, (1 << 22) - 1))
+@example(bits=16, err=1, N=5, p=1, n0=4, shift=1, free=False, m=0)
+@example(bits=16, err=1, N=5, p=1, n0=4, shift=-1, free=False, m=0)
+@settings(max_examples=300, deadline=None)
+def test_wrap_check_matches_definition(bits, err, N, p, n0, shift, free, m):
+    mod = 1 << bits
+    m = m % mod if free else (p * mod // n0 + shift) % mod
+    budget = N > 1 and (N - 1) * err >= 1 << (bits // 2)
+    wraps = any(min(n * m % mod, mod - n * m % mod) <= n * err
+                for n in range(1, N))
+    for build in (build_L, build_S):
+        try:
+            build(FixedPointReal(m, bits, err), N)
+            raised = False
+        except PrecisionExhausted:
+            raised = True
+        assert raised == (budget or wraps)
