@@ -124,10 +124,12 @@ def _cmd_quadratic(args) -> int:
         doc = {"c_hat": _fmt(qa.c_hat), "c_stderr": _fmt(qa.c_stderr),
                "grid_max": grid[-1]}
     elif args.report == "residuals":
-        qa = quadratic_asymptotics(alpha, M_grid=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])
+        c_alpha = None
+        if args.variant == "S":  # only S reduces against the Beck slope
+            c_alpha = quadratic_asymptotics(
+                alpha, M_grid=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]).c_hat
         table = asymptotic_residuals(alpha, range(args.kmin, args.kmax + 1),
-                                     args.variant,
-                                     c_alpha=qa.c_hat if args.variant == "S" else None)
+                                     args.variant, c_alpha=c_alpha)
         doc = {"rows": [{"K": r.K, "N": r.N, "d2sq": _fmt(r.d2sq),
                          "residual": None if r.residual is None else _fmt(r.residual)}
                         for r in table.rows],

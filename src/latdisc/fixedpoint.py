@@ -102,16 +102,56 @@ def dist_to_int(x: RealValue) -> RealValue:
     return FixedPointReal(min(x.mantissa, half - x.mantissa), x.bits, x.err_ulp)
 
 
-def walk_data(x) -> Tuple[int, int, int]:
+def _least_denominator(lo: Fraction, hi: Fraction, cap: int) -> int:
+    """The least n >= 1 with some p/n in [lo, hi], or a number >= cap once
+    that n is known to be >= cap.
+
+    Walks the continued fraction of the simplest fraction in the interval:
+    with x = (P y + P1)/(Q y + Q1) for the tail y in [lo, hi], an integer in
+    [lo, hi] ends the walk (the least one gives the least Q y + Q1); else
+    y = t + 1/y' with t = floor(lo), and y' lies in [1/(hi - t), 1/(lo - t)].
+    """
+    Q, Q1 = 0, 1
+    while True:
+        t = lo.numerator // lo.denominator
+        if t == lo or t + 1 <= hi:
+            return Q * (t if t == lo else t + 1) + Q1
+        Q, Q1 = Q * t + Q1, Q
+        if Q >= cap:  # every later term is >= 1, so the end is >= Q
+            return Q
+        lo, hi = 1 / (hi - t), 1 / (lo - t)
+
+
+def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
     """(step, modulus, err_ulp) of an Alpha, a Fraction or a FixedPointReal:
     {m alpha} = (m*step mod modulus)/modulus, off by at most m*err_ulp/modulus.
-    Exact (err_ulp = 0) for rational alpha."""
+    Exact (err_ulp = 0) for rational alpha.
+
+    With N > 1 this is also the trust check for {n alpha}, 1 <= n < N.  The
+    per-point bound holds only if no alpha the error counter admits puts
+    n alpha on the other side of an integer: every n*step mod modulus must
+    lie farther than n*err_ulp from 0.  It fails exactly when some p/n lies
+    within err_ulp/modulus of step/modulus, so PrecisionExhausted is raised
+    when the least such n is below N, and also once the budget
+    (N-1)*err_ulp reaches 2^(bits/2).  ||m alpha|| is continuous mod 1 and
+    needs no such check.
+    """
     if not isinstance(x, (Fraction, FixedPointReal)):
         x = x.value
     if isinstance(x, Fraction):
         v = x % 1
         return v.numerator, v.denominator, 0
-    return x.mantissa, 1 << x.bits, x.err_ulp
+    step, mod, err_ulp = x.mantissa, 1 << x.bits, x.err_ulp
+    if N > 1 and err_ulp:
+        if (N - 1) * err_ulp >= (1 << (x.bits // 2)):
+            raise PrecisionExhausted(
+                "error budget overflow while building lattice")
+        n = _least_denominator(Fraction(step - err_ulp, mod),
+                               Fraction(step + err_ulp, mod), N)
+        if n < N:
+            raise PrecisionExhausted(
+                f"{{n alpha}} within its error of an integer at n = {n}")
+    return step, mod, err_ulp
 
 
 _WALK_BLOCK = 4096
@@ -134,6 +174,14 @@ def residues(step: int, mod: int, start: int, stop: int) -> Iterator[list]:
         yield block
 
 
+def norms(step: int, mod: int, start: int, stop: int) -> Iterator[list]:
+    """min(v, mod - v) for each v = n*step mod mod, start <= n < stop, in
+    the blocks of residues: mod * ||n alpha|| for the walk of walk_data.
+    This is the one fold behind every ||m alpha|| sum of the package."""
+    for block in residues(step, mod, start, stop):
+        yield [v if 2 * v <= mod else mod - v for v in block]
+
+
 @dataclass(frozen=True)
 class BirkhoffSums:
     """T_0..T_{N-1} and their average E_N, exact in the representation.
@@ -153,9 +201,9 @@ class BirkhoffSums:
 
 def _scaled_running_sums(value, N: int):
     """Integers u_0..u_{N-1} and scale D with T_n = u_n / D, plus a bound on
-    how far each T_n can sit from the true T_n.  Exact integer arithmetic
-    throughout."""
-    step, modulus, err_ulp = walk_data(value)
+    how far each T_n can sit from the true T_n, which walk_data's trust check
+    makes sound.  Exact integer arithmetic throughout."""
+    step, modulus, err_ulp = walk_data(value, N)
     u = []
     append = u.append
     s = 0

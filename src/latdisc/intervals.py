@@ -71,10 +71,6 @@ class Interval:
     def __rtruediv__(self, other):
         return _as_interval(other) / self
 
-    def widened(self, pad) -> "Interval":
-        pad = Fraction(pad)
-        return Interval(self.lo - pad, self.hi + pad)
-
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 

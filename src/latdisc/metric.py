@@ -9,6 +9,7 @@ are deterministic.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,10 +276,14 @@ def _levy_stat(alpha, N: int, estimator: str) -> Tuple[float, float]:
 
 def _sweep(score, args, chunksize: int, threads: int,
            estimator: str) -> SweepResult:
-    """Score every argument, in a process pool when threads > 1; score
-    returns (source, stat, width, redraws)."""
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
+    """Score every argument, in a pool of up to threads processes (never
+    more than there are arguments or CPUs); score returns (source, stat,
+    width, redraws)."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    workers = min(threads, len(args), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             outs = list(ex.map(score, args, chunksize=chunksize))
     else:
         outs = [score(a) for a in args]

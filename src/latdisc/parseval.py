@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .cf import PrecisionExhausted
 from .discrepancy import d2_exact_fast
-from .fixedpoint import birkhoff_mean, birkhoff_quad_block, residues, walk_data
+from .fixedpoint import birkhoff_mean, birkhoff_quad_block, norms, walk_data
 from .intervals import (
     INV_2PI4,
     INV_4PI4,
@@ -53,34 +54,28 @@ def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
     if m_end < m_start:
         return Interval.zero()
     step, mod, err0 = walk_data(alpha)
-    walk = residues(step, mod, m_start, m_end + 1)
-    m = m_start
+    walk = enumerate(chain.from_iterable(norms(step, mod, m_start, m_end + 1)),
+                     m_start)
     if err0 == 0 and (m_end - m_start) < _EXACT_TERM_LIMIT:
         num = mod ** power
         total = Fraction(0)
-        for block in walk:
-            for v in block:
-                t = v if 2 * v <= mod else mod - v
-                if t == 0:
-                    raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
-                total += Fraction(num, m * m * t ** power)
-                m += 1
+        for m, d in walk:
+            if d == 0:
+                raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
+            total += Fraction(num, m * m * d ** power)
         return Interval(total, total)
     num = (mod ** power) << _SCALE_BITS
     lo = hi = 0
-    for block in walk:
-        for v in block:
-            d = v if 2 * v <= mod else mod - v
-            e = m * err0
-            dl, dh = d - e, d + e
-            if dl <= 0:
-                if err0 == 0:  # alpha is exact, so this is a true zero
-                    raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
-                raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
-            m2 = m * m
-            lo += num // (m2 * dh ** power)
-            hi += ceil_div(num, m2 * dl ** power)
-            m += 1
+    for m, d in walk:
+        e = m * err0
+        dl, dh = d - e, d + e
+        if dl <= 0:
+            if err0 == 0:  # alpha is exact, so this is a true zero
+                raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
+            raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
+        m2 = m * m
+        lo += num // (m2 * dh ** power)
+        hi += ceil_div(num, m2 * dl ** power)
     s = 1 << _SCALE_BITS
     return Interval(Fraction(lo, s), Fraction(hi, s))
 
@@ -142,20 +137,16 @@ def dioph_sum2_float(alpha, M: int, skip_zero: bool = False,
     out = []
     mi = 0
     total = 0.0
-    m = 1
-    for block in residues(step, mod, 1, M + 1):
-        for v in block:
-            d = v if 2 * v <= mod else mod - v
-            if d == 0:
-                if not skip_zero:
-                    raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
-            else:
-                x = d / fmod
-                total += coeff / (m * m * x * x)
-            while mi < len(marks) and marks[mi] == m:
-                out.append(total)
-                mi += 1
-            m += 1
+    for m, d in enumerate(chain.from_iterable(norms(step, mod, 1, M + 1)), 1):
+        if d == 0:
+            if not skip_zero:
+                raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
+        else:
+            x = d / fmod
+            total += coeff / (m * m * x * x)
+        while mi < len(marks) and marks[mi] == m:
+            out.append(total)
+            mi += 1
     if record_at is None:
         return total
     return out
@@ -214,18 +205,15 @@ def tail_min_bound(alpha, K: int, n: int,
     n2s = (n * n) << _SCALE_BITS
     num = (mod * mod) << (_SCALE_BITS - 2)  # 2^{2B+S}/4
     hi = 0
-    m = qK
-    for block in residues(step, mod, qK, m_max + 1):
-        for v in block:
-            d = v if 2 * v <= mod else mod - v
-            dl = d - m * err0
-            m2 = m * m
-            cap = ceil_div(n2s, m2)
-            if dl > 0:
-                hi += min(cap, ceil_div(num, m2 * dl * dl))
-            else:
-                hi += cap
-            m += 1
+    for m, d in enumerate(chain.from_iterable(norms(step, mod, qK, m_max + 1)),
+                          qK):
+        dl = d - m * err0
+        m2 = m * m
+        cap = ceil_div(n2s, m2)
+        if dl > 0:
+            hi += min(cap, ceil_div(num, m2 * dl * dl))
+        else:
+            hi += cap
     lhs = Interval(Fraction(0), Fraction(hi, s)) * (INV_PI2 * Fraction(1, 2))
     rem = (Fraction(n * n, 2 * (m_max - 1)) * INV_PI2).hi
     lhs = Interval(lhs.lo, lhs.hi + rem)
@@ -252,32 +240,28 @@ def _min_weighted_sum(alpha, m_start: int, m_end: int, N: int) -> Interval:
     num2 = (mod * mod) << _SCALE_BITS
     num3 = (mod * mod * mod) << _SCALE_BITS
     lo = hi = 0
-    m = m_start
-    for vs, ws in zip(residues(step, mod, m_start, m_end + 1),
-                      residues(2 * step, mod, m_start, m_end + 1)):
-        for v, w in zip(vs, ws):
-            d = v if 2 * v <= mod else mod - v
-            d2 = w if 2 * w <= mod else mod - w
-            e = m * err0
-            e2 = 2 * m * err0
-            dl, dh = d - e, d + e
-            d2l, d2h = d2 - e2, d2 + e2
-            if dl <= 0:
-                raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
-            m2 = m * m
-            # upper endpoint: largest 1/||.||^2, largest min-factor
-            if d2l <= 0:
-                hi += ceil_div(num2, m2 * dl * dl)
-            else:
-                hi += min(ceil_div(num2, m2 * dl * dl),
-                          ceil_div(num3, m2 * dl * dl * 4 * N * d2l))
-            # lower endpoint
-            if d2h == 0:
-                lo += num2 // (m2 * dh * dh)
-            else:
-                lo += min(num2 // (m2 * dh * dh),
-                          num3 // (m2 * dh * dh * 4 * N * d2h))
-            m += 1
+    for m, d in enumerate(chain.from_iterable(norms(step, mod, m_start,
+                                                    m_end + 1)), m_start):
+        d2 = min(2 * d, mod - 2 * d)  # mod * ||2m alpha||, as 2d <= mod
+        e = m * err0
+        e2 = 2 * m * err0
+        dl, dh = d - e, d + e
+        d2l, d2h = d2 - e2, d2 + e2
+        if dl <= 0:
+            raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
+        m2 = m * m
+        # upper endpoint: largest 1/||.||^2, largest min-factor
+        if d2l <= 0:
+            hi += ceil_div(num2, m2 * dl * dl)
+        else:
+            hi += min(ceil_div(num2, m2 * dl * dl),
+                      ceil_div(num3, m2 * dl * dl * 4 * N * d2l))
+        # lower endpoint
+        if d2h == 0:
+            lo += num2 // (m2 * dh * dh)
+        else:
+            lo += min(num2 // (m2 * dh * dh),
+                      num3 // (m2 * dh * dh * 4 * N * d2h))
     return Interval(Fraction(lo, s), Fraction(hi, s))
 
 
@@ -325,40 +309,25 @@ def xi_direct(alpha, N: int, K: int, variant: str = "S",
     step, mod, _ = walk_data(alpha)
     ns = 2.0 * np.arange(N) + 1.0 if variant == "S" else np.arange(N) + 1.0
     total = 0.0
-    m = m_lo
-    for block in residues(step, mod, m_lo, m_hi + 1):
-        for v in block:
-            d = v if 2 * v <= mod else mod - v
-            am = v / mod
-            phases = np.mod(am * ns, 1.0)
-            ssum = float(np.sum(np.sin(np.pi * phases) ** 2))
-            x = d / mod
-            total += ssum / (2 * np.pi ** 4 * m * m * x * x)
-            m += 1
+    for m, d in enumerate(chain.from_iterable(norms(step, mod, m_lo, m_hi + 1)),
+                          m_lo):
+        # sin^2(pi c x) = sin^2(pi c (1 - x)) for integer c, so the phase
+        # may start from ||m alpha|| in place of {m alpha}
+        x = d / mod
+        phases = np.mod(x * ns, 1.0)
+        ssum = float(np.sum(np.sin(np.pi * phases) ** 2))
+        total += ssum / (2 * np.pi ** 4 * m * m * x * x)
     return total / N
 
 
 @dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Interval):
     """Certified interval around D2^2, with the index K used and a part
     breakdown.  lo is clamped at zero (the target is a square); parts keeps
     the raw pre-clamp endpoint."""
 
-    lo: Fraction
-    hi: Fraction
     K: int
     parts: Dict[str, float]
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     @property
     def half_width(self) -> Fraction:

@@ -108,6 +108,31 @@ def test_env_threads_fallback():
     assert r.returncode == 0
 
 
+def test_threads_below_one_exit_2():
+    import os
+    assert main(["sweep-rational", "--Q", "15", "--threads", "0"]) == 2
+    env = dict(os.environ, LATDISC_THREADS="-1")
+    r = subprocess.run([sys.executable, "-m", "latdisc.cli", "sweep-rational",
+                        "--Q", "15", "--mode", "full"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 2
+
+
+def test_residuals_L_skips_beck_regression(monkeypatch, capsys):
+    from latdisc import quadratic
+
+    def no_regression(*args, **kwargs):
+        raise RuntimeError("Beck regression computed")
+
+    monkeypatch.setattr(quadratic, "beck_constant_estimate", no_regression)
+    argv = ["quadratic", "--surd=-1,5,2", "--report", "residuals",
+            "--kmin", "5", "--kmax", "8"]
+    assert main([*argv, "--variant", "L"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 4
+    with pytest.raises(RuntimeError):  # S reduces against the slope
+        main([*argv, "--variant", "S"])
+
+
 def test_exit_codes():
     assert main(["disc", "--alpha", "not-a-spec", "--N", "3"]) == 2
     assert main(["estimate", "--alpha", "2/5", "--N", "6", "--sym"]) == 2

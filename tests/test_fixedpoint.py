@@ -10,17 +10,21 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from latdisc.cf import PrecisionExhausted, QuadraticSurd, cf_of_bits, cf_of_rational, cf_of_surd, cf_rule
+from latdisc.discrepancy import d2_exact_fast, realization_error
 from latdisc.fixedpoint import (
     _WALK_BLOCK,
     FixedPointReal,
     birkhoff_mean,
+    birkhoff_quad_block,
     birkhoff_sums,
     dist_to_int,
     eval_alpha,
     frac_multiple,
+    norms,
     residues,
     starred_sums,
 )
+from latdisc.lattice import build_L, build_S
 
 from oracles import e_fraction, sqrt_mantissa
 
@@ -205,6 +209,9 @@ class TestWalk:
         assert all(len(b) == _WALK_BLOCK for b in blocks[:-1])
         assert sum(blocks, []) == [(n * step) % mod
                                    for n in range(start, start + length)]
+        folded = list(norms(step, mod, start, start + length))
+        assert [len(b) for b in folded] == [len(b) for b in blocks]
+        assert sum(folded, []) == [min(v, mod - v) for v in sum(blocks, [])]
 
     @given(p=st.integers(0, 10 ** 4), q=st.integers(1, 300),
            N=st.integers(1, 400))
@@ -225,3 +232,41 @@ class TestWalk:
                             for l in range(q)))
         s = starred_sums(p, q)
         assert s.T == tuple(T) and s.E == sum(T) / q
+
+
+FINE = 8  # extra bits of the true alpha below the stored resolution
+
+
+# true alphas anywhere inside the error counter of a stored mantissa placed
+# near p/n0 (where {n alpha} may cross an integer) or drawn freely
+@given(bits=st.integers(16, 24), err=st.integers(1, 4), N=st.integers(1, 60),
+       p=st.integers(0, 60), n0=st.integers(1, 60), shift=st.integers(-12, 12),
+       free=st.booleans(), m=st.integers(0, (1 << 24) - 1),
+       t=st.integers(-(1 << FINE), 1 << FINE))
+# alpha = 1/2 to one ulp, true alpha 1/2 - 2^-256: T_2 moves by 1
+@example(bits=256, err=1, N=4, p=1, n0=2, shift=0, free=False, m=0,
+         t=-(1 << FINE))
+@settings(max_examples=200, deadline=None)
+def test_realization_bounds_hold_for_every_admitted_alpha(bits, err, N, p, n0,
+                                                          shift, free, m, t):
+    mod = 1 << bits
+    m = m % mod if free else (p * mod // n0 + shift) % mod
+    stored = FixedPointReal(m, bits, err)
+    true = FixedPointReal(((m << FINE) + t * err) % (mod << FINE),
+                          bits + FINE)
+    for build in (build_L, build_S):
+        try:
+            P = build(stored, N)
+        except PrecisionExhausted:
+            continue
+        gap = (d2_exact_fast(build(true, N)).d2_squared
+               - d2_exact_fast(P).d2_squared)
+        assert abs(gap) <= realization_error(P)
+    try:
+        b = birkhoff_sums(stored, N)
+    except PrecisionExhausted:
+        return
+    bt = birkhoff_sums(true, N)
+    assert all(abs(x - y) <= b.err_bound for x, y in zip(bt.T, b.T))
+    block, _, _, block_err = birkhoff_quad_block(stored, N)
+    assert abs(birkhoff_quad_block(true, N)[0] - block) <= block_err

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from latdisc import metric
 from latdisc.metric import (
     EmpiricalDistribution,
     SweepConfig,
@@ -237,6 +238,37 @@ class TestSweeps:
         cfg = SweepConfig(mode="irrational", N=100, M=12, seed=9,
                           estimator="cf_moment")
         assert irrational_sweep(cfg, threads=1) == irrational_sweep(cfg, threads=2)
+
+    def test_pool_never_larger_than_rows_or_cpus(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return map(fn, args)
+
+        monkeypatch.setattr(metric, "ProcessPoolExecutor", RecordingPool)
+        cfg = SweepConfig(mode="farey_full", Q=5, estimator="cf_moment")
+        rows = farey_count(5) - 2
+        serial = rational_sweep(cfg, threads=1)
+        monkeypatch.setattr(metric.os, "cpu_count", lambda: 64)
+        assert rational_sweep(cfg, threads=5000) == serial
+        monkeypatch.setattr(metric.os, "cpu_count", lambda: 3)
+        assert rational_sweep(cfg, threads=5000) == serial
+        monkeypatch.setattr(metric.os, "cpu_count", lambda: None)
+        assert rational_sweep(cfg, threads=5000) == serial
+        assert started == [rows, 3]
+        for threads in (0, -1):
+            with pytest.raises(ValueError):
+                rational_sweep(cfg, threads=threads)
 
 
 class TestTrimmed:

@@ -15,6 +15,7 @@ from latdisc.lattice import build_L, build_S
 from latdisc.parseval import (
     dioph_inequalities,
     _EXACT_TERM_LIMIT,
+    _min_weighted_sum,
     dioph_sum,
     dioph_sum1,
     dioph_sum2,
@@ -128,6 +129,27 @@ class TestDiophSumProperties:
             iv = fn(alpha, m_start, m_end)
             assert iv.lo < iv.hi  # outward-rounded, not the exact path
             assert iv.lo <= _direct_dioph_sum(alpha, m_start, m_end, power) <= iv.hi
+
+
+    @given(p=st.integers(1, 2000), q=st.integers(2, 500),
+           N=st.integers(1, 200), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_min_weighted_sum_contains_direct_sum(self, p, q, N, data):
+        assume(gcd(p, q) == 1)
+        m_start = data.draw(st.integers(1, q - 1))
+        m_end = data.draw(st.integers(m_start, q - 1))
+        alpha = Fraction(p, q)
+
+        def norm(x):
+            return min(x % 1, 1 - x % 1)
+
+        direct = Fraction(0)
+        for m in range(m_start, m_end + 1):
+            d, d2 = norm(m * alpha), norm(2 * m * alpha)
+            factor = 1 if d2 == 0 else min(1 / (4 * N * d2), Fraction(1))
+            direct += factor / (m * m * d * d)
+        iv = _min_weighted_sum(alpha, m_start, m_end, N)
+        assert iv.lo <= direct <= iv.hi
 
 
 class TestEnclosureProperties:
