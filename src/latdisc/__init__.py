@@ -65,12 +65,10 @@ from .parseval import (
     xi_direct,
 )
 from .quadratic import (
-    QuadraticAsymptotics,
     alternation_constant,
     asymptotic_residuals,
     beck_constant_estimate,
     growth_constant,
-    quadratic_asymptotics,
 )
 
 __version__ = "0.1.0"

@@ -156,12 +156,9 @@ class QuadraticSurd:
 
     @classmethod
     def make(cls, P: int, D: int, Q: int) -> "QuadraticSurd":
-        """Build a surd, rescaling (P,D,Q) so that Q divides D - P^2."""
-        if Q == 0:
-            raise ValueError("Q must be nonzero")
-        if D <= 0 or isqrt(D) ** 2 == D:
-            raise ValueError("D must be a positive nonsquare integer")
-        if (D - P * P) % Q != 0:
+        """Build a surd, rescaling (P,D,Q) so that Q divides D - P^2; the
+        constructor checks the result."""
+        if Q and (D - P * P) % Q != 0:
             a = abs(Q)
             P, D, Q = P * a, D * a * a, Q * a
         return cls(P, D, Q)
@@ -212,10 +209,8 @@ def cf_value(cf: ContinuedFraction) -> Fraction:
     """Exact value of a finite expansion."""
     if not isinstance(cf.body, Finite):
         raise ValueError("only finite expansions have a rational value")
-    tail = Fraction(0)
-    for a in reversed(cf.body.terms):
-        tail = Fraction(1, a + tail)
-    return cf.a0 + tail
+    *_, last = iter_convergents(cf)
+    return Fraction(last.p, last.q)
 
 
 def _floor_surd(P: int, D: int, Q: int) -> int:
@@ -311,6 +306,8 @@ def cf_of_bits(mantissa: int, bits: int) -> ContinuedFraction:
         raise ValueError("mantissa out of range")
     limit = 1 << (bits - 64)
     terms = []
+    # q_k runs inline, not through iter_convergents: it is the stopping rule
+    # of the quotient generation that builds the expansion
     qk_1, qk = 0, 1
     a, b = 1 << bits, mantissa
     while b:

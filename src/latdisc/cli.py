@@ -13,18 +13,19 @@ import os
 import sys
 
 from . import corpus as corpus_mod
+from . import quadratic
 from .alphas import Alpha
 from .cf import PrecisionExhausted
 from .discrepancy import d2_exact_fast, d2_exact_quadratic, realization_error
 from .lattice import build_L, build_S
 from .metric import (
+    ESTIMATORS,
     FROZEN_KS,
     SweepConfig,
     irrational_sweep,
     rational_sweep,
 )
 from .parseval import dioph_sum, enclosure_L, enclosure_S
-from .quadratic import asymptotic_residuals, quadratic_asymptotics
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,11 +47,19 @@ def _threads(args) -> int:
     return int(os.environ.get("LATDISC_THREADS", "1"))
 
 
-def _common(sub):
-    sub.add_argument("--out", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--bits", type=int, default=256)
-    sub.add_argument("--threads", type=int, default=None)
+_SHARED = {
+    "alpha": dict(required=True),
+    "out": dict(choices=("csv", "json"), default="csv"),
+    "seed": dict(type=int, default=0),
+    "bits": dict(type=int, default=256),
+    "threads": dict(type=int, default=None),
+}
+
+
+def _shared(sub, *names):
+    """Add the shared flags a subcommand's handler reads, and no others."""
+    for name in names:
+        sub.add_argument(f"--{name}", **_SHARED[name])
 
 
 def _cmd_cf(args) -> int:
@@ -114,22 +123,23 @@ def _cmd_quadratic(args) -> int:
     P, D, Q = (int(t) for t in args.surd.split(","))
     alpha = Alpha.from_surd(P, D, Q, bits=args.bits)
     if args.report == "constants":
-        qa = quadratic_asymptotics(alpha)
-        doc = {"A": f"{qa.A.numerator}/{qa.A.denominator}",
-               "eta_trace": qa.eta_trace, "eta_det": qa.eta_det,
-               "Lambda": _fmt(qa.Lambda)}
+        A = quadratic.alternation_constant(alpha.cf)
+        tr, det, lam = quadratic.growth_constant(alpha.cf)
+        doc = {"A": f"{A.numerator}/{A.denominator}",
+               "eta_trace": tr, "eta_det": det, "Lambda": _fmt(lam)}
     elif args.report == "beck":
         grid = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7][: args.grid_points]
-        qa = quadratic_asymptotics(alpha, M_grid=grid)
-        doc = {"c_hat": _fmt(qa.c_hat), "c_stderr": _fmt(qa.c_stderr),
+        c_hat, c_stderr = quadratic.beck_constant_estimate(alpha, grid)
+        doc = {"c_hat": _fmt(c_hat), "c_stderr": _fmt(c_stderr),
                "grid_max": grid[-1]}
     elif args.report == "residuals":
         c_alpha = None
         if args.variant == "S":  # only S reduces against the Beck slope
-            c_alpha = quadratic_asymptotics(
-                alpha, M_grid=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]).c_hat
-        table = asymptotic_residuals(alpha, range(args.kmin, args.kmax + 1),
-                                     args.variant, c_alpha=c_alpha)
+            c_alpha, _ = quadratic.beck_constant_estimate(
+                alpha, [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])
+        table = quadratic.asymptotic_residuals(
+            alpha, range(args.kmin, args.kmax + 1), args.variant,
+            c_alpha=c_alpha)
         doc = {"rows": [{"K": r.K, "N": r.N, "d2sq": _fmt(r.d2sq),
                          "residual": None if r.residual is None else _fmt(r.residual)}
                         for r in table.rows],
@@ -199,30 +209,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("cf", help="print a continued fraction expansion")
-    _common(s)
-    s.add_argument("--alpha", required=True)
+    _shared(s, "alpha", "bits")
     s.add_argument("--terms", type=int, default=20)
     s.set_defaults(fn=_cmd_cf)
 
     s = sub.add_parser("lattice", help="dump lattice points")
-    _common(s)
-    s.add_argument("--alpha", required=True)
+    _shared(s, "alpha", "bits")
     s.add_argument("--N", type=int, required=True)
     s.add_argument("--sym", action="store_true")
     s.add_argument("--float", action="store_true")
     s.set_defaults(fn=_cmd_lattice)
 
     s = sub.add_parser("disc", help="exact L2 discrepancy")
-    _common(s)
-    s.add_argument("--alpha", required=True)
+    _shared(s, "alpha", "bits", "out")
     s.add_argument("--N", type=int, required=True)
     s.add_argument("--sym", action="store_true")
     s.add_argument("--algo", choices=("quad", "fast"), default="fast")
     s.set_defaults(fn=_cmd_disc)
 
     s = sub.add_parser("estimate", help="certified enclosure of D2^2")
-    _common(s)
-    s.add_argument("--alpha", required=True)
+    _shared(s, "alpha", "bits")
     s.add_argument("--N", type=int, required=True)
     g = s.add_mutually_exclusive_group(required=True)
     g.add_argument("--sym", action="store_true")
@@ -230,14 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_estimate)
 
     s = sub.add_parser("dioph", help="weighted Diophantine sum")
-    _common(s)
-    s.add_argument("--alpha", required=True)
+    _shared(s, "alpha", "bits")
     s.add_argument("--M", type=int, required=True)
     s.add_argument("--weight", default="unit_sq")
     s.set_defaults(fn=_cmd_dioph)
 
     s = sub.add_parser("quadratic", help="quadratic irrational constants")
-    _common(s)
+    _shared(s, "bits", "out")
     s.add_argument("--surd", required=True, metavar="P,D,Q")
     s.add_argument("--report", choices=("constants", "beck", "residuals"),
                    default="constants")
@@ -248,26 +253,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_quadratic)
 
     s = sub.add_parser("sweep-rational", help="Farey lattice sweep")
-    _common(s)
+    _shared(s, "out", "seed", "threads")
     s.add_argument("--Q", type=int, required=True)
     s.add_argument("--mode", choices=("full", "sample"), default="full")
     s.add_argument("--M", type=int, default=1000)
-    s.add_argument("--estimator", default="exact",
-                   choices=("exact", "enclosure_mid", "cf_moment"))
+    s.add_argument("--estimator", choices=ESTIMATORS, default="exact")
     s.set_defaults(fn=_cmd_sweep_rational)
 
     s = sub.add_parser("sweep-irrational", help="random irrational sweep")
-    _common(s)
+    _shared(s, "out", "seed", "bits", "threads")
     s.add_argument("--N", type=int, required=True)
     s.add_argument("--M", type=int, required=True)
     s.add_argument("--measure", choices=("lebesgue", "gauss"),
                    default="lebesgue")
-    s.add_argument("--estimator", default="cf_moment",
-                   choices=("exact", "enclosure_mid", "cf_moment"))
+    s.add_argument("--estimator", choices=ESTIMATORS, default="cf_moment")
     s.set_defaults(fn=_cmd_sweep_irrational)
 
     s = sub.add_parser("check-bounds", help="run the certified-bound corpus")
-    _common(s)
     s.add_argument("--corpus", choices=("small", "full"), default="small")
     s.set_defaults(fn=_cmd_check_bounds)
 

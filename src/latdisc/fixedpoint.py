@@ -39,12 +39,6 @@ class FixedPointReal:
         """The stored (representation) value, exactly."""
         return Fraction(self.mantissa, 1 << self.bits)
 
-    def bounds(self) -> Tuple[Fraction, Fraction]:
-        """Certified enclosure of the true value."""
-        d = 1 << self.bits
-        return (Fraction(self.mantissa - self.err_ulp, d),
-                Fraction(self.mantissa + self.err_ulp, d))
-
 
 RealValue = Union[Fraction, FixedPointReal]
 
@@ -111,6 +105,8 @@ def _least_denominator(lo: Fraction, hi: Fraction, cap: int) -> int:
     [lo, hi] ends the walk (the least one gives the least Q y + Q1); else
     y = t + 1/y' with t = floor(lo), and y' lies in [1/(hi - t), 1/(lo - t)].
     """
+    # Q runs inline, not through iter_convergents: it is the stopping rule
+    # of the quotient generation, whose quotients exist only in this walk
     Q, Q1 = 0, 1
     while True:
         t = lo.numerator // lo.denominator
@@ -145,7 +141,7 @@ def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
     if N > 1 and err_ulp:
         if (N - 1) * err_ulp >= (1 << (x.bits // 2)):
             raise PrecisionExhausted(
-                "error budget overflow while building lattice")
+                "error budget overflow walking {n alpha}, n < N")
         n = _least_denominator(Fraction(step - err_ulp, mod),
                                Fraction(step + err_ulp, mod), N)
         if n < N:

@@ -93,9 +93,6 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def midpoint_float(self) -> float:
-        return float(self.mid)
-
 
 def _as_interval(x) -> Interval:
     if isinstance(x, Interval):

@@ -19,7 +19,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alphas import Alpha
-from .cf import PrecisionExhausted, cf_of_rational
+from .cf import (ContinuedFraction, Finite, PrecisionExhausted,
+                 cf_of_rational, iter_convergents)
 from .discrepancy import d2_exact_fast
 from .lattice import build_S
 from .parseval import enclosure_S
@@ -118,11 +119,9 @@ def _cf_quotients_of_fraction(p: int, q: int) -> tuple:
 def cf_reversed_fraction(p: int, q: int) -> Tuple[int, int]:
     """Value of the reversed expansion [0;a_r,...,a_1]; this is q_{r-1}/q_r
     and reversing permutes each Farey set."""
-    terms = _cf_quotients_of_fraction(p, q)
-    val = Fraction(0)
-    for a in terms:
-        val = Fraction(1, a + val)
-    return val.numerator, val.denominator
+    cf = ContinuedFraction(0, Finite(_cf_quotients_of_fraction(p, q)))
+    qs = [0] + [c.q for c in iter_convergents(cf)]  # q_{-1} = 0
+    return qs[-2], qs[-1]
 
 
 def quotient_tail_count(Q: int, k: int, t: int) -> Tuple[int, Fraction]:

@@ -440,7 +440,7 @@ def variance_check(alpha, N: int, growth: Optional[Tuple[float, float]] = None):
     _, _, var, _ = birkhoff_quad_block(alpha, N)
     rhs = dioph_sum2(alpha, 1, alpha.q(K) - 1) * INV_8PI4
     lhs = float(var)
-    r = rhs.midpoint_float()
+    r = float(rhs.mid)
     return lhs, r, lhs - r
 
 

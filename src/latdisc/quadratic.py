@@ -17,23 +17,10 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alphas import Alpha
-from .cf import ContinuedFraction, Periodic
+from .cf import ContinuedFraction, Finite, Periodic, iter_convergents
 from .discrepancy import d2_exact_fast
 from .lattice import build_L, build_S
 from .parseval import dioph_sum2_float
-
-
-@dataclass(frozen=True)
-class QuadraticAsymptotics:
-    """A, Lambda and the exact eigenvalue data (trace, det) of the period
-    matrix, plus an optional numeric Beck-constant estimate."""
-
-    A: Fraction
-    eta_trace: int
-    eta_det: int
-    Lambda: float
-    c_hat: Optional[float] = None
-    c_stderr: Optional[float] = None
 
 
 def _require_periodic(cf: ContinuedFraction) -> Periodic:
@@ -58,14 +45,11 @@ def alternation_constant(cf: ContinuedFraction) -> Fraction:
 
 
 def period_matrix(cf: ContinuedFraction) -> Tuple[int, int, int, int]:
-    """Product over one period of [[0,1],[1,a]], row-major."""
+    """Product over one period of [[0,1],[1,a]], row-major: the matrix
+    [[p_{r-1}, p_r], [q_{r-1}, q_r]] of the convergents of [0; period]."""
     body = _require_periodic(cf)
-    m11, m12, m21, m22 = 1, 0, 0, 1
-    for a in body.period:
-        # multiply on the right by [[0,1],[1,a]]
-        m11, m12 = m12, m11 + a * m12
-        m21, m22 = m22, m21 + a * m22
-    return m11, m12, m21, m22
+    *_, prev, last = iter_convergents(ContinuedFraction(0, Finite(body.period)))
+    return prev.p, last.p, prev.q, last.q
 
 
 def growth_constant(cf: ContinuedFraction) -> Tuple[int, int, float]:
@@ -112,18 +96,6 @@ def beck_constant_estimate(alpha, M_grid: Iterable[int]) -> Tuple[float, float]:
     partials = dioph_sum2_float(alpha, grid[-1], skip_zero=is_rational,
                                 record_at=grid)
     return _slope_with_stderr([math.log(M) for M in grid], partials)
-
-
-def quadratic_asymptotics(alpha: Alpha,
-                          M_grid: Optional[Iterable[int]] = None
-                          ) -> QuadraticAsymptotics:
-    """Bundle A, Lambda and (optionally) the Beck-constant regression."""
-    A = alternation_constant(alpha.cf)
-    tr, det, lam = growth_constant(alpha.cf)
-    c_hat = c_err = None
-    if M_grid is not None:
-        c_hat, c_err = beck_constant_estimate(alpha, M_grid)
-    return QuadraticAsymptotics(A, tr, det, lam, c_hat, c_err)
 
 
 @dataclass(frozen=True)

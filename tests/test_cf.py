@@ -5,9 +5,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latdisc.cf import (
+    ContinuedFraction,
     ExpansionExhausted,
+    Finite,
     Periodic,
     QuadraticSurd,
     alternate_expansion,
@@ -21,6 +24,8 @@ from latdisc.cf import (
     optimality_stats,
 )
 from latdisc.fixedpoint import eval_alpha
+from latdisc.metric import cf_reversed_fraction
+from latdisc.quadratic import period_matrix
 
 from oracles import sqrt_mantissa
 
@@ -113,6 +118,15 @@ class TestSurd:
             oracle = sqrt_mantissa(D, 192)
             assert abs(fp.mantissa - oracle) <= 16  # 2^(-B+4)
 
+    @pytest.mark.parametrize("P, D, Q", [(1, 5, 0), (1, 4, 0), (0, 9, 1),
+                                         (0, 9, 2), (0, 0, 3), (2, -7, 5)])
+    def test_make_rejects_as_the_constructor_does(self, P, D, Q):
+        with pytest.raises(ValueError) as direct:
+            QuadraticSurd(P, D, Q)
+        with pytest.raises(ValueError) as made:
+            QuadraticSurd.make(P, D, Q)
+        assert str(made.value) == str(direct.value)
+
     def test_state_cycle_within_bound(self):
         rng = random.Random(5)
         for _ in range(200):
@@ -192,6 +206,51 @@ class TestConvergents:
             for a, b in zip(cv[:20], cv[1:21]):
                 err = max(abs(a.q * lo - a.p), abs(a.q * hi - a.p))
                 assert err < Fraction(1, b.q)
+
+
+def horner(a0, terms):
+    """[a0; terms] by the backward recursion, independent of convergents."""
+    tail = Fraction(0)
+    for a in reversed(terms):
+        tail = Fraction(1, a + tail)
+    return a0 + tail
+
+
+def matmul(x, y):
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(2))
+                       for j in range(2)) for i in range(2))
+
+
+quotient_lists = st.lists(st.integers(1, 10 ** 6), max_size=30)
+
+
+class TestConvergentFolds:
+    """The values read off convergents against direct oracles."""
+
+    @given(a0=st.integers(-50, 50), terms=quotient_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_cf_value_is_horner(self, a0, terms):
+        cf = ContinuedFraction(a0, Finite(tuple(terms)))
+        assert cf_value(cf) == horner(a0, terms)
+
+    @given(q=st.integers(1, 10 ** 9), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reversed_fraction_is_horner_of_reversed_terms(self, q, data):
+        p = data.draw(st.integers(0, q))
+        # 1/1 is written [0;1], 0/1 has no quotients
+        terms = (1,) if p == q else cf_of_rational(p, q).body.terms
+        v = horner(0, terms[::-1])
+        assert cf_reversed_fraction(p, q) == (v.numerator, v.denominator)
+
+    @given(a0=st.integers(-5, 5), pre=st.lists(st.integers(1, 50), max_size=4),
+           period=st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_period_matrix_is_the_matrix_product(self, a0, pre, period):
+        m = ((1, 0), (0, 1))
+        for a in period:
+            m = matmul(m, ((0, 1), (1, a)))
+        cf = ContinuedFraction(a0, Periodic(tuple(pre), tuple(period)))
+        assert period_matrix(cf) == m[0] + m[1]
 
 
 class TestTruncated:

@@ -1,5 +1,6 @@
 """CLI surfaces: grammar round trips, output formats, exit codes, threads."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from latdisc.alphas import Alpha
-from latdisc.cli import main
+from latdisc.cli import build_parser, main
 from latdisc.discrepancy import d2_exact_fast
 from latdisc.lattice import build_S
 
@@ -131,6 +132,46 @@ def test_residuals_L_skips_beck_regression(monkeypatch, capsys):
     assert len(json.loads(capsys.readouterr().out)["rows"]) == 4
     with pytest.raises(RuntimeError):  # S reduces against the slope
         main([*argv, "--variant", "S"])
+
+
+# the flags each subcommand's handler reads, and only those
+SURFACE = {
+    "cf": {"--alpha", "--bits", "--terms"},
+    "lattice": {"--alpha", "--bits", "--N", "--sym", "--float"},
+    "disc": {"--alpha", "--bits", "--out", "--N", "--sym", "--algo"},
+    "estimate": {"--alpha", "--bits", "--N", "--sym", "--unsym"},
+    "dioph": {"--alpha", "--bits", "--M", "--weight"},
+    "quadratic": {"--bits", "--out", "--surd", "--report", "--variant",
+                  "--kmin", "--kmax", "--grid-points"},
+    "sweep-rational": {"--out", "--seed", "--threads", "--Q", "--mode", "--M",
+                       "--estimator"},
+    "sweep-irrational": {"--out", "--seed", "--bits", "--threads", "--N",
+                         "--M", "--measure", "--estimator"},
+    "check-bounds": {"--corpus"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    declared = {name: {o for a in p._actions for o in a.option_strings}
+                - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert declared == SURFACE
+    assert sum(map(len, declared.values())) == 47
+
+
+@pytest.mark.parametrize("argv", [
+    "cf --alpha 13/30 --seed 1",
+    "lattice --alpha 2/5 --N 5 --out json",
+    "disc --alpha 1/3 --N 3 --threads 2",
+    "estimate --alpha 13/30 --N 30 --sym --out csv",
+    "dioph --alpha 13/30 --M 10 --seed 1",
+    "quadratic --surd 0,3,1 --threads 2",
+    "sweep-rational --Q 5 --bits 64",
+    "check-bounds --threads 8",
+])
+def test_unread_flag_exits_2(argv):
+    assert main(argv.split()) == 2
 
 
 def test_exit_codes():

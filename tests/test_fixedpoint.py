@@ -234,6 +234,13 @@ class TestWalk:
         assert s.T == tuple(T) and s.E == sum(T) / q
 
 
+def test_budget_overflow_message_names_the_walk_not_a_lattice():
+    # raised by the running sums, which build no lattice
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^error budget overflow walking \{n alpha\}, n < N$"):
+        birkhoff_mean(FixedPointReal(12345, 16, 4), 200)
+
+
 FINE = 8  # extra bits of the true alpha below the stored resolution
 
 

@@ -16,7 +16,6 @@ from latdisc.quadratic import (
     beck_constant_estimate,
     growth_constant,
     period_matrix,
-    quadratic_asymptotics,
 )
 
 C_GOLDEN = 1 / (30 * math.sqrt(5) * math.log((1 + math.sqrt(5)) / 2))
@@ -116,8 +115,3 @@ class TestResidualTables:
     def test_requires_c_for_S(self):
         with pytest.raises(ValueError):
             asymptotic_residuals(Alpha.from_surd(-1, 5, 2), range(5, 9), "S")
-
-    def test_bundle(self):
-        qa = quadratic_asymptotics(Alpha.from_surd(-1, 3, 1))
-        assert qa.A == Fraction(1, 2) and qa.eta_trace == 4
-        assert qa.c_hat is None
