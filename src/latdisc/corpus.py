@@ -128,13 +128,13 @@ def containment_sweep(alphas: Iterable[Alpha], max_K: int = 14,
 def inequality_sweep(alphas: Iterable[Alpha], K_cap: int = 12,
                      size_cap: int = 20000) -> List[Tuple[str, int, bool]]:
     """The three certified quotient-sum inequalities on a per-alpha K grid
-    (small n, tail truncation at the documented default)."""
+    (small n)."""
     out = []
     for alpha in alphas:
         feas = feasible_indices(alpha, K_cap, size_cap)
         for K in _spread(feas, 3):
             N = alpha.q(K)
-            br = dioph_inequalities(alpha, K, n=7, N=N, m_max=10 ** 6)
+            br = dioph_inequalities(alpha, K, n=7, N=N)
             out.append((alpha.label, K, br.all_hold))
     return out
 

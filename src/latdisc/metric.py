@@ -19,8 +19,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alphas import Alpha
-from .cf import (ContinuedFraction, Finite, PrecisionExhausted,
-                 cf_of_rational, iter_convergents)
+from .cf import PrecisionExhausted, cf_of_rational
 from .discrepancy import d2_exact_fast
 from .lattice import build_S
 from .parseval import enclosure_S
@@ -114,14 +113,6 @@ def _cf_quotients_of_fraction(p: int, q: int) -> tuple:
     """Canonical quotients of p/q in [0,1] written as [0;a_1,...,a_r];
     the endpoint 1/1 is [0;1], and 0/1 has the empty list."""
     return (1,) if p == q else cf_of_rational(p, q).body.terms
-
-
-def cf_reversed_fraction(p: int, q: int) -> Tuple[int, int]:
-    """Value of the reversed expansion [0;a_r,...,a_1]; this is q_{r-1}/q_r
-    and reversing permutes each Farey set."""
-    cf = ContinuedFraction(0, Finite(_cf_quotients_of_fraction(p, q)))
-    qs = [0] + [c.q for c in iter_convergents(cf)]  # q_{-1} = 0
-    return qs[-2], qs[-1]
 
 
 def quotient_tail_count(Q: int, k: int, t: int) -> Tuple[int, Fraction]:

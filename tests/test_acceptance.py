@@ -145,10 +145,10 @@ def test_04_certified_inequalities_and_tail_counts(named):
     grid_alphas = named + [Alpha.from_rational(211, 299), Alpha.from_rational(3, 8)]
     for alpha in grid_alphas:
         for K in feasible_indices(alpha, 10, 3000)[-2:]:
-            br = dioph_inequalities(alpha, K, n=7, N=alpha.q(K), m_max=10 ** 6)
+            br = dioph_inequalities(alpha, K, n=7, N=alpha.q(K))
             if not br.all_hold:
                 failures.append((alpha.label, K, "ineq"))
-    # the infinite-tail bound at the documented truncation 8*max(q_K*n, 1e6)
+    # the infinite-tail bound at its truncation 8*q_K*n
     phi = named[0]
     for alpha, K, n in ((phi, 9, 34), (Alpha.from_rational(211, 299), 5, 50),
                         (named[2], 8, 0)):

@@ -24,7 +24,6 @@ from latdisc.cf import (
     optimality_stats,
 )
 from latdisc.fixedpoint import eval_alpha
-from latdisc.metric import cf_reversed_fraction
 from latdisc.quadratic import period_matrix
 
 from oracles import sqrt_mantissa
@@ -232,15 +231,6 @@ class TestConvergentFolds:
     def test_cf_value_is_horner(self, a0, terms):
         cf = ContinuedFraction(a0, Finite(tuple(terms)))
         assert cf_value(cf) == horner(a0, terms)
-
-    @given(q=st.integers(1, 10 ** 9), data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_reversed_fraction_is_horner_of_reversed_terms(self, q, data):
-        p = data.draw(st.integers(0, q))
-        # 1/1 is written [0;1], 0/1 has no quotients
-        terms = (1,) if p == q else cf_of_rational(p, q).body.terms
-        v = horner(0, terms[::-1])
-        assert cf_reversed_fraction(p, q) == (v.numerator, v.denominator)
 
     @given(a0=st.integers(-5, 5), pre=st.lists(st.integers(1, 50), max_size=4),
            period=st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=12))

@@ -232,6 +232,7 @@ GOLDEN = {
                             "--estimator enclosure_mid",
     "sweep_irrational_exact": "sweep-irrational --N 500 --M 40 --seed 2 "
                               "--estimator exact",
+    "check_bounds_small": "check-bounds --corpus small",
 }
 
 

@@ -1,7 +1,6 @@
 """Levy law, Kolmogorov distance, Farey machinery, random sampling, sweeps."""
 
 import math
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +10,6 @@ from latdisc import metric
 from latdisc.metric import (
     EmpiricalDistribution,
     SweepConfig,
-    cf_reversed_fraction,
     farey_count,
     farey_enumerate,
     farey_sample,
@@ -117,20 +115,6 @@ class TestFarey:
                     img[v] = img.get(v, 0) + 1
             assert len(img) == n_inner
             assert all(v == 2 for v in img.values())
-
-    def test_reversal_value(self):
-        # the reversed expansion evaluates to q_{r-1}/q_r
-        from latdisc.cf import cf_of_rational, convergents
-        rng = random.Random(21)
-        for _ in range(100):
-            q = rng.randrange(2, 3000)
-            p = rng.randrange(1, q)
-            if gcd(p, q) != 1:
-                continue
-            cf = cf_of_rational(p, q)
-            r = len(cf.body.terms)
-            cv = convergents(cf, r)
-            assert cf_reversed_fraction(p, q) == (cv[r - 1].q, cv[r].q)
 
 
 class TestQuotientTail:

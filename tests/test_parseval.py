@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -25,6 +26,7 @@ from latdisc.parseval import (
     mean_check,
     quotient_gap_check,
     ratio_check,
+    tail_min_bound,
     variance_check,
     xi_direct,
 )
@@ -168,7 +170,7 @@ class TestEnclosureProperties:
 
 class TestInequalities:
     def test_golden_grid(self, phi):
-        br = dioph_inequalities(phi, 12, n=9, N=phi.q(12), m_max=10 ** 6)
+        br = dioph_inequalities(phi, 12, n=9, N=phi.q(12))
         assert br.all_hold
 
     def test_zero_n_tail(self, phi):
@@ -177,15 +179,37 @@ class TestInequalities:
 
     def test_rational_exact_sides(self):
         alpha = Alpha.from_rational(2, 7)
-        br = dioph_inequalities(alpha, 2, n=5, N=7, m_max=10 ** 6)
+        br = dioph_inequalities(alpha, 2, n=5, N=7)
         assert br.all_hold
 
     def test_min_weighted_rational_with_even_denominator(self):
         # ||2 m alpha|| hits 0 at m = q/2; the min factor degrades to 1 there
         alpha = Alpha.from_rational(3, 8)
-        br = dioph_inequalities(alpha, len(alpha.cf.body.terms), n=3, N=8,
-                                m_max=10 ** 6)
+        br = dioph_inequalities(alpha, len(alpha.cf.body.terms), n=3, N=8)
         assert br.all_hold
+
+    @given(q=st.integers(2, 200), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_tail_bound_is_above_the_infinite_tail(self, q, data):
+        p = data.draw(st.integers(1, q - 1))
+        assume(gcd(p, q) == 1)
+        alpha = Alpha.from_rational(p, q)
+        K = data.draw(st.integers(1, len(alpha.cf.body.terms)))
+        n = data.draw(st.integers(1, 60))
+        qK = alpha.q(K)
+        # the term depends on m mod q only, and over the class of r the
+        # m >= q_K sum 1/m^2 from its least member m_r is q^-2 zeta(2, m_r/q)
+        with mpmath.workdps(50):
+            tail = mpmath.mpf(0)
+            for r in range(q):
+                d = min(r * p % q, q - r * p % q)  # q ||r alpha||
+                c = n * n if d == 0 else min(Fraction(q * q, 4 * d * d), n * n)
+                m_r = qK + (r - qK) % q
+                tail += (mpmath.mpf(c.numerator) / c.denominator
+                         * mpmath.zeta(2, mpmath.mpf(m_r) / q) / q ** 2)
+            tail /= 2 * mpmath.pi ** 2
+            hi = tail_min_bound(alpha, K, n).lhs.hi
+            assert mpmath.mpf(hi.numerator) / hi.denominator >= tail
 
 
 class TestWindowTerm:
