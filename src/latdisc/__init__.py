@@ -30,15 +30,12 @@ from .fixedpoint import (
     BirkhoffSums,
     FixedPointReal,
     birkhoff_sums,
-    dist_to_int,
     eval_alpha,
-    frac_multiple,
     starred_sums,
 )
 from .intervals import Interval
 from .lattice import LatticePointSet, build_L, build_S
 from .metric import (
-    EmpiricalDistribution,
     SweepConfig,
     SweepResult,
     farey_count,

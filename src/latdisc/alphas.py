@@ -91,9 +91,6 @@ class Alpha:
             return cls.from_rational(int(ps), int(qs))
         raise ValueError(f"unrecognized alpha spec: {text!r}")
 
-    def spec_string(self) -> str:
-        return self.label
-
     # -- convergent cache ---------------------------------------------------
 
     def _extend(self, k: int) -> None:

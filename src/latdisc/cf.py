@@ -221,15 +221,13 @@ def _floor_surd(P: int, D: int, Q: int) -> int:
     return (P + s + 1) // Q
 
 
-def cf_of_surd(s) -> ContinuedFraction:
+def cf_of_surd(s: QuadraticSurd) -> ContinuedFraction:
     """Eventually periodic expansion of a quadratic surd.
 
     Runs the classical integer (P,Q) iteration; the period is detected by
     the first repeated state, which makes the preperiod minimal.  A state
     must repeat within 2D iterations or something is badly wrong.
     """
-    if isinstance(s, tuple):
-        s = QuadraticSurd.make(*s)
     P, D, Q = s.P, s.D, s.Q
     seen = {}
     quotients = []

@@ -16,7 +16,7 @@ from . import corpus as corpus_mod
 from . import quadratic
 from .alphas import Alpha
 from .cf import PrecisionExhausted
-from .discrepancy import d2_exact_fast, d2_exact_quadratic, realization_error
+from .discrepancy import d2_exact_fast, realization_error
 from .lattice import build_L, build_S
 from .metric import (
     ESTIMATORS,
@@ -84,8 +84,7 @@ def _cmd_lattice(args) -> int:
 def _cmd_disc(args) -> int:
     alpha = _alpha_from_args(args)
     P = (build_S if args.sym else build_L)(alpha, args.N)
-    fn = d2_exact_fast if args.algo == "fast" else d2_exact_quadratic
-    v = fn(P).d2_squared
+    v = d2_exact_fast(P).d2_squared
     row = {"N": args.N, "d2sq_num": str(v.numerator),
            "d2sq_den": str(v.denominator), "d2_float": _fmt(float(v) ** 0.5)}
     if args.out == "json":
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     _shared(s, "alpha", "bits", "out")
     s.add_argument("--N", type=int, required=True)
     s.add_argument("--sym", action="store_true")
-    s.add_argument("--algo", choices=("quad", "fast"), default="fast")
     s.set_defaults(fn=_cmd_disc)
 
     s = sub.add_parser("estimate", help="certified enclosure of D2^2")

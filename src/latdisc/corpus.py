@@ -13,9 +13,16 @@ from typing import Iterable, List, Sequence, Tuple
 from .alphas import Alpha
 from .cf import ExpansionExhausted, PrecisionExhausted
 from .discrepancy import d2_exact_fast, realization_error
+from .intervals import Interval
 from .lattice import build_L, build_S
 from .metric import _substream, sample_irrational
-from .parseval import dioph_inequalities, enclosure_L, enclosure_S, quotient_gap_check
+from .parseval import (
+    _quotient_gap,
+    dioph_inequalities,
+    dioph_sum2,
+    enclosure_L,
+    enclosure_S,
+)
 
 NAMED_SPECS = (
     ("phi-1", "surd:-1,5,2"),
@@ -26,28 +33,28 @@ NAMED_SPECS = (
 )
 
 
-def named_alphas(bits: int = 256) -> List[Alpha]:
-    return [Alpha.parse(spec, bits=bits) for _, spec in NAMED_SPECS]
+def named_alphas() -> List[Alpha]:
+    return [Alpha.parse(spec) for _, spec in NAMED_SPECS]
 
 
-def random_rational_alphas(count: int = 20, q_max: int = 500,
-                           seed: int = 20240) -> List[Alpha]:
+def random_rational_alphas(count: int = 20) -> List[Alpha]:
+    """count reduced p/q with 20 <= q <= 500, from seed 20240."""
     from math import gcd
     out = []
     i = 0
     while len(out) < count:
-        gen = _substream(seed, i)
+        gen = _substream(20240, i)
         i += 1
-        q = int(gen.integers(20, q_max + 1))
+        q = int(gen.integers(20, 501))
         p = int(gen.integers(1, q))
         if gcd(p, q) == 1:
             out.append(Alpha.from_rational(p, q))
     return out
 
 
-def random_irrational_alphas(count: int = 20, bits: int = 256,
-                             seed: int = 77130) -> List[Alpha]:
-    return [sample_irrational("lebesgue", bits, seed, i) for i in range(count)]
+def random_irrational_alphas(count: int = 20) -> List[Alpha]:
+    """count 256-bit Lebesgue-random alphas, from seed 77130."""
+    return [sample_irrational("lebesgue", 256, 77130, i) for i in range(count)]
 
 
 def full_corpus() -> List[Alpha]:
@@ -145,8 +152,13 @@ def gap_sweep(alphas: Iterable[Alpha], max_K: int = 20,
     feasible K (sum length capped for desk-scale runtimes)."""
     out = []
     for alpha in alphas:
+        # one running sum per alpha, grown by the block [q_{K-1}, q_K): blocks
+        # on the path of the whole sum add up to it exactly, and an exact
+        # block of a scaled rational sum only narrows it
+        s2 = Interval.zero()
         for K in feasible_indices(alpha, max_K, sum_cap):
-            gap, bound = quotient_gap_check(alpha, K)
+            s2 += dioph_sum2(alpha, alpha.q(K - 1), alpha.q(K) - 1)
+            gap, bound = _quotient_gap(alpha, K, s2)
             ok = gap.hi <= bound and gap.lo >= -bound
             out.append((alpha.label, K, ok))
     return out

@@ -72,30 +72,6 @@ def eval_alpha(cf: ContinuedFraction, bits: int = DEFAULT_BITS) -> FixedPointRea
     return FixedPointReal(mant, bits, 2)
 
 
-def frac_multiple(x: RealValue, n: int) -> RealValue:
-    """Fractional part of n*x.  Exact for Fraction input; for fixed point the
-    error counter scales with n and precision-exhaustion is flagged once the
-    budget reaches 2^(bits/2)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if isinstance(x, Fraction):
-        return (n * x) % 1
-    err = n * x.err_ulp
-    if n > 0 and err >= (1 << (x.bits // 2)):
-        raise PrecisionExhausted("error budget overflow in frac_multiple")
-    return FixedPointReal((n * x.mantissa) % (1 << x.bits), x.bits,
-                          err if n > 0 else 0)
-
-
-def dist_to_int(x: RealValue) -> RealValue:
-    """Distance to the nearest integer, same error bound."""
-    if isinstance(x, Fraction):
-        f = x % 1
-        return min(f, 1 - f)
-    half = 1 << x.bits
-    return FixedPointReal(min(x.mantissa, half - x.mantissa), x.bits, x.err_ulp)
-
-
 def _least_denominator(lo: Fraction, hi: Fraction, cap: int) -> int:
     """The least n >= 1 with some p/n in [lo, hi], or a number >= cap once
     that n is known to be >= cap.

@@ -14,6 +14,10 @@ from typing import Union
 
 Rat = Union[int, Fraction]
 
+# resolution of the stored constant brackets: far below the 2^-64 per term
+# of the scaled Diophantine sums
+_QUANTUM_BITS = 192
+
 
 def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
@@ -74,9 +78,9 @@ class Interval:
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def quantized(self, bits: int = 128) -> "Interval":
-        """Outward-round endpoints to denominator 2^bits."""
-        scale = 1 << bits
+    def quantized(self) -> "Interval":
+        """Outward-round endpoints to denominator 2^_QUANTUM_BITS."""
+        scale = 1 << _QUANTUM_BITS
         lo = Fraction(self.lo.numerator * scale // self.lo.denominator, scale)
         hi = Fraction(-((-self.hi.numerator * scale) // self.hi.denominator),
                       scale)
@@ -111,13 +115,13 @@ def _const(digits: str) -> Interval:
 PI = _const("3.141592653589793238462643383279502884197169399375")
 ZETA3 = _const("1.202056903159594285399738161511449990764986292340")
 
-PI2 = (PI * PI).quantized(192)
-PI3 = (PI2 * PI).quantized(192)
-PI4 = (PI2 * PI2).quantized(192)
+PI2 = (PI * PI).quantized()
+PI3 = (PI2 * PI).quantized()
+PI4 = (PI2 * PI2).quantized()
 
 ONE = Interval.exact(1)
-INV_PI2 = (ONE / PI2).quantized(192)
-INV_4PI4 = (ONE / (4 * PI4)).quantized(192)
-INV_2PI4 = (ONE / (2 * PI4)).quantized(192)
-INV_8PI4 = (ONE / (8 * PI4)).quantized(192)
-ZETA3_16PI4 = (ZETA3 / (16 * PI4)).quantized(192)
+INV_PI2 = (ONE / PI2).quantized()
+INV_4PI4 = (ONE / (4 * PI4)).quantized()
+INV_2PI4 = (ONE / (2 * PI4)).quantized()
+INV_8PI4 = (ONE / (8 * PI4)).quantized()
+ZETA3_16PI4 = (ZETA3 / (16 * PI4)).quantized()

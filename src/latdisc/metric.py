@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,25 +52,16 @@ def levy_cdf(t: float) -> float:
     return math.erfc(1.0 / math.sqrt(2.0 * t))
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    samples: tuple  # sorted ascending
-    n: int
-
-    @classmethod
-    def from_samples(cls, values: Sequence[float]) -> "EmpiricalDistribution":
-        s = tuple(sorted(float(v) for v in values))
-        return cls(s, len(s))
-
-
-def kolmogorov_distance(emp: EmpiricalDistribution,
+def kolmogorov_distance(samples: Sequence[float],
                         cdf: Callable[[float], float]) -> float:
-    """sup_t |F_n(t) - F(t)| over the sample points (both one-sided gaps)."""
-    if emp.n < 1:
+    """sup_t |F_n(t) - F(t)| for the empirical distribution F_n of samples,
+    over the sample points (both one-sided gaps)."""
+    xs = sorted(float(v) for v in samples)
+    n = len(xs)
+    if n < 1:
         raise ValueError("empirical distribution is empty")
     d = 0.0
-    n = emp.n
-    for i, x in enumerate(emp.samples, start=1):
+    for i, x in enumerate(xs, start=1):
         fx = cdf(x)
         d = max(d, abs(i / n - fx), abs((i - 1) / n - fx))
     return d
@@ -243,13 +234,12 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: Tuple[SweepRow, ...]
-    emp: EmpiricalDistribution
     ks: float
     resampled: int = 0
 
     @property
     def n(self) -> int:
-        return self.emp.n
+        return len(self.rows)
 
 
 def _levy_stat(alpha, N: int, estimator: str) -> Tuple[float, float]:
@@ -279,9 +269,8 @@ def _sweep(score, args, chunksize: int, threads: int,
         outs = [score(a) for a in args]
     rows = tuple(SweepRow(str(i), source, s, estimator, w)
                  for i, (source, s, w, _) in enumerate(outs))
-    emp = EmpiricalDistribution.from_samples([r.stat for r in rows])
-    return SweepResult(rows, emp, kolmogorov_distance(emp, levy_cdf),
-                       resampled=sum(o[3] for o in outs))
+    ks = kolmogorov_distance([r.stat for r in rows], levy_cdf)
+    return SweepResult(rows, ks, resampled=sum(o[3] for o in outs))
 
 
 def _rational_stat(args) -> Tuple[str, float, float, int]:
@@ -340,15 +329,13 @@ def irrational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     return _sweep(_irrational_stat, args, 16, threads, cfg.estimator)
 
 
-def trimmed_quotient_mean(measure: str, K: int, M: int, seed: int,
-                          bits: Optional[int] = None) -> float:
+def trimmed_quotient_mean(measure: str, K: int, M: int, seed: int) -> float:
     """Monte Carlo mean of (sum_{k<=K} a_k - max_k a_k) / (K log K); the
     trimmed-sum law puts the limit at 1/log 2 = 1.4427."""
     if K < 2 or M < 1:
         raise ValueError("need K >= 2 and M >= 1")
-    if bits is None:
-        # ~3.4 bits of mantissa per quotient, plus the 64-bit safety margin
-        bits = max(256, 4 * K + 128)
+    # ~3.4 bits of mantissa per quotient, plus the 64-bit safety margin
+    bits = max(256, 4 * K + 128)
     total = 0.0
     for i in range(M):
         while True:

@@ -120,26 +120,25 @@ def dioph_sum(alpha, M: int, weight: str = "unit_sq") -> Interval:
     return base(alpha, 1, M) * coeff
 
 
-def dioph_sum2_float(alpha, M: int, skip_zero: bool = False,
-                     record_at: Optional[Iterable[int]] = None):
-    """Float sum of 1/(4 pi^4 m^2 ||m alpha||^2) up to M, O(M).
+def dioph_sum2_float(alpha, marks: Iterable[int]) -> List[float]:
+    """Float partial sums of 1/(4 pi^4 m^2 ||m alpha||^2) over m <= M at
+    each checkpoint M of marks, ascending, in one O(max(marks)) walk.
 
-    With record_at, returns the list of partial sums at those checkpoints
-    (ascending).  skip_zero drops the undefined terms of a rational alpha
-    (multiples of the denominator), which is what lets the sum saturate.
+    An exact alpha (rational, or a fixed-point value with no error) skips
+    its undefined terms, the multiples of its denominator, which is what
+    lets the sum saturate; any other zero term raises ZeroDivisionError.
     """
-    step, mod, _ = walk_data(alpha)
-    marks = sorted(record_at) if record_at is not None else [M]
-    if marks and marks[-1] > M:
-        raise ValueError("checkpoint beyond M")
+    marks = sorted(marks)
+    step, mod, err0 = walk_data(alpha)
     coeff = float(INV_4PI4.mid)
     fmod = float(mod)
     out = []
     mi = 0
     total = 0.0
-    for m, d in enumerate(chain.from_iterable(norms(step, mod, 1, M + 1)), 1):
+    walk = chain.from_iterable(norms(step, mod, 1, max(marks, default=0) + 1))
+    for m, d in enumerate(walk, 1):
         if d == 0:
-            if not skip_zero:
+            if err0:
                 raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
         else:
             x = d / fmod
@@ -147,8 +146,6 @@ def dioph_sum2_float(alpha, M: int, skip_zero: bool = False,
         while mi < len(marks) and marks[mi] == m:
             out.append(total)
             mi += 1
-    if record_at is None:
-        return total
     return out
 
 
@@ -288,8 +285,11 @@ def dioph_inequalities(alpha, K: int, n: int, N: int) -> DiophBounds:
 # Window term xi and the enclosures
 # ---------------------------------------------------------------------------
 
-def xi_direct(alpha, N: int, K: int, variant: str = "S",
-              term_guard: int = 10 ** 9) -> float:
+# the most N * (window length) terms xi_direct evaluates
+_XI_TERM_GUARD = 10 ** 9
+
+
+def xi_direct(alpha, N: int, K: int, variant: str = "S") -> float:
     """Direct evaluation of the window term
 
         xi = (1/N) sum_{n<N} sum_{m=q_{K-1}}^{q_K-1}
@@ -303,7 +303,7 @@ def xi_direct(alpha, N: int, K: int, variant: str = "S",
     m_lo, m_hi = alpha.q(K - 1), alpha.q(K) - 1
     if m_hi < m_lo:
         return 0.0
-    if N * (m_hi - m_lo + 1) > term_guard:
+    if N * (m_hi - m_lo + 1) > _XI_TERM_GUARD:
         raise ValueError("instance too large for direct window evaluation")
     step, mod, _ = walk_data(alpha)
     ns = 2.0 * np.arange(N) + 1.0 if variant == "S" else np.arange(N) + 1.0
@@ -410,10 +410,13 @@ def enclosure_L(alpha, N: int, K: Optional[int] = None) -> Enclosure:
 def quotient_gap_check(alpha, K: int) -> Tuple[Interval, Fraction]:
     """Gap sum_{m<q_K} 1/(m^2||m a||^2) - (pi^4/90) sum a_k^2, and the
     certified bound 152 sum a_k it must stay within."""
+    return _quotient_gap(alpha, K, dioph_sum2(alpha, 1, alpha.q(K) - 1))
+
+
+def _quotient_gap(alpha, K: int, s2: Interval) -> Tuple[Interval, Fraction]:
+    """quotient_gap_check with the sum over m < q_K already in s2."""
     st = alpha.stats(K)
-    s2 = dioph_sum2(alpha, 1, alpha.q(K) - 1)
-    gap = s2 - (PI4 * Fraction(st.sum_a2, 90))
-    return gap, Fraction(152 * st.sum_a)
+    return s2 - (PI4 * Fraction(st.sum_a2, 90)), Fraction(152 * st.sum_a)
 
 
 def ratio_check(alpha, K: int) -> Tuple[float, float]:

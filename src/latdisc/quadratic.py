@@ -92,9 +92,7 @@ def beck_constant_estimate(alpha, M_grid: Iterable[int]) -> Tuple[float, float]:
     grid = sorted(set(int(M) for M in M_grid))
     if len(grid) < 4:
         raise ValueError("grid too small (need >= 4 points)")
-    is_rational = isinstance(alpha, Alpha) and alpha.is_rational
-    partials = dioph_sum2_float(alpha, grid[-1], skip_zero=is_rational,
-                                record_at=grid)
+    partials = dioph_sum2_float(alpha, grid)
     return _slope_with_stderr([math.log(M) for M in grid], partials)
 
 
@@ -126,8 +124,13 @@ def asymptotic_residuals(alpha: Alpha, K_range: Iterable[int], variant: str,
         raise ValueError("variant must be 'S' or 'L'")
     if variant == "S" and c_alpha is None:
         raise ValueError("variant 'S' needs c_alpha")
+    Ks = sorted(set(K_range))
+    if not Ks:
+        raise ValueError("empty K range")
+    if variant == "L" and len(Ks) < 3:
+        raise ValueError("variant 'L' fits 3 coefficients: need >= 3 K values")
     rows: List[ResidualRow] = []
-    for K in sorted(set(K_range)):
+    for K in Ks:
         N = alpha.q(K)
         builder = build_S if variant == "S" else build_L
         d2sq = float(d2_exact_fast(builder(alpha, N)).d2_squared)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,14 +35,13 @@ def test_spec_round_trip():
     for spec in ("13/30", "surd:-1,5,2", "rule:euler_e", "rule:constant(4)",
                  "bits:deadbeef" + "0" * 56 + "@256"):
         alpha = Alpha.parse(spec)
-        again = Alpha.parse(alpha.spec_string())
-        assert alpha.spec_string() == again.spec_string()
+        again = Alpha.parse(alpha.label)
+        assert alpha.label == again.label
         assert alpha.value_fraction() == again.value_fraction()
 
 
 def test_disc_matches_library(capsys):
-    assert main(["disc", "--alpha", "surd:0,5,2", "--N", "89", "--sym",
-                 "--algo", "fast"]) == 0
+    assert main(["disc", "--alpha", "surd:0,5,2", "--N", "89", "--sym"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "N,d2sq_num,d2sq_den,d2_float"
     n, num, den, flt = out[1].split(",")
@@ -134,11 +134,19 @@ def test_residuals_L_skips_beck_regression(monkeypatch, capsys):
         main([*argv, "--variant", "S"])
 
 
+@pytest.mark.parametrize("kmin,kmax", [(10, 5), (5, 6)])
+def test_residuals_with_too_few_K_exit_2(kmin, kmax, capsys):
+    # an empty K range, or fewer rows than the L fit's 3 coefficients
+    assert main(["quadratic", "--surd=-1,5,2", "--report", "residuals",
+                 "--variant", "L", f"--kmin={kmin}", f"--kmax={kmax}"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # the flags each subcommand's handler reads, and only those
 SURFACE = {
     "cf": {"--alpha", "--bits", "--terms"},
     "lattice": {"--alpha", "--bits", "--N", "--sym", "--float"},
-    "disc": {"--alpha", "--bits", "--out", "--N", "--sym", "--algo"},
+    "disc": {"--alpha", "--bits", "--out", "--N", "--sym"},
     "estimate": {"--alpha", "--bits", "--N", "--sym", "--unsym"},
     "dioph": {"--alpha", "--bits", "--M", "--weight"},
     "quadratic": {"--bits", "--out", "--surd", "--report", "--variant",
@@ -151,19 +159,36 @@ SURFACE = {
 }
 
 
-def test_each_subcommand_declares_only_the_flags_it_reads():
+def declared_flags():
     sub, = (a for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
-    declared = {name: {o for a in p._actions for o in a.option_strings}
-                - {"-h", "--help"} for name, p in sub.choices.items()}
+    return {name: {o for a in p._actions for o in a.option_strings}
+            - {"-h", "--help"} for name, p in sub.choices.items()}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    declared = declared_flags()
     assert declared == SURFACE
-    assert sum(map(len, declared.values())) == 47
+    assert sum(map(len, declared.values())) == 46
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | flags |\n|---|---|\n", 1)[1]
+    rows = {}
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        _, name, flags, _ = line.split("|")
+        rows[name.strip().strip("`")] = set(re.findall(r"`(--[\w-]+)`", flags))
+    assert rows == declared_flags()
 
 
 @pytest.mark.parametrize("argv", [
     "cf --alpha 13/30 --seed 1",
     "lattice --alpha 2/5 --N 5 --out json",
     "disc --alpha 1/3 --N 3 --threads 2",
+    "disc --alpha 1/3 --N 3 --algo fast",
     "estimate --alpha 13/30 --N 30 --sym --out csv",
     "dioph --alpha 13/30 --M 10 --seed 1",
     "quadratic --surd 0,3,1 --threads 2",
@@ -217,7 +242,7 @@ def test_check_bounds_counts_each_check_once(monkeypatch):
 GOLDEN = {
     "cf_13_30": "cf --alpha 13/30",
     "cf_surd_3": "cf --alpha surd:0,3,1",
-    "disc_surd_5": "disc --alpha surd:0,5,2 --N 89 --sym --algo fast",
+    "disc_surd_5": "disc --alpha surd:0,5,2 --N 89 --sym",
     "estimate_euler_e": "estimate --alpha rule:euler_e --N 1001 --sym",
     "estimate_euler_e_unsym": "estimate --alpha rule:euler_e --N 1001 --unsym",
     "dioph_surd_5": "dioph --alpha surd:-1,5,2 --M 10000 --weight quarter_pi4_sq",

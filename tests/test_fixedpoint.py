@@ -1,4 +1,5 @@
-"""Fixed-point evaluation, distance to integers, and the running sums."""
+"""Fixed-point evaluation, the walk {n alpha} and its fold ||n alpha||, and
+the running sums."""
 
 import cmath
 import random
@@ -17,12 +18,11 @@ from latdisc.fixedpoint import (
     birkhoff_mean,
     birkhoff_quad_block,
     birkhoff_sums,
-    dist_to_int,
     eval_alpha,
-    frac_multiple,
     norms,
     residues,
     starred_sums,
+    walk_data,
 )
 from latdisc.lattice import build_L, build_S
 
@@ -53,25 +53,43 @@ class TestEvalAlpha:
             eval_alpha(cf, bits=4096)
 
 
+def walk_at(x, n):
+    """{n x} as the program realizes it: the residue n*step mod modulus of
+    the walk, the modulus, and the error bound n*err_ulp in ulps."""
+    step, mod, err_ulp = walk_data(x)
+    [[v]] = residues(step, mod, n, n + 1)
+    return v, mod, n * err_ulp
+
+
+def norm_at(x, n):
+    """modulus * ||n x|| through the fold, with the same error bound."""
+    step, mod, err_ulp = walk_data(x)
+    [[d]] = norms(step, mod, n, n + 1)
+    return d, mod, n * err_ulp
+
+
 class TestFracMultiple:
     def test_rational(self):
-        assert frac_multiple(Fraction(1, 2), 3) == Fraction(1, 2)
-        assert frac_multiple(Fraction(2, 5), 0) == 0
+        v, mod, err = walk_at(Fraction(1, 2), 3)
+        assert Fraction(v, mod) == Fraction(1, 2) and err == 0
+        assert walk_at(Fraction(2, 5), 0) == (0, 5, 0)
 
     def test_golden_double(self):
         fp = eval_alpha(cf_of_surd(QuadraticSurd.make(-1, 5, 2)), bits=64)
-        x2 = frac_multiple(fp, 2)
+        v, _, _ = walk_at(fp, 2)
         target = sqrt_mantissa(5, 64)  # {2(phi-1)} = sqrt5 - 2 = frac(sqrt 5)
-        assert abs(x2.mantissa - target) <= 8
+        assert abs(v - target) <= 8
 
     def test_zero_multiple_has_no_error(self):
         fp = FixedPointReal(123456, 64, 2)
-        assert frac_multiple(fp, 0) == FixedPointReal(0, 64, 0)
+        assert walk_at(fp, 0) == (0, 1 << 64, 0)
+        P = build_L(fp, 1)
+        assert P.x_num == (0,) and P.x_err == 0
 
     def test_budget_overflow(self):
         fp = FixedPointReal(1, 64, 2)
-        with pytest.raises(PrecisionExhausted):
-            frac_multiple(fp, 1 << 40)
+        with pytest.raises(PrecisionExhausted, match="budget overflow"):
+            walk_data(fp, (1 << 40) + 1)
 
     def test_error_bound_sound_under_refinement(self):
         # recomputing with 64 extra bits must stay within the advertised bound
@@ -86,34 +104,31 @@ class TestFracMultiple:
                 hi = eval_alpha(cf, bits=B + 64)
                 for _ in range(50):
                     n = rng.randrange(0, 10 ** 6)
-                    a = frac_multiple(lo, n)
-                    b = frac_multiple(hi, n)
+                    a, _, err = walk_at(lo, n)
+                    b, _, _ = walk_at(hi, n)
                     # compare on the circle at the coarse resolution
-                    diff = abs((a.mantissa << 64) - b.mantissa)
+                    diff = abs((a << 64) - b)
                     diff = min(diff, (1 << (B + 64)) - diff)
-                    assert diff <= (a.err_ulp + 1) << 64
+                    assert diff <= (err + 1) << 64
                     checked += 1
         assert checked >= 900
 
 
 class TestDistToInt:
     def test_simple(self):
-        fp = FixedPointReal(3 << 62, 64, 0)  # 0.75
-        assert dist_to_int(fp).mantissa == 1 << 62
-        fp = FixedPointReal(1 << 63, 64, 0)  # 0.5 boundary
-        assert dist_to_int(fp).mantissa == 1 << 63
-        assert dist_to_int(Fraction(3, 4)) == Fraction(1, 4)
+        assert norm_at(FixedPointReal(3 << 62, 64, 0), 1)[0] == 1 << 62  # 0.75
+        # 0.5 boundary
+        assert norm_at(FixedPointReal(1 << 63, 64, 0), 1)[0] == 1 << 63
+        assert norm_at(Fraction(3, 4), 1) == (1, 4, 0)
 
     def test_golden_denominator_bounds(self):
         # 1/(q_{k+1} + q_k) <= ||q_k alpha|| <= 1/q_{k+1}
         from latdisc.alphas import Alpha
         phi = Alpha.from_surd(-1, 5, 2)
-        B = phi.value.bits
         for k in range(1, 31):
             qk, qk1 = phi.q(k), phi.q(k + 1)
-            d = dist_to_int(frac_multiple(phi.value, qk))
-            lo = Fraction(d.mantissa - d.err_ulp, 1 << B)
-            hi = Fraction(d.mantissa + d.err_ulp, 1 << B)
+            d, mod, err = norm_at(phi, qk)
+            lo, hi = Fraction(d - err, mod), Fraction(d + err, mod)
             assert Fraction(1, qk1 + qk) <= hi and lo <= Fraction(1, qk1)
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from latdisc import metric
 from latdisc.metric import (
-    EmpiricalDistribution,
     SweepConfig,
     farey_count,
     farey_enumerate,
@@ -47,21 +46,20 @@ class TestLevy:
 
 class TestKolmogorov:
     def test_single_sample(self):
-        emp = EmpiricalDistribution.from_samples([2.0])
         f = levy_cdf(2.0)
-        assert kolmogorov_distance(emp, levy_cdf) == pytest.approx(max(f, 1 - f))
+        assert kolmogorov_distance([2.0], levy_cdf) == pytest.approx(max(f, 1 - f))
 
     def test_exact_quantiles(self):
         # samples at the (i - 1/2)/n quantiles leave distance 1/(2n)
         from scipy.special import erfinv
         n = 50
         qs = [1 / (2 * erfinv(1 - (i - 0.5) / n) ** 2) for i in range(1, n + 1)]
-        emp = EmpiricalDistribution.from_samples(qs)
-        assert kolmogorov_distance(emp, levy_cdf) == pytest.approx(1 / (2 * n), abs=1e-12)
+        # handed over in descending order: the distance sorts its input
+        assert kolmogorov_distance(qs[::-1], levy_cdf) == pytest.approx(1 / (2 * n), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            kolmogorov_distance(EmpiricalDistribution((), 0), levy_cdf)
+            kolmogorov_distance([], levy_cdf)
 
 
 class TestFarey:

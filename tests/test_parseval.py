@@ -8,10 +8,12 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latdisc.alphas import Alpha
+from latdisc.cf import PrecisionExhausted
 from latdisc.discrepancy import d2_exact_fast
+from latdisc.fixedpoint import FixedPointReal
 from latdisc.lattice import build_L, build_S
 from latdisc.parseval import (
     dioph_inequalities,
@@ -91,16 +93,19 @@ class TestDiophSum:
             dioph_sum2(Alpha.from_rational(1, 2), 1, 2)
 
     def test_float_saturation_for_rational(self):
-        # beyond the denominator the defined terms decay like 1/m^2
-        alpha = Alpha.from_rational(1, 2)
-        vals = dioph_sum2_float(alpha, 10 ** 5, skip_zero=True,
-                                record_at=[10 ** 3, 10 ** 4, 10 ** 5])
+        # beyond the denominator the defined terms decay like 1/m^2; exactly
+        # the exact alphas skip their undefined terms, whatever their type
+        marks = [10 ** 5, 10 ** 3, 10 ** 4]
+        vals = dioph_sum2_float(Alpha.from_rational(1, 2), marks)
         assert vals[2] - vals[0] < 1e-3
+        assert dioph_sum2_float(Fraction(1, 2), marks) == vals
+        with pytest.raises(ZeroDivisionError):
+            dioph_sum2_float(FixedPointReal(1 << 255, 256, 1), [4])
 
     def test_growth_matches_slope_between_decades(self):
         # difference over one decade approximates c(sqrt3) * log 10
         sq3 = Alpha.from_surd(-1, 3, 1)
-        v4, v5 = dioph_sum2_float(sq3, 10 ** 5, record_at=[10 ** 4, 10 ** 5])
+        v4, v5 = dioph_sum2_float(sq3, [10 ** 4, 10 ** 5])
         c = 1 / (12 * math.sqrt(3) * math.log(2 + math.sqrt(3)))
         assert abs((v5 - v4) / math.log(10) - c) < 0.15 * c
 
@@ -132,6 +137,43 @@ class TestDiophSumProperties:
             assert iv.lo < iv.hi  # outward-rounded, not the exact path
             assert iv.lo <= _direct_dioph_sum(alpha, m_start, m_end, power) <= iv.hi
 
+    # block additivity is what the gap sweep's running sum over the blocks
+    # [q_{K-1}, q_K) relies on
+    @given(mant=st.integers(1, (1 << 256) - 1),
+           cuts=st.lists(st.integers(1, 2000), min_size=3, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_add_up_for_fixed_point(self, mant, cuts):
+        a, b, c = sorted(cuts)
+        alpha = FixedPointReal(mant, 256, 1)
+        try:
+            whole = dioph_sum2(alpha, a, c)
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                dioph_sum2(alpha, a, b - 1) + dioph_sum2(alpha, b, c)
+            return
+        assert dioph_sum2(alpha, a, b - 1) + dioph_sum2(alpha, b, c) == whole
+
+    @given(p=st.integers(1, 8000), q=st.integers(2, 8000),
+           cuts=st.lists(st.integers(1, 2 * _EXACT_TERM_LIMIT), min_size=3,
+                         max_size=3))
+    @example(p=1, q=7919, cuts=[1, 2000, 4000])
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_add_up_for_rationals(self, p, q, cuts):
+        a, b, c = sorted(cuts)
+        alpha = Fraction(p, q)
+        try:
+            whole = dioph_sum2(alpha, a, c)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                dioph_sum2(alpha, a, b - 1) + dioph_sum2(alpha, b, c)
+            return
+        split = dioph_sum2(alpha, a, b - 1) + dioph_sum2(alpha, b, c)
+        exact = {hi - lo < _EXACT_TERM_LIMIT
+                 for lo, hi in ((a, c), (a, b - 1), (b, c)) if lo <= hi}
+        if len(exact) == 1:
+            assert split == whole
+        else:  # an exact block narrows the outward rounding of the whole
+            assert whole.lo <= split.lo and split.hi <= whole.hi
 
     @given(p=st.integers(1, 2000), q=st.integers(2, 500),
            N=st.integers(1, 200), data=st.data())
@@ -256,7 +298,8 @@ class TestWindowTerm:
 
     def test_term_guard(self, phi):
         with pytest.raises(ValueError):
-            xi_direct(phi, 10 ** 6, 30, "S", term_guard=10 ** 4)
+            # 10^6 rows times a window of q_28 = 514229 terms
+            xi_direct(phi, 10 ** 6, 30, "S")
 
 
 class TestTrigIdentity:
@@ -390,8 +433,9 @@ class TestDiagnostics:
         assert max(abs(r) for r in res[8:]) <= max(abs(r) for r in res[:8]) + 0.5
 
     def test_birkhoff_step_identity(self, phi):
-        from latdisc.fixedpoint import birkhoff_sums, frac_multiple
+        from latdisc.fixedpoint import birkhoff_sums, walk_data
         b = birkhoff_sums(phi.value, 40)
+        step, mod, _ = walk_data(phi)
         for n in range(1, 40):
-            step = Fraction(1, 2) - frac_multiple(phi.value, n).as_fraction()
-            assert b.T[n] - b.T[n - 1] == step
+            x = Fraction(n * step % mod, mod)  # {n alpha}, not by the walk
+            assert b.T[n] - b.T[n - 1] == Fraction(1, 2) - x

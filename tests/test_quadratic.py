@@ -90,9 +90,11 @@ class TestBeck:
         assert abs(c1 - c2) <= 3 * (e1 + e2) + 0.002
 
     def test_rational_slope_zero(self):
-        alpha = Alpha.from_rational(13, 30)
-        c, _ = beck_constant_estimate(alpha, [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])
+        grid = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
+        c, e = beck_constant_estimate(Alpha.from_rational(13, 30), grid)
         assert abs(c) < 1e-3
+        # a bare Fraction is exact too, so it skips the same terms
+        assert beck_constant_estimate(Fraction(13, 30), grid) == (c, e)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
