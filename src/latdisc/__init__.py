@@ -21,8 +21,6 @@ from .cf import (
     cf_of_surd,
     cf_rule,
     cf_stats,
-    cf_value,
-    convergents,
     optimality_stats,
 )
 from .discrepancy import DiscrepancyValue, d2_exact_fast, d2_exact_quadratic

@@ -37,10 +37,6 @@ class Alpha:
     def __repr__(self):
         return f"Alpha({self.label})"
 
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self.value, Fraction)
-
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -126,9 +122,3 @@ class Alpha:
 
     def stats(self, K: int):
         return cf_stats(self.cf, K)
-
-    def value_fraction(self) -> Fraction:
-        """The representation value as an exact Fraction."""
-        if isinstance(self.value, Fraction):
-            return self.value
-        return self.value.as_fraction()

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import islice
 from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -100,12 +98,11 @@ class ContinuedFraction:
             return len(self.body.terms)
         return None
 
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self.body, Finite)
-
     def render(self, max_terms: int = 20) -> str:
-        """Render as "[a0;a1,a2,...]" with overline(...) marking a period."""
+        """Render as "[a0;a1,a2,...]" with overline(...) marking a period;
+        an unbounded or truncated expansion shows max_terms >= 1 quotients."""
+        if max_terms < 1:
+            raise ValueError("max_terms must be >= 1")
         body = self.body
         if isinstance(body, Finite):
             return "[%d;%s]" % (self.a0, ",".join(map(str, body.terms)))
@@ -203,14 +200,6 @@ def alternate_expansion(cf: ContinuedFraction) -> ContinuedFraction:
         # [a0;1] is a0 + 1 exactly
         return ContinuedFraction(cf.a0 + 1, Finite(()))
     return ContinuedFraction(cf.a0, Finite(terms[:-2] + (terms[-2] + 1,)))
-
-
-def cf_value(cf: ContinuedFraction) -> Fraction:
-    """Exact value of a finite expansion."""
-    if not isinstance(cf.body, Finite):
-        raise ValueError("only finite expansions have a rational value")
-    *_, last = iter_convergents(cf)
-    return Fraction(last.p, last.q)
 
 
 def _floor_surd(P: int, D: int, Q: int) -> int:
@@ -322,17 +311,6 @@ def cf_of_bits(mantissa: int, bits: int) -> ContinuedFraction:
 # ---------------------------------------------------------------------------
 # Convergents and statistics
 # ---------------------------------------------------------------------------
-
-def convergents(cf: ContinuedFraction, K: int) -> list:
-    """Convergents p_k/q_k for k = 0..K via the exact recursion."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    out = list(islice(iter_convergents(cf), K + 1))
-    if len(out) <= K:
-        raise ExpansionExhausted(
-            f"finite expansion has only {len(out) - 1} quotients")
-    return out
-
 
 def iter_convergents(cf: ContinuedFraction) -> Iterator[Convergent]:
     """Yield convergents from k = 0 until the expansion runs out."""

@@ -228,9 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("estimate", help="certified enclosure of D2^2")
     _shared(s, "alpha", "bits")
     s.add_argument("--N", type=int, required=True)
-    g = s.add_mutually_exclusive_group(required=True)
-    g.add_argument("--sym", action="store_true")
-    g.add_argument("--unsym", action="store_true")
+    s.add_argument("--sym", action="store_true")
     s.set_defaults(fn=_cmd_estimate)
 
     s = sub.add_parser("dioph", help="weighted Diophantine sum")

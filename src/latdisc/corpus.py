@@ -132,14 +132,13 @@ def containment_sweep(alphas: Iterable[Alpha], max_K: int = 14,
     return records
 
 
-def inequality_sweep(alphas: Iterable[Alpha], K_cap: int = 12,
+def inequality_sweep(alphas: Iterable[Alpha],
                      size_cap: int = 20000) -> List[Tuple[str, int, bool]]:
-    """The three certified quotient-sum inequalities on a per-alpha K grid
-    (small n)."""
+    """The three certified quotient-sum inequalities on a per-alpha grid of
+    K <= 8 (small n)."""
     out = []
     for alpha in alphas:
-        feas = feasible_indices(alpha, K_cap, size_cap)
-        for K in _spread(feas, 3):
+        for K in _spread(feasible_indices(alpha, 8, size_cap), 3):
             N = alpha.q(K)
             br = dioph_inequalities(alpha, K, n=7, N=N)
             out.append((alpha.label, K, br.all_hold))
@@ -183,7 +182,7 @@ def check_bounds(corpus: str = "small") -> Tuple[int, List[str]]:
         if not r.ok:
             violations.append(
                 f"containment {r.variant} {r.label} K={r.K} N={r.N}")
-    ineqs = inequality_sweep(alphas[:8], K_cap=8, size_cap=size_cap)
+    ineqs = inequality_sweep(alphas[:8], size_cap=size_cap)
     for label, K, ok in ineqs:
         if not ok:
             violations.append(f"inequalities {label} K={K}")

@@ -32,13 +32,6 @@ class FixedPointReal:
         if self.err_ulp < 0:
             raise ValueError("err_ulp must be >= 0")
 
-    def to_float(self) -> float:
-        return self.mantissa / (1 << self.bits)
-
-    def as_fraction(self) -> Fraction:
-        """The stored (representation) value, exactly."""
-        return Fraction(self.mantissa, 1 << self.bits)
-
 
 RealValue = Union[Fraction, FixedPointReal]
 
@@ -175,6 +168,8 @@ def _scaled_running_sums(value, N: int):
     """Integers u_0..u_{N-1} and scale D with T_n = u_n / D, plus a bound on
     how far each T_n can sit from the true T_n, which walk_data's trust check
     makes sound.  Exact integer arithmetic throughout."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     step, modulus, err_ulp = walk_data(value, N)
     u = []
     append = u.append
@@ -190,8 +185,6 @@ def _scaled_running_sums(value, N: int):
 def birkhoff_sums(value: RealValue, N: int) -> BirkhoffSums:
     """Running sums T_n = sum_{l=0}^{n} (1/2 - {l alpha}) for n < N, and
     their average.  O(N), exact for rational alpha."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     u, D, err = _scaled_running_sums(value, N)
     T = tuple(Fraction(x, D) for x in u)
     E = Fraction(sum(u), D * N)

@@ -53,9 +53,6 @@ class Interval:
     def __sub__(self, other):
         return self + (-_as_interval(other))
 
-    def __rsub__(self, other):
-        return _as_interval(other) + (-self)
-
     def __mul__(self, other):
         other = _as_interval(other)
         cands = (self.lo * other.lo, self.lo * other.hi,
@@ -71,9 +68,6 @@ class Interval:
         cands = (self.lo / other.lo, self.lo / other.hi,
                  self.hi / other.lo, self.hi / other.hi)
         return Interval(min(cands), max(cands))
-
-    def __rtruediv__(self, other):
-        return _as_interval(other) / self
 
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))

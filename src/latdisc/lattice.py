@@ -20,7 +20,6 @@ from .fixedpoint import residues, walk_data
 @dataclass(frozen=True)
 class LatticePointSet:
     N: int
-    symmetrized: bool
     x_num: tuple
     x_den: int
     y_num: tuple
@@ -51,7 +50,7 @@ def build_L(alpha, N: int) -> LatticePointSet:
         raise ValueError("N must be >= 1")
     step, mod, err_ulp = walk_data(alpha, N)
     xs = tuple(chain.from_iterable(residues(step, mod, 0, N)))
-    return LatticePointSet(N, False, xs, mod, tuple(range(N)), N,
+    return LatticePointSet(N, xs, mod, tuple(range(N)), N,
                            Fraction((N - 1) * err_ulp, mod))
 
 
@@ -66,5 +65,5 @@ def build_S(alpha, N: int) -> LatticePointSet:
     xs[0::2] = chain.from_iterable(residues(step, mod, 0, N))
     xs[1::2] = [mod - x if x else 0 for x in xs[0::2]]
     ys[0::2] = ys[1::2] = list(range(N))
-    return LatticePointSet(N, True, tuple(xs), mod, tuple(ys), N,
+    return LatticePointSet(N, tuple(xs), mod, tuple(ys), N,
                            Fraction((N - 1) * err_ulp, mod))

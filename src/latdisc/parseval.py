@@ -229,37 +229,26 @@ def min_weighted_bound(alpha, K: int, N: int) -> BoundPair:
 
 
 def _min_weighted_sum(alpha, m_start: int, m_end: int, N: int) -> Interval:
-    """Certified sum of (1/(m^2 ||m a||^2)) * min(1/(4N ||2m a||), 1)."""
+    """Certified [0, hi] above the sum of (1/(m^2 ||m a||^2)) *
+    min(1/(4N ||2m a||), 1): BoundPair.holds reads only the upper end, so,
+    as in tail_min_bound, the lower end is the trivial 0."""
     if m_end < m_start:
         return Interval.zero()
     step, mod, err0 = walk_data(alpha)
-    s = 1 << _SCALE_BITS
     num2 = (mod * mod) << _SCALE_BITS
     num3 = (mod * mod * mod) << _SCALE_BITS
-    lo = hi = 0
+    hi = 0
     for m, d in enumerate(chain.from_iterable(norms(step, mod, m_start,
                                                     m_end + 1)), m_start):
         d2 = min(2 * d, mod - 2 * d)  # mod * ||2m alpha||, as 2d <= mod
-        e = m * err0
-        e2 = 2 * m * err0
-        dl, dh = d - e, d + e
-        d2l, d2h = d2 - e2, d2 + e2
+        dl, d2l = d - m * err0, d2 - 2 * m * err0
         if dl <= 0:
             raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
-        m2 = m * m
-        # upper endpoint: largest 1/||.||^2, largest min-factor
-        if d2l <= 0:
-            hi += ceil_div(num2, m2 * dl * dl)
-        else:
-            hi += min(ceil_div(num2, m2 * dl * dl),
-                      ceil_div(num3, m2 * dl * dl * 4 * N * d2l))
-        # lower endpoint
-        if d2h == 0:
-            lo += num2 // (m2 * dh * dh)
-        else:
-            lo += min(num2 // (m2 * dh * dh),
-                      num3 // (m2 * dh * dh * 4 * N * d2h))
-    return Interval(Fraction(lo, s), Fraction(hi, s))
+        # the largest 1/||.||^2 and the largest min-factor
+        cap = ceil_div(num2, m * m * dl * dl)
+        hi += cap if d2l <= 0 else min(
+            cap, ceil_div(num3, m * m * dl * dl * 4 * N * d2l))
+    return Interval(Fraction(0), Fraction(hi, 1 << _SCALE_BITS))
 
 
 @dataclass(frozen=True)
@@ -327,10 +316,6 @@ class Enclosure(Interval):
 
     K: int
     parts: Dict[str, float]
-
-    @property
-    def half_width(self) -> Fraction:
-        return self.width / 2
 
 
 def _enclosure(alpha, N: int, K: Optional[int], sym: bool) -> Enclosure:
@@ -429,19 +414,13 @@ def ratio_check(alpha, K: int) -> Tuple[float, float]:
     return ds / st.sum_a2, dl / (st.sum_a2 + st.alt_sum ** 2)
 
 
-def variance_check(alpha, N: int, growth: Optional[Tuple[float, float]] = None):
+def variance_check(alpha, N: int):
     """(1/N) sum (T_n - E_N)^2 against sum_{m<q_K} 1/(8 pi^4 m^2 ||m a||^2).
 
     Returns (lhs, rhs, residual) as floats; no assertion is made since the
-    comparison carries an unknown O(.) constant.  If growth = (c, d) is
-    supplied, the prefix condition a_k <= c*k^d is verified first.
+    comparison carries an unknown O(.) constant.
     """
     K = alpha.index_for(N)
-    if growth is not None:
-        c, d = growth
-        for k in range(1, K + 1):
-            if alpha.a(k) > c * k ** d:
-                raise ValueError(f"quotient growth bound violated at k={k}")
     _, _, var, _ = birkhoff_quad_block(alpha, N)
     rhs = dioph_sum2(alpha, 1, alpha.q(K) - 1) * INV_8PI4
     lhs = float(var)

@@ -279,15 +279,15 @@ def test_09_irrational_limit_law():
         enc = enclosure_S(alpha, N)
         exact = d2_exact_fast(build_S(alpha, N)).d2_squared
         gap = abs(exact - enc.mid)
-        worst_gap = max(worst_gap, float(gap / enc.half_width))
-        if gap > enc.half_width:
+        worst_gap = max(worst_gap, float(2 * gap / enc.width))
+        if gap > enc.width / 2:
             bad_cross += 1
     for i in range(2):  # the stated lattice size, spot checks
         alpha = sample_irrational("lebesgue", 256, 626262, i)
         N = 10 ** 6
         enc = enclosure_S(alpha, N)
         exact = d2_exact_fast(build_S(alpha, N)).d2_squared
-        if abs(exact - enc.mid) > enc.half_width:
+        if abs(exact - enc.mid) > enc.width / 2:
             bad_cross += 1
 
     # first-quotient law under the continued-fraction invariant measure

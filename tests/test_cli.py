@@ -10,10 +10,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from latdisc import metric
 from latdisc.alphas import Alpha
 from latdisc.cli import build_parser, main
 from latdisc.discrepancy import d2_exact_fast
 from latdisc.lattice import build_S
+
+
+# {pi} to 256 bits
+PI_HEX = "243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c89"
 
 
 def run_cli(*argv):
@@ -31,13 +36,20 @@ def test_cf_periodic_render(capsys):
     assert capsys.readouterr().out.strip() == "[1;overline(1,2)]"
 
 
+@pytest.mark.parametrize("terms", ["0", "-50"])
+def test_cf_terms_below_one_exit_2(terms, capsys):
+    for alpha in ("13/30", "rule:euler_e", f"bits:{PI_HEX}@256"):
+        assert main(["cf", "--alpha", alpha, f"--terms={terms}"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_spec_round_trip():
     for spec in ("13/30", "surd:-1,5,2", "rule:euler_e", "rule:constant(4)",
                  "bits:deadbeef" + "0" * 56 + "@256"):
         alpha = Alpha.parse(spec)
         again = Alpha.parse(alpha.label)
         assert alpha.label == again.label
-        assert alpha.value_fraction() == again.value_fraction()
+        assert alpha.value == again.value
 
 
 def test_disc_matches_library(capsys):
@@ -100,6 +112,26 @@ def test_threads_byte_identical():
     assert c.stdout == d.stdout
 
 
+def test_sweep_redraws_samples_that_exhaust_precision(monkeypatch, capsys):
+    # at 128 bits some certified expansions stop before q_K >= N; such a
+    # sample is redrawn, up to 8 times, and then the sweep exits 3
+    argv = ["sweep-irrational", "--M", "40", "--bits", "128",
+            "--estimator", "cf_moment"]
+    one = run_cli(*argv, "--N", "1000000000", "--threads", "1")
+    two = run_cli(*argv, "--N", "1000000000", "--threads", "2")
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
+    assert json.loads(one.stderr.splitlines()[-1])["resampled"] == 12
+    drawn = []
+    draw = metric.sample_irrational
+    monkeypatch.setattr(metric, "sample_irrational",
+                        lambda *a: drawn.append(a[3]) or draw(*a))
+    assert main([*argv, "--N", "4000000000", "--threads", "1"]) == 3
+    assert capsys.readouterr().out == ""
+    index = drawn[-1] & 0xFFFFFFFF
+    assert drawn[-9:] == [index + (r << 32) for r in range(9)]
+
+
 def test_env_threads_fallback():
     import os
     env = dict(os.environ, LATDISC_THREADS="2")
@@ -147,7 +179,7 @@ SURFACE = {
     "cf": {"--alpha", "--bits", "--terms"},
     "lattice": {"--alpha", "--bits", "--N", "--sym", "--float"},
     "disc": {"--alpha", "--bits", "--out", "--N", "--sym"},
-    "estimate": {"--alpha", "--bits", "--N", "--sym", "--unsym"},
+    "estimate": {"--alpha", "--bits", "--N", "--sym"},
     "dioph": {"--alpha", "--bits", "--M", "--weight"},
     "quadratic": {"--bits", "--out", "--surd", "--report", "--variant",
                   "--kmin", "--kmax", "--grid-points"},
@@ -169,7 +201,7 @@ def declared_flags():
 def test_each_subcommand_declares_only_the_flags_it_reads():
     declared = declared_flags()
     assert declared == SURFACE
-    assert sum(map(len, declared.values())) == 46
+    assert sum(map(len, declared.values())) == 45
 
 
 def test_readme_flag_table_matches_parser():
@@ -244,7 +276,7 @@ GOLDEN = {
     "cf_surd_3": "cf --alpha surd:0,3,1",
     "disc_surd_5": "disc --alpha surd:0,5,2 --N 89 --sym",
     "estimate_euler_e": "estimate --alpha rule:euler_e --N 1001 --sym",
-    "estimate_euler_e_unsym": "estimate --alpha rule:euler_e --N 1001 --unsym",
+    "estimate_euler_e_unsym": "estimate --alpha rule:euler_e --N 1001",
     "dioph_surd_5": "dioph --alpha surd:-1,5,2 --M 10000 --weight quarter_pi4_sq",
     "quadratic_constants": "quadratic --surd 0,3,1 --report constants",
     "quadratic_beck": "quadratic --surd 0,3,1 --report beck --out json",
@@ -258,6 +290,11 @@ GOLDEN = {
     "sweep_irrational_exact": "sweep-irrational --N 500 --M 40 --seed 2 "
                               "--estimator exact",
     "check_bounds_small": "check-bounds --corpus small",
+    "disc_surd_5_json": "disc --alpha surd:0,5,2 --N 89 --sym --out json",
+    "dioph_13_30": "dioph --alpha 13/30 --M 29",
+    "cf_euler_e_12": "cf --alpha rule:euler_e --terms 12",
+    "cf_bits_pi": f"cf --alpha bits:{PI_HEX}@256",
+    "lattice_2_5_float": "lattice --alpha 2/5 --N 5 --float",
 }
 
 

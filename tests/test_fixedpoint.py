@@ -141,6 +141,12 @@ class TestBirkhoff:
         b = birkhoff_sums(Fraction(1, 2), 2)
         assert b.T == (Fraction(1, 2), Fraction(1, 2)) and b.E == Fraction(1, 2)
 
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_N_below_one_rejected(self, N):
+        for running_sum in (birkhoff_sums, birkhoff_mean, birkhoff_quad_block):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                running_sum(Fraction(1, 3), N)
+
     def test_mean_identity(self):
         b = birkhoff_sums(Fraction(3, 11), 11)
         assert b.E * b.N == sum(b.T)

@@ -56,6 +56,16 @@ class TestGrowth:
         assert (tr, det) == (4, 1)
         assert lam == pytest.approx(0.5 * math.log(2 + math.sqrt(3)), rel=1e-12)
 
+    @pytest.mark.parametrize("period, lam_exact", [
+        ((1,) * 800, math.log((1 + math.sqrt(5)) / 2)),
+        ((1, 2) * 400, 0.5 * math.log(2 + math.sqrt(3))),
+    ])
+    def test_trace_of_2_500_and_above(self, period, lam_exact):
+        # past 2^500 eta is read off the trace alone
+        tr, _, lam = growth_constant(ContinuedFraction(0, Periodic((), period)))
+        assert tr >= 1 << 500
+        assert abs(lam - lam_exact) <= 1e-16
+
     def test_determinant_sign(self):
         rng = random.Random(8)
         for _ in range(50):
