@@ -25,6 +25,13 @@ from .cf import (
 from .fixedpoint import DEFAULT_BITS, FixedPointReal, eval_alpha
 
 
+def _width(bits: int) -> int:
+    """bits, if a fixed-point alpha may be realized at that width."""
+    if bits < 128:
+        raise ValueError("bits must be >= 128")
+    return bits
+
+
 class Alpha:
     """An alpha with its expansion, exact-or-certified value, and caches."""
 
@@ -49,16 +56,16 @@ class Alpha:
     @classmethod
     def from_surd(cls, P: int, D: int, Q: int, bits: int = DEFAULT_BITS) -> "Alpha":
         cf = cf_of_surd(QuadraticSurd.make(P, D, Q))
-        return cls(cf, eval_alpha(cf, bits), f"surd:{P},{D},{Q}")
+        return cls(cf, eval_alpha(cf, _width(bits)), f"surd:{P},{D},{Q}")
 
     @classmethod
     def from_rule(cls, name: str, bits: int = DEFAULT_BITS) -> "Alpha":
         cf = cf_rule(name)
-        return cls(cf, eval_alpha(cf, bits), f"rule:{name}")
+        return cls(cf, eval_alpha(cf, _width(bits)), f"rule:{name}")
 
     @classmethod
     def from_bits(cls, mantissa: int, bits: int) -> "Alpha":
-        cf = cf_of_bits(mantissa, bits)
+        cf = cf_of_bits(mantissa, _width(bits))
         # the dyadic mantissa itself realizes the sampled real to one ulp
         value = FixedPointReal(mantissa, bits, 1)
         return cls(cf, value, f"bits:{mantissa:x}@{bits}")

@@ -72,12 +72,12 @@ def _cmd_lattice(args) -> int:
     P = (build_S if args.sym else build_L)(alpha, args.N)
     if args.float:
         print("x,y")
-        for x, y in P.float_points():
+        for x, y in P.points():
             print(f"{_fmt(x)},{_fmt(y)}")
     else:
         print("n,x_num,x_den_or_scale,y_num,y_den")
         for i, (xn, yn) in enumerate(zip(P.x_num, P.y_num)):
-            print(f"{i},{xn},{P.x_den},{yn},{P.y_den}")
+            print(f"{i},{xn},{P.mod},{yn},{P.N}")
     return EXIT_OK
 
 

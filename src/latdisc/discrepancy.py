@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import mul, rshift
+from operator import rshift
 from typing import Iterable, Tuple, Union
 
 import numpy as np
@@ -38,10 +38,8 @@ class DiscrepancyValue:
 PointsLike = Union[LatticePointSet, Iterable[Tuple[Fraction, Fraction]]]
 
 
-def _scaled_arrays(P: PointsLike):
-    """Normalize input to (X, Y, A, B) with x_i = X_i/A, y_i = Y_i/B."""
-    if isinstance(P, LatticePointSet):
-        return P.x_num, P.y_num, P.x_den, P.y_den
+def _scaled_arrays(P: Iterable[Tuple[Fraction, Fraction]]):
+    """Normalize points to (X, Y, A, B) with x_i = X_i/A, y_i = Y_i/B."""
     pts = list(P)
     if not pts:
         raise ValueError("point set must be nonempty")
@@ -66,10 +64,10 @@ def _combine(pair_term: int, diag_term2: int, n: int, A: int, B: int) -> Fractio
 
 def d2_exact_quadratic(P: PointsLike) -> DiscrepancyValue:
     """Pairwise O(n^2) evaluation; the reference for the fast path."""
+    if isinstance(P, LatticePointSet):
+        P = P.points()
     X, Y, A, B = _scaled_arrays(P)
     n = len(X)
-    if n == 0:
-        raise ValueError("point set must be nonempty")
     pair = 0
     for i in range(n):
         xi = X[i]
@@ -89,25 +87,22 @@ def d2_exact_quadratic(P: PointsLike) -> DiscrepancyValue:
 # needs no merge level.  120 keeps a block's int64 table of minima
 # (120 * 120 * 8 = 115 KB) below the 128 KiB from which glibc's malloc maps
 # fresh pages on every call: one pairwise block of 238 points measured 3-4x
-# slower than two blocks of 119 and a merge level.  The big-integer products
-# are summed over slices of _DOT_BLOCK points.
+# slower than two blocks of 119 and a merge level.
 _BLOCK = 120
-_DOT_BLOCK = 4096
 
 
-def _x_order(X, A: int) -> np.ndarray:
-    """Indices that sort X (each X_i < A): by the top 64 bits in numpy, then
-    exactly within runs of equal top bits, which only differ when A > 2^64."""
-    shift = max(A.bit_length() - 64, 0)
-    keys = np.fromiter(map(rshift, X, repeat(shift)), np.uint64, len(X))
+def _x_order(keys: np.ndarray, A: int, x_of) -> np.ndarray:
+    """Indices that sort x: by keys, which order x up to ties, in numpy,
+    then by the exact x_of(j) within runs of equal keys, which only occur
+    when A >= 2^64."""
     order = np.argsort(keys)
-    if shift:
+    if A >> 64:
         keys = keys[order]
         tied = np.flatnonzero(keys[1:] == keys[:-1])
         for run in np.split(tied, np.flatnonzero(np.diff(tied) > 1) + 1):
             if run.size:
                 lo, hi = run[0], run[-1] + 2
-                order[lo:hi] = sorted(order[lo:hi].tolist(), key=X.__getitem__)
+                order[lo:hi] = sorted(order[lo:hi].tolist(), key=x_of)
     return order
 
 
@@ -160,29 +155,64 @@ def _dominance(w: np.ndarray) -> np.ndarray:
     return out[:n]
 
 
+def _dot(a: np.ndarray, b: np.ndarray, a_bits: int, b_bits: int) -> int:
+    """sum(a * b), exactly: directly for object arrays; for int64 arrays with
+    |a| < 2^a_bits and |b| < 2^b_bits, over limbs of b narrow enough that no
+    int64 dot of len(a) terms overflows."""
+    width = 63 - a_bits - len(a).bit_length()
+    if a.dtype == object or b_bits <= width:
+        return int(a @ b)
+    return int(a @ (b & ((1 << width) - 1))) + (
+        _dot(a, b >> width, a_bits, b_bits - width) << width)
+
+
 def d2_exact_fast(P: PointsLike) -> DiscrepancyValue:
     """O(n log n) sweep, bit-identical to the quadratic oracle.
 
-    With the points in x order, the pair sum is
-    sum_j (A - X_j) (2 W_j + w_j), where w_j = B - Y_j and
-    W_j = sum_{i<j} (B - max(Y_i, Y_j)) = sum_{i<j} min(w_i, w_j)
-    (Heinrich, Math. Comp. 65, 1996).  _dominance gives every W_j in int64
-    while n*B < 2^61, which keeps 2 W_j + w_j below 2^63, and in Python ints
-    above; the products with A - X_j are summed in Python ints.
+    Both inputs become x_j = (step U_j + mod V_j)/A, y_j = Y_j/B with
+    |U_j|, |V_j| < 2^ubits, and keys that order x as _x_order needs: a
+    lattice as x = (n step - k mod)/mod, y = |n|/N with its own keys; a point
+    iterable as x = X/A itself (step 1, no mod term), in int64 while
+    A < 2^63, with the top 64 bits of X as keys.
+
+    In x order, the pair sum is sum_j (A - X_j) c_j with c_j = 2 W_j + w_j,
+    w_j = B - Y_j and W_j = sum_{i<j} min(w_i, w_j) (Heinrich, Math. Comp.
+    65, 1996); the diagonal sum is sum_j (A^2 - X_j^2) e_j, e_j = B^2 - Y_j^2.
+    Both reduce to a few exact sums of products of U, V, c and e.  c is
+    int64 while n*B < 2^61, and the sums run on int64 limbs while U e and
+    V e fit too; above that, Python ints.
     """
-    X, Y, A, B = _scaled_arrays(P)
-    n = len(X)
-    if n == 0:
-        raise ValueError("point set must be nonempty")
-    order = _x_order(X, A)
-    w = B - np.array(Y, np.int64 if n * B < 1 << 61 else object)[order]
-    weights = np.empty_like(w)  # in input order, so X is read in order
-    weights[order] = 2 * _dominance(w) + w
-    pair = 0
-    for lo in range(0, n, _DOT_BLOCK):
-        block = weights[lo:lo + _DOT_BLOCK].tolist()
-        pair += A * sum(block) - sum(map(mul, X[lo:lo + _DOT_BLOCK], block))
-    t2 = sum((A * A - x * x) * (B * B - y * y) for x, y in zip(X, Y))
+    if isinstance(P, LatticePointSet):
+        keys, U, V, Y = P.key, P.n, P.k, np.abs(P.n)
+        A, B, step, mod, ubits = P.mod, P.N, P.step, -P.mod, P.N.bit_length()
+    else:
+        X, Y, A, B = _scaled_arrays(P)
+        shift = max(A.bit_length() - 64, 0)
+        keys = np.fromiter(map(rshift, X, repeat(shift)), np.uint64, len(X))
+        U = np.array(X, object if A >> 63 else np.int64)
+        V, Y = np.zeros_like(U), np.array(Y, object if B >> 63 else np.int64)
+        step, mod, ubits = 1, 0, A.bit_length()
+    n = len(Y)
+    ybits, nbits = B.bit_length(), n.bit_length()
+    small = n * B < 1 << 61
+    if not small or ubits + 2 * ybits > 63 or ubits + nbits > 62:
+        U, V, Y = (a.astype(object) for a in (U, V, Y))
+    ones = np.ones_like(U)
+    e = B * B - Y * Y
+    ue = U * e
+    ebits, uebits = 2 * ybits, ubits + 2 * ybits
+    t2 = A * A * _dot(ones, e, 1, ebits) - (
+        step * step * _dot(U, ue, ubits, uebits)
+        + 2 * step * mod * _dot(V, ue, ubits, uebits)
+        + mod * mod * _dot(V, V * e, ubits, uebits))
+    del e, ue  # before the dominance sweep, which sets the peak of memory
+    order = _x_order(keys, A, lambda j: step * int(U[j]) + mod * int(V[j]))
+    w = B - Y[order].astype(np.int64 if small else object)
+    c = np.empty_like(w)  # in input order, like U and V
+    c[order] = 2 * _dominance(w) + w
+    cbits = 1 + nbits + ybits
+    pair = (A * _dot(ones, c, 1, cbits) - step * _dot(U, c, ubits, cbits)
+            - mod * _dot(V, c, ubits, cbits))
     return DiscrepancyValue(_combine(pair, t2, n, A, B))
 
 
@@ -193,4 +223,3 @@ def realization_error(P: PointsLike) -> Fraction:
     if isinstance(P, LatticePointSet) and P.x_err:
         return 5 * P.size * P.size * P.x_err
     return Fraction(0)
-

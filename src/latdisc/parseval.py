@@ -113,6 +113,8 @@ def dioph_sum(alpha, M: int, weight: str = "unit_sq") -> Interval:
              eighth_pi4_sq  1/(8 pi^4 m^2 ||m a||^2)
              pi2_first      1/(pi^2 m^2 ||m a||)
     """
+    if M < 1:
+        raise ValueError("M must be >= 1")
     try:
         base, coeff = _WEIGHTS[weight]
     except KeyError:

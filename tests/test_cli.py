@@ -43,6 +43,26 @@ def test_cf_terms_below_one_exit_2(terms, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("M", ["0", "-5"])
+def test_dioph_M_below_one_exit_2(M, capsys):
+    assert main(["dioph", "--alpha", "13/30", f"--M={M}"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+# surd: and rule: alphas take their width from --bits, bits: alphas from the
+# spec; every route refuses a width below 128 with the same message
+@pytest.mark.parametrize("argv", [
+    ["disc", "--alpha", "rule:euler_e", "--N", "1", "--bits", "-3"],
+    ["disc", "--alpha", "surd:0,5,2", "--N", "2", "--bits", "2",
+     "--out", "json"],
+    ["quadratic", "--surd=-1,5,2", "--bits", "127"],
+    ["disc", "--alpha", "bits:ff@64", "--N", "2"],
+])
+def test_fixed_point_width_below_128_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bits must be >= 128\n"
+
+
 def test_spec_round_trip():
     for spec in ("13/30", "surd:-1,5,2", "rule:euler_e", "rule:constant(4)",
                  "bits:deadbeef" + "0" * 56 + "@256"):

@@ -1,13 +1,15 @@
 """Lattice point set construction."""
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latdisc.alphas import Alpha
 from latdisc.cf import PrecisionExhausted
-from latdisc.fixedpoint import FixedPointReal
+from latdisc.discrepancy import d2_exact_fast, d2_exact_quadratic
+from latdisc.fixedpoint import FixedPointReal, residues, walk_data
 from latdisc.lattice import build_L, build_S
 
 
@@ -124,3 +126,32 @@ def test_wrap_check_matches_definition(bits, err, N, p, n0, shift, free, m):
         except PrecisionExhausted:
             raised = True
         assert raised == (budget or wraps)
+
+
+# mod = 2^B (a mantissa) or a rational q.  With near, step = floor(i mod/n0)
+# + t puts n0 step within n0 of a multiple of mod: inside the n0 mod/2^128
+# the two-limb realization cannot resolve once mod >= 2^128, and exactly on
+# it (x = 0) when n0 divides i mod; both send n0 to the exact recomputation.
+# The example has 3 step = 2^200 - 1.
+@given(B=st.integers(1, 300),
+       q=st.one_of(st.integers(2, 60), st.integers(2, 1 << 90)),
+       dyadic=st.booleans(), m=st.integers(0, (1 << 300) - 1),
+       near=st.booleans(), n0=st.integers(1, 40), t=st.integers(0, 1),
+       N=st.one_of(st.integers(1, 50), st.integers(1, 3000)))
+@example(B=200, q=2, dyadic=True, m=1, near=True, n0=3, t=0, N=40)
+@settings(max_examples=60, deadline=None)
+def test_realization_matches_exact_walk(B, q, dyadic, m, near, n0, t, N):
+    mod = 1 << B if dyadic else q
+    step = m % mod
+    if near:
+        step = ((m % n0) * mod // n0 + t) % mod
+    alpha = FixedPointReal(step, B, 0) if dyadic else Fraction(step, q)
+    step, mod, _ = walk_data(alpha)
+    walk = list(chain.from_iterable(residues(step, mod, 0, N)))
+    L, S = build_L(alpha, N), build_S(alpha, N)
+    assert L.k.tolist() == [n * step // mod for n in range(N)]
+    assert L.x_num == tuple(walk)
+    assert S.x_num == tuple(chain.from_iterable((x, -x % mod) for x in walk))
+    for build in (build_L, build_S):
+        P = build(alpha, min(N, 50))
+        assert d2_exact_fast(P) == d2_exact_quadratic(P)
