@@ -8,22 +8,20 @@ Both algorithms evaluate the Warnock expansion of the defining integral
 in exact scaled-integer arithmetic, which kills the catastrophic cancellation
 between the O(|P|^2) terms: coordinates enter as integers over common
 denominators and the three terms are combined over a single final denominator.
-The quadratic version is the plain pairwise oracle; the fast version sweeps by
-x and counts y-dominance with a numpy merge kernel in O(n log n).
+The quadratic version is the plain pairwise oracle; the fast version
+evaluates a lattice's pair sum in O(N) from floor identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import lcm
-from operator import rshift
-from typing import Iterable, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .lattice import LatticePointSet
+from .lattice import LatticePointSet, floors
 
 
 @dataclass(frozen=True)
@@ -38,24 +36,6 @@ class DiscrepancyValue:
 PointsLike = Union[LatticePointSet, Iterable[Tuple[Fraction, Fraction]]]
 
 
-def _scaled_arrays(P: Iterable[Tuple[Fraction, Fraction]]):
-    """Normalize points to (X, Y, A, B) with x_i = X_i/A, y_i = Y_i/B."""
-    pts = list(P)
-    if not pts:
-        raise ValueError("point set must be nonempty")
-    A = lcm(*(Fraction(x).denominator for x, _ in pts))
-    B = lcm(*(Fraction(y).denominator for _, y in pts))
-    X = []
-    Y = []
-    for x, y in pts:
-        fx, fy = Fraction(x), Fraction(y)
-        if not (0 <= fx < 1 and 0 <= fy < 1):
-            raise ValueError("coordinates must lie in [0,1)")
-        X.append(fx.numerator * (A // fx.denominator))
-        Y.append(fy.numerator * (B // fy.denominator))
-    return X, Y, A, B
-
-
 def _combine(pair_term: int, diag_term2: int, n: int, A: int, B: int) -> Fraction:
     # pair_term is at scale A*B, diag_term2 at scale A^2*B^2
     num = 18 * A * B * pair_term - 9 * n * diag_term2 + 2 * n * n * A * A * B * B
@@ -63,10 +43,18 @@ def _combine(pair_term: int, diag_term2: int, n: int, A: int, B: int) -> Fractio
 
 
 def d2_exact_quadratic(P: PointsLike) -> DiscrepancyValue:
-    """Pairwise O(n^2) evaluation; the reference for the fast path."""
-    if isinstance(P, LatticePointSet):
-        P = P.points()
-    X, Y, A, B = _scaled_arrays(P)
+    """Pairwise O(n^2) evaluation over common denominators, x_i = X_i/A and
+    y_i = Y_i/B; the reference for the fast path."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in (
+        P.points() if isinstance(P, LatticePointSet) else P)]
+    if not pts:
+        raise ValueError("point set must be nonempty")
+    if not all(0 <= x < 1 and 0 <= y < 1 for x, y in pts):
+        raise ValueError("coordinates must lie in [0,1)")
+    A = lcm(*(x.denominator for x, _ in pts))
+    B = lcm(*(y.denominator for _, y in pts))
+    X = [x.numerator * (A // x.denominator) for x, _ in pts]
+    Y = [y.numerator * (B // y.denominator) for _, y in pts]
     n = len(X)
     pair = 0
     for i in range(n):
@@ -83,137 +71,148 @@ def d2_exact_quadratic(P: PointsLike) -> DiscrepancyValue:
     return DiscrepancyValue(_combine(pair, t2, n, A, B))
 
 
-# Blocks of at most _BLOCK points are summed pairwise, so a set that small
-# needs no merge level.  120 keeps a block's int64 table of minima
-# (120 * 120 * 8 = 115 KB) below the 128 KiB from which glibc's malloc maps
-# fresh pages on every call: one pairwise block of 238 points measured 3-4x
-# slower than two blocks of 119 and a merge level.
-_BLOCK = 120
-
-
-def _x_order(keys: np.ndarray, A: int, x_of) -> np.ndarray:
-    """Indices that sort x: by keys, which order x up to ties, in numpy,
-    then by the exact x_of(j) within runs of equal keys, which only occur
-    when A >= 2^64."""
-    order = np.argsort(keys)
-    if A >> 64:
-        keys = keys[order]
-        tied = np.flatnonzero(keys[1:] == keys[:-1])
-        for run in np.split(tied, np.flatnonzero(np.diff(tied) > 1) + 1):
-            if run.size:
-                lo, hi = run[0], run[-1] + 2
-                order[lo:hi] = sorted(order[lo:hi].tolist(), key=x_of)
-    return order
-
-
-def _dominance(w: np.ndarray) -> np.ndarray:
-    """W_j = sum_{i<j} min(w_i, w_j) for every j of a 1-d int64 or object
-    array, in O(n log n).
-
-    The array is cut into blocks of bs <= _BLOCK entries, padded at the end
-    with zeros (which follow every real entry, so change none of them) to
-    bs * 2^k.  Each block is summed pairwise.  Bottom-up merge levels then
-    join neighbouring sorted runs L and R with one row sort (stable, so
-    timsort merges the two runs in linear time; ties may fall either way):
-    an entry w_j of R gains the w_i of L that sort before it plus w_j for
-    each one after it.
-    """
-    n = len(w)
-    k = ((n - 1) // _BLOCK).bit_length()
-    bs = -(-n // (1 << k))
-    w = np.concatenate([w, np.zeros((bs << k) - n, w.dtype)])
-    blocks = w.reshape(-1, bs)
-    upper = np.tri(bs, k=-1, dtype=w.dtype).T  # [i, j] = 1 where i < j
-    acc = np.empty_like(blocks)
-    step = max(1, _BLOCK * _BLOCK // (bs * bs))
-    for lo in range(0, len(blocks), step):
-        b = blocks[lo:lo + step]
-        acc[lo:lo + step] = np.einsum(
-            "bij,ij->bj", np.minimum(b[:, :, None], b[:, None, :]), upper)
-    if k == 0:
-        return acc[0, :n]
-    acc = acc.ravel()
-    ids = np.arange(w.size, dtype=np.int32)
-    h, width = 0, bs  # the first pass only sorts the base blocks
-    while width <= w.size:
-        o = np.argsort(w.reshape(-1, width), axis=1, kind="stable")
-        right = o >= h
-        moved = o - np.arange(width)  # for R: how many entries of L follow
-        o += np.arange(0, w.size, width)[:, None]
-        o = o.ravel()
-        w, acc, ids = w[o], acc[o], ids[o]
-        if h:
-            rows = w.reshape(-1, width)
-            gain = np.where(right, 0, rows)
-            np.cumsum(gain, axis=1, out=gain)  # sum of L's entries so far
-            gain += moved * rows
-            gain *= right
-            acc += gain.ravel()
-        h, width = width, 2 * width
-    out = np.empty_like(acc)
-    out[ids] = acc
-    return out[:n]
-
-
-def _dot(a: np.ndarray, b: np.ndarray, a_bits: int, b_bits: int) -> int:
-    """sum(a * b), exactly: directly for object arrays; for int64 arrays with
-    |a| < 2^a_bits and |b| < 2^b_bits, over limbs of b narrow enough that no
-    int64 dot of len(a) terms overflows."""
-    width = 63 - a_bits - len(a).bit_length()
+def _dot(a: np.ndarray, b: np.ndarray, a_bits: int, b_bits: int):
+    """Exact sums of a * b over the last axis, broadcast over the others, as
+    Python ints: directly for object arrays; for int64 arrays with |a| <
+    2^a_bits and |b| < 2^b_bits, over limbs of b narrow enough that no int64
+    sum overflows."""
+    width = 63 - a_bits - a.shape[-1].bit_length()
     if a.dtype == object or b_bits <= width:
-        return int(a @ b)
-    return int(a @ (b & ((1 << width) - 1))) + (
+        return np.einsum("...j,...j->...", a, b).astype(object)
+    low = np.einsum("...j,...j->...", a, b & ((1 << width) - 1))
+    return low.astype(object) + (
         _dot(a, b >> width, a_bits, b_bits - width) << width)
 
 
-def d2_exact_fast(P: PointsLike) -> DiscrepancyValue:
-    """O(n log n) sweep, bit-identical to the quadratic oracle.
+# Every int64 intermediate below is at most about 4 N^3, below 2^63 for
+# N < 2^20; from there on the arrays hold Python ints.
+_INT64_N = 1 << 20
+# elements (rows x indices) of one block of the streamed sums
+_CHUNK = 1 << 14
 
-    Both inputs become x_j = (step U_j + mod V_j)/A, y_j = Y_j/B with
-    |U_j|, |V_j| < 2^ubits, and keys that order x as _x_order needs: a
-    lattice as x = (n step - k mod)/mod, y = |n|/N with its own keys; a point
-    iterable as x = X/A itself (step 1, no mod term), in int64 while
-    A < 2^63, with the top 64 bits of X as keys.
 
-    In x order, the pair sum is sum_j (A - X_j) c_j with c_j = 2 W_j + w_j,
-    w_j = B - Y_j and W_j = sum_{i<j} min(w_i, w_j) (Heinrich, Math. Comp.
-    65, 1996); the diagonal sum is sum_j (A^2 - X_j^2) e_j, e_j = B^2 - Y_j^2.
-    Both reduce to a few exact sums of products of U, V, c and e.  c is
-    int64 while n*B < 2^61, and the sums run on int64 limbs while U e and
-    V e fit too; above that, Python ints.
+def _lattice_sums(steps: Sequence[int], mod: int, N: int, sym: bool) -> dict:
+    """The sums of floors times integer weights that d2_exact_lattices needs,
+    one Python int per step, in O(N).  Only the floors and four prefix sums
+    are held at full length; the weights are made one block of indices at a
+    time, and each block's sums are exact int64 limb dots."""
+    B, M = len(steps), 2 * N - 1 if sym else N
+    dt = np.int64 if N < _INT64_N else object
+    KZ = floors(steps, mod, M).astype(dt, copy=False)
+    m = np.arange(N).astype(dt)
+    # S0[f, :, j], S1[f, :, j]: sums of f_m and m f_m over m < j, f = k, z
+    S0, S1 = np.zeros((2, 2, B, N + 1), dt)
+    np.cumsum(KZ[..., :N], axis=-1, out=S0[..., 1:])
+    np.cumsum(KZ[..., :N] * m, axis=-1, out=S1[..., 1:])
+    b = N.bit_length() + 2  # bits of n, k_m (m < 2N) and 2 k + z
+    width = max(1, _CHUNK // B)
+    acc = 0
+    for lo in range(0, N, width):
+        t = m[lo:lo + width]
+        hi = lo + len(t)
+        Nt, e = N - t, N * N - t * t
+        k, z = kz = KZ[..., lo:hi]
+        rev = slice(N - lo, N - hi, -1)  # prefix index N - t
+        # F_t(f) = H(t) - G(N - t) - f_t T(N - t) for f = k and z, with
+        # G(j) = sum_(m<j) (j - m) f_m and H(t) = sum_(t<=m<N) (N - m) f_m
+        F = (N * (S0[..., N:] - S0[..., lo:hi]) - S1[..., N:]
+             + S1[..., lo:hi] - Nt * S0[..., rev] + S1[..., rev]
+             - kz * (Nt * (Nt + 1) // 2))
+        W = np.stack((Nt * (2 * t + 1), N * (N + 1) // 2 - t * (t + 1) // 2,
+                      e, t * e))[:, None]
+        acc += np.concatenate([x.reshape(-1, B) for x in (
+            _dot(np.stack((np.broadcast_to(t, k.shape), k, z))[:, None], F,
+                 b, 2 * b),
+            _dot(kz[:, None], W, b, 3 * b),
+            _dot(kz, k * e, b, 3 * b))])
+    sums = dict(zip(("tFk", "tFz", "kFk", "kFz", "zFk", "zFz", "kw", "ku",
+                     "ke", "kte", "zw", "zu", "ze", "zte", "kke", "zke"), acc))
+    if not sym:
+        return sums
+    # S0[0] and S1[0] become the prefix sums of f = 2 k + z and of m f
+    for P in (S0, S1):
+        P[0] *= 2
+        P[0] += P[1]
+    P0, P1 = S0[0], S1[0]
+    acc = 0
+    for lo in range(0, M, width):
+        s = np.arange(lo, min(lo + width, M))
+        # V_f(s) = sum_(l<=m<c) (N - s + m) f_m + sum_(c<=m<h) (N - m) f_m
+        # over the m + n = s with m, n < N: l = max(0, s - N + 1),
+        # c = ceil(s/2) and h = min(s + 1, N).  V_1 <= N^2 is int64.
+        c, h = (s + 1) // 2, np.minimum(s + 1, N)
+        l = s + 1 - h
+        V = (2 * P1[:, c] - s * P0[:, c] + N * P0[:, h] - P1[:, h]
+             - (N - s) * P0[:, l] - P1[:, l])
+        V1 = (c * (c - 1) - s * c + N * h - h * (h - 1) // 2
+              - (N - s) * l - l * (l - 1) // 2)
+        k = KZ[0, :, lo:lo + len(s)]
+        acc += _dot(np.stack((np.broadcast_to(s, k.shape), k)),
+                    (1 + k) * V1 - V, b, 2 * b)
+    sums["sg"], sums["kg"] = acc
+    return sums
+
+
+def d2_exact_lattices(steps: Sequence[int], mod: int, N: int,
+                      sym: bool) -> List[Fraction]:
+    """D2^2 of S (sym) or L(step/mod, N) for every 0 <= step < mod of a
+    batch, in O(N) each: the point sets build_S and build_L store, without
+    building them, bit-identical to the pairwise oracle.  Up to _CHUNK / 2N
+    steps go through _lattice_sums at once.
+
+    Warnock's pair sum is taken at scale mod N.  With k_m =
+    floor(m step/mod), r_m = m step - k_m mod (x_m = r_m/mod), z_m =
+    [r_m != 0] and r'_m = z_m mod - r_m (the reflected x), the floor
+    identities [r_i > r_(i+t)] = k_(i+t) - k_i - k_t (r_t > 0) and
+    [r_i >= r'_j] = 1 + k_(i+j) - k_i - k_j - z_j give the pair sum of L,
+
+        P_L = sum_n (mod - r_n)(N - n)(2n + 1) - 2 sum_t r'_t F_t(k),
+        F_t(f) = sum_(i<N-t) (f_(i+t) - f_i - f_t)(N - i - t).
+
+    The reflected walk mod - step has floors n - k - z, and F(n) = 0, so
+    S = P_L + P_L(mod - step) + 2 C with the cross sum
+
+        C = sum_n (mod - r'_n)(T(N) - T(n))
+            - sum_(s<2N-1) r_s [(1 + k_s) V_1(s) - V_(2k+z)(s)],
+        V_f(s) = sum_(m+n=s; m,n<N) (N - max(m, n)) f_m,  T(n) = n(n+1)/2.
+
+    A sum of r_n w_n is step sum n w - mod sum k w: the sums of
+    _lattice_sums and closed forms in N.
     """
-    if isinstance(P, LatticePointSet):
-        keys, U, V, Y = P.key, P.n, P.k, np.abs(P.n)
-        A, B, step, mod, ubits = P.mod, P.N, P.step, -P.mod, P.N.bit_length()
+    if N < 1 or not all(0 <= s < mod for s in steps):
+        raise ValueError("need N >= 1 and 0 <= step < mod")
+    rows = max(1, _CHUNK // (2 * N))
+    if not steps or len(steps) > rows:
+        return [v for i in range(0, len(steps), rows)
+                for v in d2_exact_lattices(steps[i:i + rows], mod, N, sym)]
+    d = _lattice_sums(steps, mod, N, sym)
+    a, q = np.array(steps, object), mod
+    p1 = N * (N - 1) // 2  # power sums sum_(n<N) n^j, j = 1..4
+    p2 = p1 * (2 * N - 1) // 3
+    p3, p4 = p1 * p1, p2 * (3 * N * N - 3 * N - 1) // 5
+    w = 2 * N * p1 + N * N - 2 * p2 - p1  # sum (N - n)(2n + 1)
+    e, ne = N ** 3 - p2, N * N * p2 - p4  # sums of N^2 - n^2, n^2 (N^2 - n^2)
+    if not sym:
+        pair = (q * (w + d["kw"] - 2 * d["kFk"] - 2 * d["zFk"])
+                - a * (2 * N * p2 + N * p1 - 2 * p3 - p2) + 2 * a * d["tFk"])
+        t2 = q * q * (e - d["kke"]) - a * a * ne + 2 * a * q * d["kte"]
     else:
-        X, Y, A, B = _scaled_arrays(P)
-        shift = max(A.bit_length() - 64, 0)
-        keys = np.fromiter(map(rshift, X, repeat(shift)), np.uint64, len(X))
-        U = np.array(X, object if A >> 63 else np.int64)
-        V, Y = np.zeros_like(U), np.array(Y, object if B >> 63 else np.int64)
-        step, mod, ubits = 1, 0, A.bit_length()
-    n = len(Y)
-    ybits, nbits = B.bit_length(), n.bit_length()
-    small = n * B < 1 << 61
-    if not small or ubits + 2 * ybits > 63 or ubits + nbits > 62:
-        U, V, Y = (a.astype(object) for a in (U, V, Y))
-    ones = np.ones_like(U)
-    e = B * B - Y * Y
-    ue = U * e
-    ebits, uebits = 2 * ybits, ubits + 2 * ybits
-    t2 = A * A * _dot(ones, e, 1, ebits) - (
-        step * step * _dot(U, ue, ubits, uebits)
-        + 2 * step * mod * _dot(V, ue, ubits, uebits)
-        + mod * mod * _dot(V, V * e, ubits, uebits))
-    del e, ue  # before the dominance sweep, which sets the peak of memory
-    order = _x_order(keys, A, lambda j: step * int(U[j]) + mod * int(V[j]))
-    w = B - Y[order].astype(np.int64 if small else object)
-    c = np.empty_like(w)  # in input order, like U and V
-    c[order] = 2 * _dominance(w) + w
-    cbits = 1 + nbits + ybits
-    pair = (A * _dot(ones, c, 1, cbits) - step * _dot(U, c, ubits, cbits)
-            - mod * _dot(V, c, ubits, cbits))
-    return DiscrepancyValue(_combine(pair, t2, n, A, B))
+        TN = N * (N + 1) // 2
+        u, nu = N * TN - (p2 + p1) // 2, TN * p1 - (p3 + p2) // 2
+        pair = (q * (2 * (w + u - d["ku"] - d["zu"] + d["kg"]) - d["zw"]
+                     - 4 * d["kFk"] - 2 * d["zFk"] - 2 * d["kFz"])
+                + 2 * a * (2 * d["tFk"] + d["tFz"] + nu - d["sg"]))
+        t2 = (q * q * (2 * e - 2 * d["kke"] - 2 * d["zke"] - d["ze"])
+              - 2 * a * a * ne + 2 * a * q * (2 * d["kte"] + d["zte"]))
+    return [_combine(p, t, N << sym, mod, N) for p, t in zip(pair, t2)]
+
+
+def d2_exact_fast(P: PointsLike) -> DiscrepancyValue:
+    """Exact D2^2, bit-identical to the pairwise oracle: in O(N) from floor
+    identities for a lattice; a point iterable goes to the pairwise sum."""
+    if not isinstance(P, LatticePointSet):
+        return d2_exact_quadratic(P)
+    return DiscrepancyValue(d2_exact_lattices([P.step], P.mod, P.N, P.sym)[0])
 
 
 def realization_error(P: PointsLike) -> Fraction:

@@ -119,19 +119,19 @@ def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
     return step, mod, err_ulp
 
 
-_WALK_BLOCK = 4096
+_WALK_CHUNK = 4096
 
 
 def residues(step: int, mod: int, start: int, stop: int) -> Iterator[list]:
     """n*step mod mod for start <= n < stop, in order, as lists of at most
-    _WALK_BLOCK values.  This is the one walk behind every {n alpha} and
+    _WALK_CHUNK values.  This is the one walk behind every {n alpha} and
     ||m alpha|| loop of the package."""
     step %= mod
     v = (start * step) % mod
-    for lo in range(start, stop, _WALK_BLOCK):
+    for lo in range(start, stop, _WALK_CHUNK):
         block = []
         append = block.append
-        for _ in range(min(_WALK_BLOCK, stop - lo)):
+        for _ in range(min(_WALK_CHUNK, stop - lo)):
             append(v)
             v += step
             if v >= mod:

@@ -3,51 +3,45 @@
 L(alpha, N) is the N-point set {({n alpha}, n/N)}; S(alpha, N) is its 2N-point
 symmetrization that adds ({-n alpha}, n/N) with multiplicity, i.e. the union
 of L with its reflection about x = 1/2 (the two x = 0 points at n = 0 simply
-repeat).  With alpha realized as step/mod (q for rational alpha, 2^B for
-fixed point), a point is stored as two small integers n and k, with
-x = (n step - k mod)/mod and y = |n|/N: a point of L has k = floor(n step/mod),
-and its reflection stores -n and -ceil(n step/mod).
+repeat).  A set is stored as alpha's realization step/mod (q for rational
+alpha, 2^B for fixed point), N and the variant; its floors k_n =
+floor(n step/mod), which put x_n = (n step - k_n mod)/mod, come from floors().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Tuple
+from itertools import chain
+from math import gcd
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .fixedpoint import walk_data
+from .fixedpoint import residues, walk_data
 
 
 @dataclass(frozen=True, eq=False)
 class LatticePointSet:
-    """Points j < N have n_j = j; for S, point N + j reflects point j.  key
-    orders x: it is floor(2^64 x_j) for j < N and ceil(2^64 x_j) - 1 for a
-    reflection of x_j > 0, so x_i < x_j implies key_i <= key_j, with
-    equality only if mod >= 2^64."""
+    """Point n < N of L is ({n step/mod}, n/N); S follows each point with
+    its reflection ({-n step/mod}, n/N)."""
 
     N: int
     step: int
     mod: int
     sym: bool
-    n: np.ndarray    # int64
-    k: np.ndarray    # int64
-    key: np.ndarray  # uint64
     x_err: Fraction = Fraction(0)  # bound on |stored x - true x|, per point
 
     @property
     def size(self) -> int:
-        return len(self.n)
+        return self.N << self.sym
 
     @property
     def x_num(self) -> tuple:
-        """x numerators over mod in n order; for S each point is followed by
-        its reflection."""
-        xs = [a * self.step - b * self.mod
-              for a, b in zip(self.n.tolist(), self.k.tolist())]
+        """x numerators over mod, in point order."""
+        xs = chain.from_iterable(residues(self.step, self.mod, 0, self.N))
         if self.sym:
-            xs[0::2], xs[1::2] = xs[:self.N], xs[self.N:]
+            return tuple(v for x in xs for v in (x, -x % self.mod))
         return tuple(xs)
 
     @property
@@ -60,41 +54,71 @@ class LatticePointSet:
             yield Fraction(xn, self.mod), Fraction(yn, self.N)
 
 
-def _mul(n: np.ndarray, c: int):
+def _mul(n: np.ndarray, c):
     """High and low 64-bit words of n * c, for uint64 n < 2^32 and c < 2^64."""
     t = n * (c & 0xFFFFFFFF)
     return (n * (c >> 32) + (t >> 32)) >> 32, n * c
 
 
-def _build(alpha, N: int, sym: bool) -> LatticePointSet:
-    """The one realization of {n alpha}, n < N (< 2^32), in numpy.
+_FLOOR_CHUNK = 1 << 16
 
-    With r = floor(2^128 step/mod), 2^128 n step/mod lies in [n r, n r + n).
-    From the 64-bit limbs of r, n r = 2^128 k + 2^64 key + lo; k and key are
-    exact unless lo + n reaches 2^64, and n step/mod can be an integer only
-    if lo < n.  Those few n (and n = 0) are recomputed exactly.
+
+def floors(steps: Sequence[int], mod: int, M: int):
+    """The int64 array kz with kz[0, b, m] = floor(m steps[b]/mod) and
+    kz[1, b, m] = [mod does not divide m steps[b]] for m < M, with every
+    0 <= steps[b] < mod.  This is the one realization of
+    {m alpha} = (m step - k mod)/mod.
+
+    While mod M < 2^63, step/mod in lowest terms, this is int64 division.
+    Above it, m < 2^32: with r = floor(2^128 step/mod), 2^128 m step/mod
+    lies in [m r, m r + m).  From the 64-bit limbs of r, m r = 2^128 k +
+    2^64 mid + lo; k is exact unless lo + m reaches 2^64, and m step/mod
+    can be an integer only if lo < m.  Those few m (and m = 0) are
+    recomputed exactly, unless r is exact, as for a dyadic step/mod.
     """
+    kz = np.empty((2, len(steps), M), np.int64)
+    k, z = kz
+    g = gcd(mod, *steps)  # floors of step/mod in lowest terms
+    steps, mod = [s // g for s in steps], mod // g
+    small = mod * M < 1 << 63
+    if small:
+        a = np.array(steps, np.int64)[:, None]
+    elif M > 1 << 32:
+        raise ValueError("a lattice walk needs fewer than 2^32 points")
+    else:
+        r = [(s << 128) // mod for s in steps]
+        r_hi = np.array([v >> 64 for v in r], np.uint64)[:, None]
+        r_lo = np.array([v & ((1 << 64) - 1) for v in r], np.uint64)[:, None]
+        exact = np.array([v * mod == s << 128 for v, s in zip(r, steps)])
+    for lo in range(0, M, _FLOOR_CHUNK):
+        cols = slice(lo, min(lo + _FLOOR_CHUNK, M))
+        if small:
+            k[:, cols], rem = np.divmod(np.arange(lo, cols.stop) * a, mod)
+            z[:, cols] = rem != 0
+            continue
+        n = np.arange(lo, cols.stop, dtype=np.uint64)
+        (kb, mid), (hi, low) = _mul(n, r_hi), _mul(n, r_lo)
+        mid += hi
+        kb += mid < hi
+        inexact = (low < n) | (low + n < low)
+        inexact[exact] = False  # m r is 2^128 m step/mod itself
+        inexact[:, 0] |= lo == 0
+        k[:, cols] = kb.view(np.int64)
+        z[:, cols] = np.where(exact[:, None], (mid | low) != 0, ~inexact)
+        for b, i in zip(*np.nonzero(inexact)):
+            m = lo + int(i)
+            k[b, m], rem = divmod(m * steps[b], mod)
+            z[b, m] = rem != 0
+    return kz
+
+
+def _build(alpha, N: int, sym: bool) -> LatticePointSet:
+    """The lattice of the realization step/mod of alpha, which walk_data
+    trusts for n < N."""
     if N < 1:
         raise ValueError("N must be >= 1")
     step, mod, err_ulp = walk_data(alpha, N)
-    n = np.arange(N, dtype=np.uint64)
-    r = (step << 128) // mod
-    (k, mid), (hi, lo) = _mul(n, r >> 64), _mul(n, r & ((1 << 64) - 1))
-    key = mid + hi
-    k += key < mid
-    inexact = (lo < n) | (lo + n < lo)
-    inexact[0] = True
-    nonzero = ~inexact
-    for i in np.flatnonzero(inexact).tolist():
-        q, x = divmod(i * step, mod)
-        k[i], key[i], nonzero[i] = q, (x << 64) // mod, x != 0
-    n, k = n.view(np.int64), k.view(np.int64)
-    if sym:
-        n = np.concatenate((n, -n))
-        k = np.concatenate((k, -(k + nonzero)))
-        key = np.concatenate((key, np.where(nonzero, ~key, 0)))
-    return LatticePointSet(N, step, mod, sym, n, k, key,
-                           Fraction((N - 1) * err_ulp, mod))
+    return LatticePointSet(N, step, mod, sym, Fraction((N - 1) * err_ulp, mod))
 
 
 def build_L(alpha, N: int) -> LatticePointSet:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .alphas import Alpha
 from .cf import PrecisionExhausted, cf_of_rational
-from .discrepancy import d2_exact_fast
+from .discrepancy import d2_exact_fast, d2_exact_lattices
 from .lattice import build_S
 from .parseval import enclosure_S
 
@@ -254,19 +254,20 @@ def _levy_stat(alpha, N: int, estimator: str) -> Tuple[float, float]:
             FIVE_PI3 * float(enc.width) / logsq)
 
 
-def _sweep(score, args, chunksize: int, threads: int,
-           estimator: str) -> SweepResult:
-    """Score every argument, in a pool of up to threads processes (never
-    more than there are arguments or CPUs); score returns (source, stat,
-    width, redraws)."""
+def _map(fn, args: list, chunksize: int, threads: int) -> list:
+    """fn over args, in a pool of up to threads processes (never more than
+    there are arguments or CPUs)."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     workers = min(threads, len(args), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            outs = list(ex.map(score, args, chunksize=chunksize))
-    else:
-        outs = [score(a) for a in args]
+            return list(ex.map(fn, args, chunksize=chunksize))
+    return [fn(a) for a in args]
+
+
+def _sweep(outs, estimator: str) -> SweepResult:
+    """Rows and KS distance of the (source, stat, width, redraws) scores."""
     rows = tuple(SweepRow(str(i), source, s, estimator, w)
                  for i, (source, s, w, _) in enumerate(outs))
     ks = kolmogorov_distance([r.stat for r in rows], levy_cdf)
@@ -279,14 +280,22 @@ def _rational_stat(args) -> Tuple[str, float, float, int]:
     if estimator == "cf_moment":
         s2 = sum(a * a for a in _cf_quotients_of_fraction(p, q))
         return source, MOMENT_COEFF_RATIONAL * s2 / math.log(q) ** 2, 0.0, 0
-    alpha = Fraction(p, q) if estimator == "exact" else Alpha.from_rational(p, q)
-    return (source, *_levy_stat(alpha, q, estimator), 0)
+    return (source, *_levy_stat(Alpha.from_rational(p, q), q, estimator), 0)
+
+
+def _rational_exact(args) -> dict:
+    """The exact statistic of S(p/q, q) for every p of one q, in one batch."""
+    q, ps = args
+    logsq = math.log(q) ** 2
+    return {(p, q): FIVE_PI3 * float(v) / logsq
+            for p, v in zip(ps, d2_exact_lattices(ps, q, q, True))}
 
 
 def rational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Normalized statistic 5 pi^3 D2^2(S(p/q,q)) / log^2 q over a Farey set
     (or a uniform sample of it) against the Levy law.  Denominator-1 entries
     carry log^2 q = 0 and are excluded (full mode) or redrawn (sample mode).
+    The exact statistic is computed for all p of one q at a time.
     """
     if cfg.mode == "farey_full":
         fracs = [(p, q) for p, q in farey_enumerate(cfg.Q) if q >= 2]
@@ -295,8 +304,18 @@ def rational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
                  for i in range(cfg.M)]
     else:
         raise ValueError("rational_sweep needs a farey mode")
-    return _sweep(_rational_stat, [(p, q, cfg.estimator) for p, q in fracs],
-                  256, threads, cfg.estimator)
+    if cfg.estimator != "exact":
+        outs = _map(_rational_stat, [(p, q, cfg.estimator) for p, q in fracs],
+                    256, threads)
+        return _sweep(outs, cfg.estimator)
+    by_q = {}
+    for p, q in fracs:
+        by_q.setdefault(q, {})[p] = None
+    stat = {pq: v for part in _map(_rational_exact, sorted(
+        (q, list(ps)) for q, ps in by_q.items()), 1, threads)
+        for pq, v in part.items()}
+    return _sweep([(f"{p}/{q}", stat[p, q], 0.0, 0) for p, q in fracs],
+                  "exact")
 
 
 def _irrational_stat(args) -> Tuple[str, float, float, int]:
@@ -326,7 +345,7 @@ def irrational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
         raise ValueError("irrational_sweep needs mode='irrational'")
     args = [(cfg.measure, cfg.bits, cfg.seed, i, cfg.N, cfg.estimator)
             for i in range(cfg.M)]
-    return _sweep(_irrational_stat, args, 16, threads, cfg.estimator)
+    return _sweep(_map(_irrational_stat, args, 16, threads), cfg.estimator)
 
 
 def trimmed_quotient_mean(measure: str, K: int, M: int, seed: int) -> float:

