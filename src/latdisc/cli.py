@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from . import corpus as corpus_mod
@@ -77,8 +76,8 @@ def _cmd_lattice(args) -> int:
             print(f"{_fmt(x)},{_fmt(y)}")
     else:
         print("n,x_num,x_den_or_scale,y_num,y_den")
-        for i, (xn, yn) in enumerate(zip(P.x_num, P.y_num)):
-            print(f"{i},{xn},{P.mod},{yn},{P.N}")
+        for i, xn in enumerate(P.x_num):
+            print(f"{i},{xn},{P.mod},{i >> P.sym},{P.N}")
     return EXIT_OK
 
 
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse takes -1,5,2 for a flag
-        if argv[i - 1] in ("--surd", "--alpha") and re.match(r"-\d", argv[i]):
+        if argv[i - 1] in ("--surd", "--alpha") and argv[i][1:2].isdigit():
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = ap.parse_args(argv)

@@ -1,11 +1,9 @@
 """Exact-coordinate lattice point sets L(alpha, N) and S(alpha, N).
 
-L(alpha, N) is the N-point set {({n alpha}, n/N)}; S(alpha, N) is its 2N-point
-symmetrization that adds ({-n alpha}, n/N) with multiplicity, i.e. the union
-of L with its reflection about x = 1/2 (the two x = 0 points at n = 0 simply
-repeat).  A set is stored as alpha's realization step/mod (q for rational
-alpha, 2^B for fixed point), N and the variant; its floors k_n =
-floor(n step/mod), which put x_n = (n step - k_n mod)/mod, come from floors().
+L(alpha, N) is the N-point set {({n alpha}, n/N)}; S(alpha, N) adds the
+reflections ({-n alpha}, n/N) with multiplicity (n = 0 gives (0, 0) twice).
+A set is stored as alpha's realization step/mod (q for rational alpha, 2^B
+for fixed point), N and the variant; floors() gives its floors.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
@@ -38,77 +35,52 @@ class LatticePointSet:
 
     @property
     def x_num(self) -> tuple:
-        """x numerators over mod, in point order."""
+        """x numerators over mod, in point order; y_i = (i >> sym)/N."""
         xs = chain.from_iterable(residues(self.step, self.mod, 0, self.N))
         if self.sym:
             return tuple(v for x in xs for v in (x, -x % self.mod))
         return tuple(xs)
 
-    @property
-    def y_num(self) -> tuple:
-        """y numerators over N, in the order of x_num."""
-        return tuple(n for n in range(self.N) for _ in range(1 + self.sym))
-
     def points(self) -> Iterator[Tuple[Fraction, Fraction]]:
-        for xn, yn in zip(self.x_num, self.y_num):
-            yield Fraction(xn, self.mod), Fraction(yn, self.N)
-
-
-def _mul(n: np.ndarray, c):
-    """High and low 64-bit words of n * c, for uint64 n < 2^32 and c < 2^64."""
-    t = n * (c & 0xFFFFFFFF)
-    return (n * (c >> 32) + (t >> 32)) >> 32, n * c
+        for i, xn in enumerate(self.x_num):
+            yield Fraction(xn, self.mod), Fraction(i >> self.sym, self.N)
 
 
 _FLOOR_CHUNK = 1 << 16
 
 
 def floors(steps: Sequence[int], mod: int, M: int):
-    """The int64 array kz with kz[0, b, m] = floor(m steps[b]/mod) and
-    kz[1, b, m] = [mod does not divide m steps[b]] for m < M, with every
-    0 <= steps[b] < mod.  This is the one realization of
-    {m alpha} = (m step - k mod)/mod.
+    """kz[0, b, m] = floor(m steps[b]/mod) and kz[1, b, m] = [mod does not
+    divide m steps[b]] as int64, for m < M <= 2^32 and 0 <= steps[b] < mod:
+    the one realization of {m alpha} = (m step - k mod)/mod.
 
-    While mod M < 2^63, step/mod in lowest terms, this is int64 division.
-    Above it, m < 2^32: with r = floor(2^128 step/mod), 2^128 m step/mod
-    lies in [m r, m r + m).  From the 64-bit limbs of r, m r = 2^128 k +
-    2^64 mid + lo; k is exact unless lo + m reaches 2^64, and m step/mod
-    can be an integer only if lo < m.  Those few m (and m = 0) are
-    recomputed exactly, unless r is exact, as for a dyadic step/mod.
-    """
+    With r = floor(2^128 step/mod), 2^128 m step/mod lies in [m r, m r + m).
+    In 64-bit limbs m r = 2^128 k + 2^64 mid + lo; k is exact unless lo + m
+    reaches 2^64, and m step/mod can be an integer only then or if lo < m.
+    Those few m (and m = 0) are recomputed exactly."""
+    if M > 1 << 32:
+        raise ValueError("a lattice walk needs at most 2^32 points")
     kz = np.empty((2, len(steps), M), np.int64)
     k, z = kz
-    g = gcd(mod, *steps)  # floors of step/mod in lowest terms
-    steps, mod = [s // g for s in steps], mod // g
-    small = mod * M < 1 << 63
-    if small:
-        a = np.array(steps, np.int64)[:, None]
-    elif M > 1 << 32:
-        raise ValueError("a lattice walk needs fewer than 2^32 points")
-    else:
-        r = [(s << 128) // mod for s in steps]
-        r_hi = np.array([v >> 64 for v in r], np.uint64)[:, None]
-        r_lo = np.array([v & ((1 << 64) - 1) for v in r], np.uint64)[:, None]
-        exact = np.array([v * mod == s << 128 for v, s in zip(r, steps)])
+    r = [(s << 128) // mod for s in steps]
+    R = np.array([[v >> 64 for v in r], [v & ((1 << 64) - 1) for v in r]],
+                 np.uint64)[..., None]
     for lo in range(0, M, _FLOOR_CHUNK):
-        cols = slice(lo, min(lo + _FLOOR_CHUNK, M))
-        if small:
-            k[:, cols], rem = np.divmod(np.arange(lo, cols.stop) * a, mod)
-            z[:, cols] = rem != 0
-            continue
-        n = np.arange(lo, cols.stop, dtype=np.uint64)
-        (kb, mid), (hi, low) = _mul(n, r_hi), _mul(n, r_lo)
+        n = np.arange(lo, min(lo + _FLOOR_CHUNK, M), dtype=np.uint64)
+        # high and low 64-bit words of n R[0] and n R[1], from 32-bit halves
+        t = n * (R & 0xFFFFFFFF)
+        (kb, hi), (mid, low) = (n * (R >> 32) + (t >> 32)) >> 32, n * R
         mid += hi
         kb += mid < hi
         inexact = (low < n) | (low + n < low)
-        inexact[exact] = False  # m r is 2^128 m step/mod itself
         inexact[:, 0] |= lo == 0
-        k[:, cols] = kb.view(np.int64)
-        z[:, cols] = np.where(exact[:, None], (mid | low) != 0, ~inexact)
-        for b, i in zip(*np.nonzero(inexact)):
-            m = lo + int(i)
-            k[b, m], rem = divmod(m * steps[b], mod)
-            z[b, m] = rem != 0
+        k[:, lo:lo + len(n)] = kb.view(np.int64)
+        z[:, lo:lo + len(n)] = ~inexact
+        b, m = np.nonzero(inexact)
+        qr = [divmod((lo + i) * steps[j], mod)
+              for j, i in zip(b.tolist(), m.tolist())]
+        k[b, lo + m] = [v for v, _ in qr]
+        z[b, lo + m] = [rem != 0 for _, rem in qr]
     return kz
 
 

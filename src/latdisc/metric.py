@@ -13,6 +13,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Callable, Iterator, List, Sequence, Tuple
 
@@ -41,9 +42,7 @@ FROZEN_KS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# Levy law and the Kolmogorov metric
-# ---------------------------------------------------------------------------
+# -- Levy law and the Kolmogorov metric ---------------------------------
 
 def levy_cdf(t: float) -> float:
     """CDF of the standard Levy distribution: erfc(1/sqrt(2t)) for t > 0."""
@@ -67,9 +66,7 @@ def kolmogorov_distance(samples: Sequence[float],
     return d
 
 
-# ---------------------------------------------------------------------------
-# Farey sets
-# ---------------------------------------------------------------------------
+# -- Farey sets ---------------------------------------------------------
 
 def totient_sieve(Q: int) -> List[int]:
     phi = list(range(Q + 1))
@@ -121,9 +118,7 @@ def quotient_tail_count(Q: int, k: int, t: int) -> Tuple[int, Fraction]:
     return count, Fraction(2 * Q * Q, t)
 
 
-# ---------------------------------------------------------------------------
-# Random inputs
-# ---------------------------------------------------------------------------
+# -- Random inputs ------------------------------------------------------
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
@@ -185,9 +180,7 @@ def sample_irrational(measure: str, bits: int = 256, seed: int = 0,
             return Alpha.from_bits(mant, bits)
 
 
-# ---------------------------------------------------------------------------
-# Sweeps
-# ---------------------------------------------------------------------------
+# -- Sweeps -------------------------------------------------------------
 
 ESTIMATORS = ("exact", "enclosure_mid", "cf_moment")
 
@@ -283,19 +276,17 @@ def _rational_stat(args) -> Tuple[str, float, float, int]:
     return (source, *_levy_stat(Alpha.from_rational(p, q), q, estimator), 0)
 
 
-def _rational_exact(args) -> dict:
+def _rational_exact(args) -> list:
     """The exact statistic of S(p/q, q) for every p of one q, in one batch."""
     q, ps = args
-    logsq = math.log(q) ** 2
-    return {(p, q): FIVE_PI3 * float(v) / logsq
-            for p, v in zip(ps, d2_exact_lattices(ps, q, q, True))}
+    return [((p, q), FIVE_PI3 * float(v) / math.log(q) ** 2)
+            for p, v in zip(ps, d2_exact_lattices(ps, q, q, True))]
 
 
 def rational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Normalized statistic 5 pi^3 D2^2(S(p/q,q)) / log^2 q over a Farey set
     (or a uniform sample of it) against the Levy law.  Denominator-1 entries
     carry log^2 q = 0 and are excluded (full mode) or redrawn (sample mode).
-    The exact statistic is computed for all p of one q at a time.
     """
     if cfg.mode == "farey_full":
         fracs = [(p, q) for p, q in farey_enumerate(cfg.Q) if q >= 2]
@@ -305,15 +296,14 @@ def rational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     else:
         raise ValueError("rational_sweep needs a farey mode")
     if cfg.estimator != "exact":
-        outs = _map(_rational_stat, [(p, q, cfg.estimator) for p, q in fracs],
-                    256, threads)
-        return _sweep(outs, cfg.estimator)
-    by_q = {}
+        return _sweep(_map(_rational_stat, [(p, q, cfg.estimator)
+                                            for p, q in fracs], 256, threads),
+                      cfg.estimator)
+    by_q = {}  # the exact statistic takes all p of one q in one batch
     for p, q in fracs:
-        by_q.setdefault(q, {})[p] = None
-    stat = {pq: v for part in _map(_rational_exact, sorted(
-        (q, list(ps)) for q, ps in by_q.items()), 1, threads)
-        for pq, v in part.items()}
+        by_q.setdefault(q, set()).add(p)
+    stat = dict(chain.from_iterable(_map(_rational_exact, [
+        (q, sorted(by_q[q])) for q in sorted(by_q)], 1, threads)))
     return _sweep([(f"{p}/{q}", stat[p, q], 0.0, 0) for p, q in fracs],
                   "exact")
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latdisc import discrepancy
 from latdisc.alphas import Alpha
 from latdisc.discrepancy import (d2_exact_fast, d2_exact_lattices,
                                  d2_exact_quadratic)
@@ -196,30 +195,16 @@ def test_closed_form_equals_merge_oracle_property(q, p, fixed, use_fixed, N,
     assert d2_exact_fast(P).d2_squared == merge_sweep_d2sq(P.points())
 
 
-def test_python_int_branch_equals_int64(monkeypatch):
-    # above _INT64_N the arrays hold Python ints; force that branch on sizes
-    # the int64 one also handles
-    cases = [([0, 1, 5, 12], 13, 40, True), ([3, 7], 10, 25, False),
-             ([12345, 20000], 27941, 3000, True),
-             ([0xC0FFEE << 200, 3 ** 150], 1 << 256, 777, True)]
-    want = [d2_exact_lattices(*c) for c in cases]
-    monkeypatch.setattr(discrepancy, "_INT64_N", 1)
-    assert [d2_exact_lattices(*c) for c in cases] == want
-    P = build_S(Fraction(5, 13), 40)
-    assert d2_exact_fast(P).d2_squared == d2_exact_quadratic(P).d2_squared
-    assert d2_exact_fast(P).d2_squared == want[0][2]
-
-
-# sha256 of "numerator/denominator" of D2^2 at the largest N the int64
-# branch takes, for alpha = 1 - 2^-21 (k_m = m - 1 for 0 < m < 2N, the
-# largest floors there are), recorded with the Python-int branch
+# sha256 of "numerator/denominator" of D2^2 of S and L(12/13, 3.5 * 10^6),
+# recorded with an independent count of earlier points per x value (no
+# floor identities).  There the prefix sums of m k_m and V pass 2^63 and
+# wrap in int64, and t e needs its two limbs.
 @pytest.mark.parametrize("sym,digest", [
-    (True, "080b977de724e718bff818374d4603b1ded3dc9a802ec0a39b8f2b9cb4e4dcb6"),
-    (False, "00f3f4971e148aed0774eb3552b95a481b38791f98b503ca42270945f6e0d7a8"),
+    (True, "4effbe73a2c027b1426bf27cf213fa5240d8ae665360de60b677cd4c462f4de4"),
+    (False, "79d960017c48ee5f9f3a01ad5db2051d687c309c6d735ebff2baa50f0d06dbf5"),
 ])
-def test_int64_branch_at_its_largest_N(sym, digest):
-    v, = d2_exact_lattices([(1 << 21) - 1], 1 << 21,
-                           discrepancy._INT64_N - 1, sym)
+def test_exact_where_int64_intermediates_wrap(sym, digest):
+    v, = d2_exact_lattices([12], 13, 3_500_000, sym)
     text = f"{v.numerator}/{v.denominator}".encode()
     assert hashlib.sha256(text).hexdigest() == digest
 

@@ -132,13 +132,16 @@ def test_wrap_check_matches_definition(bits, err, N, p, n0, shift, free, m):
 # + t puts n0 step within n0 of a multiple of mod: inside the n0 mod/2^128
 # the two-limb realization cannot resolve once mod >= 2^128, and exactly on
 # it (x = 0) when n0 divides i mod; both send n0 to the exact recomputation.
-# The example has 3 step = 2^200 - 1.
+# The first example has 3 step = 2^200 - 1.
 @given(B=st.integers(1, 300),
        q=st.one_of(st.integers(2, 60), st.integers(2, 1 << 90)),
        dyadic=st.booleans(), m=st.integers(0, (1 << 300) - 1),
        near=st.booleans(), n0=st.integers(1, 40), t=st.integers(0, 1),
        N=st.one_of(st.integers(1, 50), st.integers(1, 3000)))
 @example(B=200, q=2, dyadic=True, m=1, near=True, n0=3, t=0, N=40)
+# {3 alpha} is within 2^-80 above 0: k_3 needs the carry into the top limb
+@example(B=1, q=790207306407921283707899822, dyadic=False, m=1, near=True,
+         n0=3, t=1, N=5)
 @settings(max_examples=60, deadline=None)
 def test_realization_matches_exact_walk(B, q, dyadic, m, near, n0, t, N):
     mod = 1 << B if dyadic else q
