@@ -23,7 +23,9 @@ class PrecisionExhausted(RuntimeError):
     """A precision-bounded expansion or mantissa ran out of certified bits."""
 
 
-# -- Expansion bodies (everything after a0) -----------------------------
+# ---------------------------------------------------------------------------
+# Expansion bodies (everything after a0)
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Finite:
@@ -159,7 +161,9 @@ class QuadraticSurd:
         return cls(P, D, Q)
 
 
-# -- Construction -------------------------------------------------------
+# ---------------------------------------------------------------------------
+# Construction
+# ---------------------------------------------------------------------------
 
 def cf_of_rational(p: int, q: int) -> ContinuedFraction:
     """Canonical expansion [0;a1,...,ar] of the fractional part of p/q.
@@ -304,7 +308,9 @@ def cf_of_bits(mantissa: int, bits: int) -> ContinuedFraction:
     return ContinuedFraction(0, Truncated(tuple(terms)))
 
 
-# -- Convergents and statistics -----------------------------------------
+# ---------------------------------------------------------------------------
+# Convergents and statistics
+# ---------------------------------------------------------------------------
 
 def iter_convergents(cf: ContinuedFraction) -> Iterator[Convergent]:
     """Yield convergents from k = 0 until the expansion runs out."""

@@ -58,8 +58,6 @@ def floors(steps: Sequence[int], mod: int, M: int):
     In 64-bit limbs m r = 2^128 k + 2^64 mid + lo; k is exact unless lo + m
     reaches 2^64, and m step/mod can be an integer only then or if lo < m.
     Those few m (and m = 0) are recomputed exactly."""
-    if M > 1 << 32:
-        raise ValueError("a lattice walk needs at most 2^32 points")
     kz = np.empty((2, len(steps), M), np.int64)
     k, z = kz
     r = [(s << 128) // mod for s in steps]

@@ -42,7 +42,9 @@ FROZEN_KS = {
 }
 
 
-# -- Levy law and the Kolmogorov metric ---------------------------------
+# ---------------------------------------------------------------------------
+# Levy law and the Kolmogorov metric
+# ---------------------------------------------------------------------------
 
 def levy_cdf(t: float) -> float:
     """CDF of the standard Levy distribution: erfc(1/sqrt(2t)) for t > 0."""
@@ -66,7 +68,9 @@ def kolmogorov_distance(samples: Sequence[float],
     return d
 
 
-# -- Farey sets ---------------------------------------------------------
+# ---------------------------------------------------------------------------
+# Farey sets
+# ---------------------------------------------------------------------------
 
 def totient_sieve(Q: int) -> List[int]:
     phi = list(range(Q + 1))
@@ -118,7 +122,9 @@ def quotient_tail_count(Q: int, k: int, t: int) -> Tuple[int, Fraction]:
     return count, Fraction(2 * Q * Q, t)
 
 
-# -- Random inputs ------------------------------------------------------
+# ---------------------------------------------------------------------------
+# Random inputs
+# ---------------------------------------------------------------------------
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
@@ -180,7 +186,9 @@ def sample_irrational(measure: str, bits: int = 256, seed: int = 0,
             return Alpha.from_bits(mant, bits)
 
 
-# -- Sweeps -------------------------------------------------------------
+# ---------------------------------------------------------------------------
+# Sweeps
+# ---------------------------------------------------------------------------
 
 ESTIMATORS = ("exact", "enclosure_mid", "cf_moment")
 

@@ -44,7 +44,9 @@ _SCALE_BITS = 64
 _EXACT_TERM_LIMIT = 3000
 
 
-# -- Certified Diophantine sums -----------------------------------------
+# ---------------------------------------------------------------------------
+# Certified Diophantine sums
+# ---------------------------------------------------------------------------
 
 def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
     """Certified sum of 1/(m^2 ||m alpha||^power), power 1 or 2, over
@@ -149,7 +151,9 @@ def dioph_sum2_float(alpha, marks: Iterable[int]) -> List[float]:
     return out
 
 
-# -- The three quotient-sum inequalities behind the budget --------------
+# ---------------------------------------------------------------------------
+# The three quotient-sum inequalities behind the budget
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BoundPair:
@@ -268,7 +272,9 @@ def dioph_inequalities(alpha, K: int, n: int, N: int) -> DiophBounds:
                        min_weighted_bound(alpha, K, N))
 
 
-# -- Window term xi and the enclosures ----------------------------------
+# ---------------------------------------------------------------------------
+# Window term xi and the enclosures
+# ---------------------------------------------------------------------------
 
 # the most N * (window length) terms xi_direct evaluates
 _XI_TERM_GUARD = 10 ** 9
@@ -384,7 +390,9 @@ def enclosure_L(alpha, N: int, K: Optional[int] = None) -> Enclosure:
     return _enclosure(alpha, N, K, False)
 
 
-# -- Diagnostics tied to the same expansion -----------------------------
+# ---------------------------------------------------------------------------
+# Diagnostics tied to the same expansion
+# ---------------------------------------------------------------------------
 
 def quotient_gap_check(alpha, K: int) -> Tuple[Interval, Fraction]:
     """Gap sum_{m<q_K} 1/(m^2||m a||^2) - (pi^4/90) sum a_k^2, and the

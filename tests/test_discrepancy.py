@@ -148,7 +148,7 @@ def test_merge_oracle_equals_quadratic_property(n, dx, dy, rng):
 
 def test_lattice_batch_rejects_steps_outside_the_modulus():
     assert d2_exact_lattices([], 7, 5, True) == []
-    for steps, N in (([7], 5), ([-1], 5), ([1], 0)):
+    for steps, N in (([7], 5), ([-1], 5), ([1], 0), ([1], 1 << 30)):
         with pytest.raises(ValueError):
             d2_exact_lattices(steps, 7, N, True)
 
