@@ -132,13 +132,13 @@ def _cmd_quadratic(args) -> int:
         doc = {"c_hat": _fmt(c_hat), "c_stderr": _fmt(c_stderr),
                "grid_max": grid[-1]}
     elif args.report == "residuals":
+        sym = args.variant == "S"
         c_alpha = None
-        if args.variant == "S":  # only S reduces against the Beck slope
+        if sym:  # only S reduces against the Beck slope
             c_alpha, _ = quadratic.beck_constant_estimate(
                 alpha, [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])
         table = quadratic.asymptotic_residuals(
-            alpha, range(args.kmin, args.kmax + 1), args.variant,
-            c_alpha=c_alpha)
+            alpha, range(args.kmin, args.kmax + 1), sym, c_alpha=c_alpha)
         doc = {"rows": [{"K": r.K, "N": r.N, "d2sq": _fmt(r.d2sq),
                          "residual": None if r.residual is None else _fmt(r.residual)}
                         for r in table.rows],

@@ -205,13 +205,6 @@ def starred_sums(p: int, q: int) -> BirkhoffSums:
     return BirkhoffSums(q, T, E, Fraction(0))
 
 
-def birkhoff_mean(value, N: int) -> Tuple[Fraction, Fraction]:
-    """E_N in the representation, plus an error bound for fixed point.
-    value is an Alpha, a Fraction or a FixedPointReal."""
-    u, D, err = _scaled_running_sums(value, N)
-    return Fraction(sum(u), D * N), err
-
-
 def birkhoff_quad_block(value, N: int):
     """(1/N) sum_n (T_n^2 + T_n/2) together with sum statistics; value is an
     Alpha, a Fraction or a FixedPointReal.

@@ -110,7 +110,6 @@ PI = _const("3.141592653589793238462643383279502884197169399375")
 ZETA3 = _const("1.202056903159594285399738161511449990764986292340")
 
 PI2 = (PI * PI).quantized()
-PI3 = (PI2 * PI).quantized()
 PI4 = (PI2 * PI2).quantized()
 
 ONE = Interval.exact(1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +25,9 @@ from .discrepancy import d2_exact_fast, d2_exact_lattices
 from .lattice import build_S
 from .parseval import enclosure_S
 
-FIVE_PI3 = 5 * math.pi ** 3
-# coefficient of the quotient-square statistic whose law is standard Levy
+# coefficients of D2^2 / log^2 N and of the quotient-square statistic whose
+# limit law is standard Levy
+LEVY_COEFF = 5 * math.pi ** 3
 MOMENT_COEFF_IRRATIONAL = 2 * math.log(2) ** 2 / math.pi
 MOMENT_COEFF_RATIONAL = math.pi ** 3 / 72
 
@@ -53,17 +54,17 @@ def levy_cdf(t: float) -> float:
     return math.erfc(1.0 / math.sqrt(2.0 * t))
 
 
-def kolmogorov_distance(samples: Sequence[float],
-                        cdf: Callable[[float], float]) -> float:
-    """sup_t |F_n(t) - F(t)| for the empirical distribution F_n of samples,
-    over the sample points (both one-sided gaps)."""
+def kolmogorov_distance(samples: Sequence[float]) -> float:
+    """sup_t |F_n(t) - F(t)| for the empirical distribution F_n of samples
+    and the standard Levy CDF F, over the sample points (both one-sided
+    gaps)."""
     xs = sorted(float(v) for v in samples)
     n = len(xs)
     if n < 1:
         raise ValueError("empirical distribution is empty")
     d = 0.0
     for i, x in enumerate(xs, start=1):
-        fx = cdf(x)
+        fx = levy_cdf(x)
         d = max(d, abs(i / n - fx), abs((i - 1) / n - fx))
     return d
 
@@ -249,10 +250,10 @@ def _levy_stat(alpha, N: int, estimator: str) -> Tuple[float, float]:
     logsq = math.log(N) ** 2
     if estimator == "exact":
         d2sq = float(d2_exact_fast(build_S(alpha, N)).d2_squared)
-        return FIVE_PI3 * d2sq / logsq, 0.0
+        return LEVY_COEFF * d2sq / logsq, 0.0
     enc = enclosure_S(alpha, N)
-    return (FIVE_PI3 * float(enc.mid) / logsq,
-            FIVE_PI3 * float(enc.width) / logsq)
+    return (LEVY_COEFF * float(enc.mid) / logsq,
+            LEVY_COEFF * float(enc.width) / logsq)
 
 
 def _map(fn, args: list, chunksize: int, threads: int) -> list:
@@ -271,7 +272,7 @@ def _sweep(outs, estimator: str) -> SweepResult:
     """Rows and KS distance of the (source, stat, width, redraws) scores."""
     rows = tuple(SweepRow(str(i), source, s, estimator, w)
                  for i, (source, s, w, _) in enumerate(outs))
-    ks = kolmogorov_distance([r.stat for r in rows], levy_cdf)
+    ks = kolmogorov_distance([r.stat for r in rows])
     return SweepResult(rows, ks, resampled=sum(o[3] for o in outs))
 
 
@@ -287,7 +288,7 @@ def _rational_stat(args) -> Tuple[str, float, float, int]:
 def _rational_exact(args) -> list:
     """The exact statistic of S(p/q, q) for every p of one q, in one batch."""
     q, ps = args
-    return [((p, q), FIVE_PI3 * float(v) / math.log(q) ** 2)
+    return [((p, q), LEVY_COEFF * float(v) / math.log(q) ** 2)
             for p, v in zip(ps, d2_exact_lattices(ps, q, q, True))]
 
 
@@ -358,9 +359,9 @@ def trimmed_quotient_mean(measure: str, K: int, M: int, seed: int) -> float:
         while True:
             alpha = sample_irrational(measure, bits, seed, i)
             try:
-                qs = alpha.cf.quotients(K)
+                st = alpha.stats(K)
                 break
             except PrecisionExhausted:
                 bits *= 2
-        total += (sum(qs) - max(qs)) / (K * math.log(K))
+        total += (st.sum_a - st.max_a) / (K * math.log(K))
     return total / M

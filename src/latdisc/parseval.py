@@ -27,7 +27,7 @@ import numpy as np
 
 from .cf import PrecisionExhausted
 from .discrepancy import d2_exact_fast
-from .fixedpoint import birkhoff_mean, birkhoff_quad_block, norms, walk_data
+from .fixedpoint import birkhoff_quad_block, norms, walk_data
 from .intervals import (
     INV_2PI4,
     INV_4PI4,
@@ -280,24 +280,22 @@ def dioph_inequalities(alpha, K: int, n: int, N: int) -> DiophBounds:
 _XI_TERM_GUARD = 10 ** 9
 
 
-def xi_direct(alpha, N: int, K: int, variant: str = "S") -> float:
+def xi_direct(alpha, N: int, K: int, sym: bool) -> float:
     """Direct evaluation of the window term
 
         xi = (1/N) sum_{n<N} sum_{m=q_{K-1}}^{q_K-1}
              sin^2(c_n m pi alpha) / (2 pi^4 m^2 ||m alpha||^2)
 
-    with c_n = 2n+1 for the symmetrized lattice and n+1 otherwise.  Double
-    precision, intended for small instances (guarded by term count).
+    with c_n = 2n+1 for the symmetrized lattice (sym) and n+1 otherwise.
+    Double precision, intended for small instances (guarded by term count).
     """
-    if variant not in ("S", "L"):
-        raise ValueError("variant must be 'S' or 'L'")
     m_lo, m_hi = alpha.q(K - 1), alpha.q(K) - 1
     if m_hi < m_lo:
         return 0.0
     if N * (m_hi - m_lo + 1) > _XI_TERM_GUARD:
         raise ValueError("instance too large for direct window evaluation")
     step, mod, _ = walk_data(alpha)
-    ns = 2.0 * np.arange(N) + 1.0 if variant == "S" else np.arange(N) + 1.0
+    ns = 2.0 * np.arange(N) + 1.0 if sym else np.arange(N) + 1.0
     total = 0.0
     for m, d in enumerate(chain.from_iterable(norms(step, mod, m_lo, m_hi + 1)),
                           m_lo):
@@ -438,6 +436,6 @@ def mean_check(alpha, K: int) -> Tuple[Fraction, Fraction, float]:
     E_{q_K} = (1/12) sum_k (-1)^(k+1) a_k + O(1): e.g. alpha = 1/q gives
     E_q = (q+1)(q+2)/(12q), matching +a_1/12 and not -a_1/12.
     """
-    E, _ = birkhoff_mean(alpha, alpha.q(K))
+    _, E, _, _ = birkhoff_quad_block(alpha, alpha.q(K))
     main = -Fraction(alpha.stats(K).alt_sum, 12)
     return E, main, float(E - main)

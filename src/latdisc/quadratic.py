@@ -32,7 +32,7 @@ def _require_periodic(cf: ContinuedFraction) -> Periodic:
 def alternation_constant(cf: ContinuedFraction) -> Fraction:
     """Limit slope A of the alternating quotient sum: zero for odd period
     length, otherwise the signed average over one period (signs follow the
-    absolute index, so the value is rotation invariant)."""
+    absolute index, so rotating the period leaves the value as it is)."""
     body = _require_periodic(cf)
     p = len(body.period)
     if p % 2 == 1:
@@ -106,40 +106,40 @@ class ResidualRow:
 
 @dataclass(frozen=True)
 class ResidualTable:
-    variant: str
     rows: Tuple[ResidualRow, ...]
     fit: Optional[dict]
 
 
-def asymptotic_residuals(alpha: Alpha, K_range: Iterable[int], variant: str,
+def asymptotic_residuals(alpha: Alpha, K_range: Iterable[int], sym: bool,
                          c_alpha: Optional[float] = None) -> ResidualTable:
-    """Exact D2^2 at N = q_K over a K range, reduced against the expected law.
+    """Exact D2^2 at N = q_K over a K range (every K >= 1), reduced against
+    the expected law.
 
-    variant "S": rows carry the residual d2sq - c_alpha * log N (requires
+    sym (S): rows carry the residual d2sq - c_alpha * log N (requires
     c_alpha, e.g. from beck_constant_estimate or a known closed form).
-    variant "L": rows carry no residual; instead the table's fit holds the
+    not sym (L): rows carry no residual; instead the table's fit holds the
     least-squares coefficients of d2sq = beta log^2 N + gamma log N + delta.
     """
-    if variant not in ("S", "L"):
-        raise ValueError("variant must be 'S' or 'L'")
-    if variant == "S" and c_alpha is None:
-        raise ValueError("variant 'S' needs c_alpha")
+    if sym and c_alpha is None:
+        raise ValueError("S needs c_alpha")
     Ks = sorted(set(K_range))
     if not Ks:
         raise ValueError("empty K range")
-    if variant == "L" and len(Ks) < 3:
-        raise ValueError("variant 'L' fits 3 coefficients: need >= 3 K values")
+    if Ks[0] < 1:
+        raise ValueError("K must be >= 1")
+    if not sym and len(Ks) < 3:
+        raise ValueError("the L fit has 3 coefficients: need >= 3 K values")
+    build = build_S if sym else build_L
     rows: List[ResidualRow] = []
     for K in Ks:
         N = alpha.q(K)
-        builder = build_S if variant == "S" else build_L
-        d2sq = float(d2_exact_fast(builder(alpha, N)).d2_squared)
-        resid = d2sq - c_alpha * math.log(N) if variant == "S" else None
+        d2sq = float(d2_exact_fast(build(alpha, N)).d2_squared)
+        resid = d2sq - c_alpha * math.log(N) if sym else None
         rows.append(ResidualRow(K, N, d2sq, resid))
     fit = None
-    if variant == "L":
+    if not sym:
         logs = np.array([math.log(r.N) for r in rows])
         vals = np.array([r.d2sq for r in rows])
         beta, gamma, delta = np.polyfit(logs, vals, 2)
         fit = {"beta": float(beta), "gamma": float(gamma), "delta": float(delta)}
-    return ResidualTable(variant, tuple(rows), fit)
+    return ResidualTable(tuple(rows), fit)

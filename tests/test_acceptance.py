@@ -204,20 +204,20 @@ def test_06_quadratic_asymptotics():
     from latdisc.quadratic import asymptotic_residuals
     t0 = time.time()
     phi = Alpha.from_surd(-1, 5, 2)
-    tab = asymptotic_residuals(phi, range(5, 25), "S", c_alpha=C_GOLDEN)
+    tab = asymptotic_residuals(phi, range(5, 25), True, c_alpha=C_GOLDEN)
     resid = [r.residual for r in tab.rows]
     spread = max(resid) - min(resid)
     _, p_trend = kendalltau(range(len(resid)), resid)
     ok_s = spread <= 0.05 and p_trend > 0.05  # frozen: observed spread 0.0016
 
     sq3 = Alpha.from_surd(-1, 3, 1)
-    tab3 = asymptotic_residuals(sq3, range(6, 19), "L")
+    tab3 = asymptotic_residuals(sq3, range(6, 19), False)
     beta_ratio = tab3.fit["beta"] / LOG2_COEFF_SQRT3
     ok_l = abs(beta_ratio - 1) <= 0.25
 
     # golden ratio unsymmetrized: vanishing log^2 coefficient, and the log
     # coefficient matches (3/2) c within 15% once the constant is fitted out
-    tabp = asymptotic_residuals(phi, range(5, 25), "L")
+    tabp = asymptotic_residuals(phi, range(5, 25), False)
     gamma_ratio = tabp.fit["gamma"] / (1.5 * C_GOLDEN)
     ok_p = abs(tabp.fit["beta"]) <= 1e-4 and abs(gamma_ratio - 1) <= 0.15
     report(6, "log-asymptotics of quadratic irrationals",
@@ -353,7 +353,7 @@ def test_10_identity_suite(named):
             if N * max(alpha.q(K) - alpha.q(K - 1), 1) > 10 ** 6:
                 continue
             n_xi += 1
-            x = xi_direct(alpha, N, K, "S")
+            x = xi_direct(alpha, N, K, True)
             enc = enclosure_S(alpha, N, K=K)
             if not (enc.parts["xi_lo"] - 1e-9 <= x <= enc.parts["xi_hi"] + 1e-9):
                 bad_xi += 1

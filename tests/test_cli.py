@@ -207,6 +207,15 @@ def test_residuals_with_too_few_K_exit_2(kmin, kmax, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("kmin", ["0", "-1"])
+def test_residuals_with_K_below_one_exit_2(kmin, capsys):
+    # q_0 = q_1 = 1 for this surd, so K = 0 once printed a second N = 1 row
+    assert main(["quadratic", "--surd", "0,3,1", "--report", "residuals",
+                 "--variant", "L", "--kmin", kmin]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and cap.err == "error: K must be >= 1\n"
+
+
 # the flags each subcommand's handler reads, and only those
 SURFACE = {
     "cf": {"--alpha", "--bits", "--terms"},
@@ -315,6 +324,8 @@ GOLDEN = {
     "quadratic_beck": "quadratic --surd 0,3,1 --report beck --out json",
     "lattice_2_5": "lattice --alpha 2/5 --N 5",
     "sweep_rational": "sweep-rational --Q 60 --mode full --out json",
+    "sweep_rational_cf_moment": "sweep-rational --Q 60 --mode full "
+                                "--estimator cf_moment",
     "sweep_irrational": "sweep-irrational --N 10000 --M 200 --estimator cf_moment",
     "sweep_rational_sample": "sweep-rational --Q 60 --mode sample --M 300 "
                              "--seed 3 --estimator enclosure_mid --out json",

@@ -15,7 +15,6 @@ from latdisc.discrepancy import d2_exact_fast, realization_error
 from latdisc.fixedpoint import (
     _WALK_CHUNK,
     FixedPointReal,
-    birkhoff_mean,
     birkhoff_quad_block,
     birkhoff_sums,
     eval_alpha,
@@ -143,7 +142,7 @@ class TestBirkhoff:
 
     @pytest.mark.parametrize("N", [0, -2])
     def test_N_below_one_rejected(self, N):
-        for running_sum in (birkhoff_sums, birkhoff_mean, birkhoff_quad_block):
+        for running_sum in (birkhoff_sums, birkhoff_quad_block):
             with pytest.raises(ValueError, match="N must be >= 1"):
                 running_sum(Fraction(1, 3), N)
 
@@ -166,7 +165,7 @@ class TestBirkhoff:
     def test_golden_mean_bounded(self):
         from latdisc.alphas import Alpha
         phi = Alpha.from_surd(-1, 5, 2)
-        E, err = birkhoff_mean(phi.value, 89)
+        _, E, _, _ = birkhoff_quad_block(phi.value, 89)
         # alternating quotient sum vanishes for the golden ratio
         assert abs(float(E)) <= 2
 
@@ -259,7 +258,7 @@ def test_budget_overflow_message_names_the_walk_not_a_lattice():
     # raised by the running sums, which build no lattice
     with pytest.raises(PrecisionExhausted,
                        match=r"^error budget overflow walking \{n alpha\}, n < N$"):
-        birkhoff_mean(FixedPointReal(12345, 16, 4), 200)
+        birkhoff_quad_block(FixedPointReal(12345, 16, 4), 200)
 
 
 FINE = 8  # extra bits of the true alpha below the stored resolution

@@ -8,6 +8,7 @@ import pytest
 
 from latdisc import metric
 from latdisc.metric import (
+    ESTIMATORS,
     SweepConfig,
     farey_count,
     farey_enumerate,
@@ -47,7 +48,7 @@ class TestLevy:
 class TestKolmogorov:
     def test_single_sample(self):
         f = levy_cdf(2.0)
-        assert kolmogorov_distance([2.0], levy_cdf) == pytest.approx(max(f, 1 - f))
+        assert kolmogorov_distance([2.0]) == pytest.approx(max(f, 1 - f))
 
     def test_exact_quantiles(self):
         # samples at the (i - 1/2)/n quantiles leave distance 1/(2n)
@@ -55,11 +56,11 @@ class TestKolmogorov:
         n = 50
         qs = [1 / (2 * erfinv(1 - (i - 0.5) / n) ** 2) for i in range(1, n + 1)]
         # handed over in descending order: the distance sorts its input
-        assert kolmogorov_distance(qs[::-1], levy_cdf) == pytest.approx(1 / (2 * n), abs=1e-12)
+        assert kolmogorov_distance(qs[::-1]) == pytest.approx(1 / (2 * n), abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            kolmogorov_distance([], levy_cdf)
+            kolmogorov_distance([])
 
 
 class TestFarey:
@@ -185,8 +186,9 @@ class TestSweeps:
         assert all(r.enclosure_width == 0 for r in res.rows)
 
     def test_rational_threads_agree(self):
-        cfg = SweepConfig(mode="farey_full", Q=25)
-        assert rational_sweep(cfg, threads=1) == rational_sweep(cfg, threads=2)
+        for estimator in ESTIMATORS:
+            cfg = SweepConfig(mode="farey_full", Q=25, estimator=estimator)
+            assert rational_sweep(cfg, threads=1) == rational_sweep(cfg, threads=2)
 
     def test_rational_sample_mode(self):
         cfg = SweepConfig(mode="farey_sample", Q=50, M=40, seed=5)

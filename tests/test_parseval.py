@@ -256,19 +256,19 @@ class TestInequalities:
 
 class TestWindowTerm:
     def test_empty_window(self, phi):
-        assert xi_direct(phi, 1, 1, "S") == 0.0
+        assert xi_direct(phi, 1, 1, True) == 0.0
 
     def test_brackets_hold_S(self, phi):
         for N in (34, 55, 89, 144):
             K = phi.index_for(N)
-            x = xi_direct(phi, N, K, "S")
+            x = xi_direct(phi, N, K, True)
             enc = enclosure_S(phi, N)
             assert enc.parts["xi_lo"] - 1e-9 <= x <= enc.parts["xi_hi"] + 1e-9
 
     def test_brackets_hold_L(self, phi):
         for N in (34, 89):
             K = phi.index_for(N)
-            x = xi_direct(phi, N, K, "L")
+            x = xi_direct(phi, N, K, False)
             enc = enclosure_L(phi, N)
             assert enc.parts["xi_lo"] - 1e-9 <= x <= enc.parts["xi_hi"] + 1e-9
 
@@ -280,7 +280,7 @@ class TestWindowTerm:
             m_lo, m_hi = alpha.q(K - 1), alpha.q(K) - 1
             if m_hi < m_lo:
                 continue
-            direct = xi_direct(alpha, N, K, "S")
+            direct = xi_direct(alpha, N, K, True)
             step, mod, _ = walk_data(alpha)
             total = 0.0
             for m in range(m_lo, m_hi + 1):
@@ -298,7 +298,7 @@ class TestWindowTerm:
     def test_term_guard(self, phi):
         with pytest.raises(ValueError):
             # 10^6 rows times a window of q_28 = 514229 terms
-            xi_direct(phi, 10 ** 6, 30, "S")
+            xi_direct(phi, 10 ** 6, 30, True)
 
 
 class TestTrigIdentity:

@@ -114,16 +114,16 @@ class TestBeck:
 class TestResidualTables:
     def test_S_rows_smoke(self):
         phi = Alpha.from_surd(-1, 5, 2)
-        tab = asymptotic_residuals(phi, range(5, 11), "S", c_alpha=C_GOLDEN)
+        tab = asymptotic_residuals(phi, range(5, 11), True, c_alpha=C_GOLDEN)
         assert [r.K for r in tab.rows] == list(range(5, 11))
         assert all(r.residual is not None for r in tab.rows)
         assert tab.fit is None
 
     def test_L_fit_smoke(self):
         sq3 = Alpha.from_surd(-1, 3, 1)
-        tab = asymptotic_residuals(sq3, range(5, 11), "L")
+        tab = asymptotic_residuals(sq3, range(5, 11), False)
         assert tab.fit is not None and set(tab.fit) == {"beta", "gamma", "delta"}
 
     def test_requires_c_for_S(self):
         with pytest.raises(ValueError):
-            asymptotic_residuals(Alpha.from_surd(-1, 5, 2), range(5, 9), "S")
+            asymptotic_residuals(Alpha.from_surd(-1, 5, 2), range(5, 9), True)
