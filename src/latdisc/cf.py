@@ -87,10 +87,6 @@ class ContinuedFraction:
             return body.period[(k - 1 - r) % len(body.period)]
         return body.fn(k)
 
-    def quotients(self, K: int) -> list:
-        """Partial quotients a_1..a_K as a list."""
-        return [self.quotient(k) for k in range(1, K + 1)]
-
     @property
     def length(self) -> Optional[int]:
         """Number of available quotients after a0, or None if unbounded."""

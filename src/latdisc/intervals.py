@@ -55,6 +55,8 @@ class Interval:
 
     def __mul__(self, other):
         other = _as_interval(other)
+        if self.lo >= 0 and other.lo >= 0:  # every enclosure product
+            return Interval(self.lo * other.lo, self.hi * other.hi)
         cands = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)
         return Interval(min(cands), max(cands))

@@ -11,9 +11,9 @@ explicit error budget built from the partial quotients:
 with 0 <= xi_S <= twice the window sum, and a refined two-sided bracket for
 xi_S around the window sum itself.  The unsymmetrized version adds the exact
 block (1/N) sum (T_n^2 + T_n/2), a factor (1 - 1/(2N)) on the main sum, and
-the budget constants (1/8-weighted quotient sum, 2.78).  All sums are computed
-as certified intervals: exact rationals for rational alpha, outward-rounded
-scaled integers driven by the fixed-point mantissa otherwise.
+the budget constants (1/8-weighted quotient sum, 2.78).  All sums are certified
+intervals: exact rationals, reduced once over a common denominator, for
+rational alpha; outward-rounded scaled integers from the mantissa otherwise.
 """
 
 from __future__ import annotations
@@ -50,19 +50,23 @@ _EXACT_TERM_LIMIT = 3000
 
 def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
     """Certified sum of 1/(m^2 ||m alpha||^power), power 1 or 2, over
-    m_start <= m <= m_end, as described at dioph_sum2."""
+    m_start <= m <= m_end, as described at dioph_sum2.  An exact sum goes up
+    a pairwise tree of unreduced fractions and is reduced once, at the root."""
     if m_end < m_start:
         return Interval.zero()
     step, mod, err0 = walk_data(alpha)
     walk = enumerate(chain.from_iterable(norms(step, mod, m_start, m_end + 1)),
                      m_start)
     if err0 == 0 and (m_end - m_start) < _EXACT_TERM_LIMIT:
-        num = mod ** power
-        total = Fraction(0)
-        for m, d in walk:
-            if d == 0:
-                raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
-            total += Fraction(num, m * m * d ** power)
+        dens = [m * m * d ** power for m, d in walk]
+        if 0 in dens:  # a term is 0 exactly where d is
+            raise ZeroDivisionError(
+                f"||m alpha|| = 0 at m = {m_start + dens.index(0)}")
+        terms = [(1, x) for x in dens]
+        while len(terms) > 1:
+            terms = [(n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2)
+                     in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+        total = Fraction(mod ** power * terms[0][0], terms[0][1])
         return Interval(total, total)
     num = (mod ** power) << _SCALE_BITS
     lo = hi = 0
@@ -83,8 +87,8 @@ def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
 def dioph_sum2(alpha, m_start: int, m_end: int) -> Interval:
     """Certified sum of 1/(m^2 ||m alpha||^2) over m_start <= m <= m_end.
 
-    Exact (zero-width) for rational alpha over short ranges; otherwise the
-    endpoints are outward-rounded at 2^-64 per term.  Terms with
+    Exact for rational alpha over short ranges (one reduction over a common
+    denominator); otherwise outward-rounded at 2^-64 per term.  Terms with
     ||m alpha|| = 0 raise ZeroDivisionError.
     """
     return _dioph_sum(alpha, m_start, m_end, 2)
@@ -332,6 +336,8 @@ def _enclosure(alpha, N: int, K: Optional[int], sym: bool) -> Enclosure:
     """
     if K is None:
         K = alpha.index_for(N)
+    if K < 1:
+        raise ValueError("K must be >= 1")
     q_lo, q_hi = alpha.q(K - 1), alpha.q(K)
     if not (q_lo <= N <= q_hi):
         raise ValueError(f"need q_(K-1) <= N <= q_K, got K={K}, N={N}")
@@ -342,7 +348,7 @@ def _enclosure(alpha, N: int, K: Optional[int], sym: bool) -> Enclosure:
     # budget's zeta(3) sum
     pairs = _quotient_denoms(alpha, K)
     cubes = [(a + 2) ** 3 * qk for a, qk in pairs]
-    pad = (ZETA3_16PI4 * Fraction(cubes[-1], N)).hi
+    pad = ZETA3_16PI4.hi * Fraction(cubes[-1], N)
     if sym:
         pad += Fraction(7, 100)
         weight, const = 2, Fraction(628, 100)
@@ -351,10 +357,10 @@ def _enclosure(alpha, N: int, K: Optional[int], sym: bool) -> Enclosure:
         main = main * factor
         tq = tq * factor
         weight, const = 8, Fraction(278, 100)
-    xi = Interval(Fraction(0), (window * INV_2PI4).hi).intersect(
+    xi = Interval(Fraction(0), window.hi * INV_2PI4.hi).intersect(
         Interval(tq.lo - pad, tq.hi + pad))
     budget = sum(Fraction(a, weight * qk) for a, qk in pairs)
-    budget += (ZETA3_16PI4 * Fraction(sum(cubes[:-1]), N)).hi + const
+    budget += ZETA3_16PI4.hi * Fraction(sum(cubes[:-1]), N) + const
     raw_lo = main.lo + xi.lo - budget
     hi = main.hi + xi.hi + budget
     parts = {}

@@ -29,7 +29,7 @@ from oracles import sqrt_mantissa
 
 
 def quotient_list(cf, K):
-    return cf.quotients(K)
+    return [cf.quotient(k) for k in range(1, K + 1)]
 
 
 def convergents(cf, K):

@@ -123,6 +123,14 @@ class TestDiophSumProperties:
             assert iv.lo == iv.hi == _direct_dioph_sum(alpha, m_start, m_end,
                                                        power)
 
+    @pytest.mark.parametrize("p", [1, 1000])
+    def test_exact_path_at_the_term_limit(self, p):
+        # the longest exact range: 3000 terms, a denominator near 13k bits
+        alpha, m_end = Fraction(p, _EXACT_TERM_LIMIT + 1), _EXACT_TERM_LIMIT
+        for fn, power in ((dioph_sum1, 1), (dioph_sum2, 2)):
+            iv = fn(alpha, 1, m_end)
+            assert iv.lo == iv.hi == _direct_dioph_sum(alpha, 1, m_end, power)
+
     @given(p=st.integers(1, 20000), q=st.integers(_EXACT_TERM_LIMIT + 2, 20000),
            data=st.data())
     @settings(max_examples=10, deadline=None)
@@ -343,6 +351,15 @@ class TestEnclosures:
             enclosure_S(phi, 10, K=3)  # q_3 = 3 < 10
         with pytest.raises(ValueError):
             enclosure_S(Alpha.from_rational(2, 5), 6)  # beyond denominator
+
+    def test_K_below_one_rejected(self, phi):
+        # N = 1 lies in [q_{K-1}, q_K] = [0, 1] for K = 0 too, whose sums
+        # would start at m = 0
+        for alpha in (phi, Alpha.from_rational(13, 30)):
+            for enclose in (enclosure_S, enclosure_L):
+                for K in (0, -1):
+                    with pytest.raises(ValueError, match="K must be >= 1"):
+                        enclose(alpha, 1, K)
 
     def test_alternative_K_at_boundary(self, phi):
         # N = q_K admits both K and K+1; both enclosures must contain
