@@ -15,7 +15,7 @@ from typing import Union
 Rat = Union[int, Fraction]
 
 # resolution of the stored constant brackets: far below the 2^-64 per term
-# of the scaled Diophantine sums
+# and the relative 2^-50 per term of the scaled Diophantine sums
 _QUANTUM_BITS = 192
 
 

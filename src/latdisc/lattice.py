@@ -49,6 +49,23 @@ class LatticePointSet:
 _FLOOR_CHUNK = 1 << 16
 
 
+def step_words(steps: Sequence[int], mod: int, start, stop, chunk):
+    """For start <= n < stop <= 2^32, in blocks of at most chunk: (first n,
+    uint64 n, and the 64-bit words (k mod 2^64, mid, low) of n r = 2^128 k +
+    2^64 mid + low with r = floor(2^128 s/mod), one row per step s)."""
+    r = [(s << 128) // mod for s in steps]
+    R = np.array([[v >> 64 for v in r], [v & ((1 << 64) - 1) for v in r]],
+                 np.uint64)[..., None]
+    for lo in range(start, stop, chunk):
+        n = np.arange(lo, min(lo + chunk, stop), dtype=np.uint64)
+        # high and low 64-bit words of n R[0] and n R[1], from 32-bit halves
+        t = n * (R & 0xFFFFFFFF)
+        (k, hi), (mid, low) = (n * (R >> 32) + (t >> 32)) >> 32, n * R
+        mid += hi
+        k += mid < hi
+        yield lo, n, k, mid, low
+
+
 def floors(steps: Sequence[int], mod: int, M: int):
     """kz[0, b, m] = floor(m steps[b]/mod) and kz[1, b, m] = [mod does not
     divide m steps[b]] as int64, for m < M <= 2^32 and 0 <= steps[b] < mod:
@@ -57,22 +74,18 @@ def floors(steps: Sequence[int], mod: int, M: int):
     With r = floor(2^128 step/mod), 2^128 m step/mod lies in [m r, m r + m).
     In 64-bit limbs m r = 2^128 k + 2^64 mid + lo; k is exact unless lo + m
     reaches 2^64, and m step/mod can be an integer only then or if lo < m.
-    Those few m (and m = 0) are recomputed exactly."""
+    Those few m (and m = 0) are recomputed exactly, unless every r is exact
+    (dyadic steps): then so is every k, and z = [(mid, lo) != 0]."""
     kz = np.empty((2, len(steps), M), np.int64)
     k, z = kz
-    r = [(s << 128) // mod for s in steps]
-    R = np.array([[v >> 64 for v in r], [v & ((1 << 64) - 1) for v in r]],
-                 np.uint64)[..., None]
-    for lo in range(0, M, _FLOOR_CHUNK):
-        n = np.arange(lo, min(lo + _FLOOR_CHUNK, M), dtype=np.uint64)
-        # high and low 64-bit words of n R[0] and n R[1], from 32-bit halves
-        t = n * (R & 0xFFFFFFFF)
-        (kb, hi), (mid, low) = (n * (R >> 32) + (t >> 32)) >> 32, n * R
-        mid += hi
-        kb += mid < hi
+    exact = not any((s << 128) % mod for s in steps)
+    for lo, n, kb, mid, low in step_words(steps, mod, 0, M, _FLOOR_CHUNK):
+        k[:, lo:lo + len(n)] = kb.view(np.int64)
+        if exact:
+            z[:, lo:lo + len(n)] = (mid | low) != 0
+            continue
         inexact = (low < n) | (low + n < low)
         inexact[:, 0] |= lo == 0
-        k[:, lo:lo + len(n)] = kb.view(np.int64)
         z[:, lo:lo + len(n)] = ~inexact
         b, m = np.nonzero(inexact)
         qr = [divmod((lo + i) * steps[j], mod)

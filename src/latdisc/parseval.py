@@ -12,8 +12,8 @@ with 0 <= xi_S <= twice the window sum, and a refined two-sided bracket for
 xi_S around the window sum itself.  The unsymmetrized version adds the exact
 block (1/N) sum (T_n^2 + T_n/2), a factor (1 - 1/(2N)) on the main sum, and
 the budget constants (1/8-weighted quotient sum, 2.78).  All sums are certified
-intervals: exact rationals, reduced once over a common denominator, for
-rational alpha; outward-rounded scaled integers from the mantissa otherwise.
+intervals: exact rationals for rational alpha over < 3000 terms, reduced once;
+otherwise exact sums of per-term integer brackets at 2^-64, rounded outward.
 """
 
 from __future__ import annotations
@@ -38,10 +38,13 @@ from .intervals import (
     ZETA3_16PI4,
     ceil_div,
 )
-from .lattice import build_L, build_S
+from .lattice import build_L, build_S, step_words
 
 _SCALE_BITS = 64
 _EXACT_TERM_LIMIT = 3000
+_BLOCK = 1 << 12  # 2^12 slices below 2^48 add up below 2^60
+_SLACK = 2.0 ** -50  # 8 rounding units: above each chain of <= 5 in _dioph_sum
+_UP, _SIGN = np.array([[1 + _SLACK], [1 - _SLACK]]), np.array([[1.], [-1.]])
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +54,19 @@ _EXACT_TERM_LIMIT = 3000
 def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
     """Certified sum of 1/(m^2 ||m alpha||^power), power 1 or 2, over
     m_start <= m <= m_end, as described at dioph_sum2.  An exact sum goes up
-    a pairwise tree of unreduced fractions and is reduced once, at the root."""
+    a pairwise tree of unreduced fractions and is reduced once, at the root.
+
+    Otherwise, in numpy blocks, ||W|| for W the 128-bit fraction of
+    m floor(2^128 step/mod) is within eta_m = m (2^-128 + err_ulp/mod) of
+    ||m alpha||.  Float64 bounds widened by _SLACK give integers
+    L_m <= 2^64/(m^2 ||m alpha||^power) <= H_m, which add up exactly; an m
+    with no positive lower bound takes the exact formula, which may raise."""
     if m_end < m_start:
         return Interval.zero()
     step, mod, err0 = walk_data(alpha)
-    walk = enumerate(chain.from_iterable(norms(step, mod, m_start, m_end + 1)),
-                     m_start)
     if err0 == 0 and (m_end - m_start) < _EXACT_TERM_LIMIT:
-        dens = [m * m * d ** power for m, d in walk]
+        dens = [m * m * d ** power for m, d in enumerate(chain.from_iterable(
+            norms(step, mod, m_start, m_end + 1)), m_start)]
         if 0 in dens:  # a term is 0 exactly where d is
             raise ZeroDivisionError(
                 f"||m alpha|| = 0 at m = {m_start + dens.index(0)}")
@@ -68,18 +76,37 @@ def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
                      in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
         total = Fraction(mod ** power * terms[0][0], terms[0][1])
         return Interval(total, total)
+    if m_end >> 32:
+        raise ValueError("a scaled Diophantine sum needs m < 2^32")
     num = (mod ** power) << _SCALE_BITS
+    eta = float(Fraction(1, 1 << 128) + Fraction(err0, mod)) * (1 + _SLACK)
     lo = hi = 0
-    for m, d in walk:
-        e = m * err0
-        dl, dh = d - e, d + e
-        if dl <= 0:
-            if err0 == 0:  # alpha is exact, so this is a true zero
-                raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
-            raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
-        m2 = m * m
-        lo += num // (m2 * dh ** power)
-        hi += ceil_div(num, m2 * dl ** power)
+    for a, n, _, mid, low in step_words([step], mod, m_start, m_end + 1,
+                                        _BLOCK):
+        # past one half ||W|| = 2^128 - W, a two's complement of the words
+        low, mid = np.where(mid >> 63, [-low, ~mid + (low == 0)], [low, mid])
+        # rows above and below ||m alpha||; n and n^2 < 2^64 convert once
+        x = ((mid * 2.0 ** -64 + low * 2.0 ** -128) * _UP
+             + n * eta * _SIGN) * _UP
+        zero = np.flatnonzero(x[1] <= 0)
+        for k in (a + zero).tolist():
+            d, e = min(k * step % mod, -k * step % mod), k * err0
+            if d <= e:
+                if err0 == 0:  # alpha is exact, so this is a true zero
+                    raise ZeroDivisionError(f"||m alpha|| = 0 at m = {k}")
+                raise PrecisionExhausted(f"||m alpha|| uncertain at m = {k}")
+            lo += num // (k * k * (d + e) ** power)
+            hi += ceil_div(num, k * k * (d - e) ** power)
+        x[:, zero] = 1.0
+        t = 2.0 ** 64 / (n * n * (x if power == 1 else x * x)) * _UP[::-1]
+        t = np.stack((np.floor(t[0]), np.ceil(t[1])))
+        t[:, zero] = 0.0
+        shift = 0
+        while t.any():  # exactly, in slices of 48 bits
+            top = np.floor(t * 2.0 ** -48)
+            s0, s1 = (t - top * 2.0 ** 48).astype(np.int64).sum(1).tolist()
+            lo, hi = lo + (s0 << shift), hi + (s1 << shift)
+            t, shift = top, shift + 48
     s = 1 << _SCALE_BITS
     return Interval(Fraction(lo, s), Fraction(hi, s))
 
@@ -88,8 +115,8 @@ def dioph_sum2(alpha, m_start: int, m_end: int) -> Interval:
     """Certified sum of 1/(m^2 ||m alpha||^2) over m_start <= m <= m_end.
 
     Exact for rational alpha over short ranges (one reduction over a common
-    denominator); otherwise outward-rounded at 2^-64 per term.  Terms with
-    ||m alpha|| = 0 raise ZeroDivisionError.
+    denominator); otherwise bracketed at 2^-64 per term, for m < 2^32.  Terms
+    with ||m alpha|| = 0 raise ZeroDivisionError.
     """
     return _dioph_sum(alpha, m_start, m_end, 2)
 

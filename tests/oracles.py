@@ -2,16 +2,22 @@
 
 Everything here is deliberately written against different machinery than the
 library paths it checks: symbolic cell integration and an x-sorted merge
-sweep for the discrepancy, exact factorial/sine series for e and tan 1,
-integer square roots for surds, and adaptive quadrature for the Levy law.
+sweep for the discrepancy, a term-by-term big-integer Diophantine sum,
+exact factorial/sine series for e and tan 1, integer square roots for
+surds, and adaptive quadrature for the Levy law.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm
 
 import numpy as np
+
+from latdisc.cf import PrecisionExhausted
+from latdisc.fixedpoint import norms, walk_data
+from latdisc.intervals import Interval
 
 
 def cell_integration_d2sq(points) -> Fraction:
@@ -105,6 +111,26 @@ def merge_sweep_d2sq(points) -> Fraction:
     diag = sum((A * A - x * x) * (B * B - y * y) for x, y in zip(X, Y))
     return (Fraction(pair, A * B) - Fraction(n * diag, 2 * A * A * B * B)
             + Fraction(n * n, 9))
+
+
+def scaled_dioph_sum(alpha, m_start: int, m_end: int, power: int):
+    """Certified sum of 1/(m^2 ||m alpha||^power) over [m_start, m_end],
+    term by term in big integers: with d = mod ||m step/mod|| from the exact
+    residue walk and e = m err_ulp, each term is rounded outward at 2^-64
+    from d + e and d - e.  A d <= e raises as parseval does."""
+    step, mod, err0 = walk_data(alpha)
+    num = (mod ** power) << 64
+    lo = hi = 0
+    walk = chain.from_iterable(norms(step, mod, m_start, m_end + 1))
+    for m, d in enumerate(walk, m_start):
+        e = m * err0
+        if d <= e:
+            if err0 == 0:
+                raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
+            raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
+        lo += num // (m * m * (d + e) ** power)
+        hi += -(-num // (m * m * (d - e) ** power))
+    return Interval(Fraction(lo, 1 << 64), Fraction(hi, 1 << 64))
 
 
 def e_fraction(terms: int = 220) -> Fraction:

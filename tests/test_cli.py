@@ -49,6 +49,13 @@ def test_dioph_M_below_one_exit_2(M, capsys):
     assert capsys.readouterr().out == ""
 
 
+# the block kernel's limb product needs m < 2^32
+@pytest.mark.parametrize("alpha", ["13/30", "surd:-1,5,2"])
+def test_dioph_M_at_two_to_the_32_exit_2(alpha, capsys):
+    assert main(["dioph", "--alpha", alpha, f"--M={1 << 32}"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # surd: and rule: alphas take their width from --bits, bits: alphas from the
 # spec; every route refuses a width below 128 with the same message
 @pytest.mark.parametrize("argv", [

@@ -160,3 +160,19 @@ def test_realization_matches_exact_walk(B, q, dyadic, m, near, n0, t, N):
     for build in (build_L, build_S):
         P = build(alpha, min(N, 50))
         assert d2_exact_fast(P) == d2_exact_quadratic(P)
+
+
+# dyadic steps: 2^128 step/mod is an integer (mod <= 2^128, or a mantissa with
+# at least B - 128 trailing zeros), so every floor is exact without a divmod
+@given(B=st.integers(1, 300), m=st.integers(0, (1 << 300) - 1),
+       M=st.one_of(st.integers(1, 50), st.integers(1, 3000)))
+@example(B=1, m=1, M=40)
+@example(B=21, m=(1 << 21) - 1, M=3000)
+@settings(max_examples=60, deadline=None)
+def test_floors_of_dyadic_steps_match_divmod(B, m, M):
+    mod = 1 << B
+    step = (m << max(0, B - 128)) % mod
+    kz = floors([step, (mod - step) % mod], mod, M)
+    for (k, z), s in zip(kz.transpose(1, 0, 2).tolist(), (step, -step % mod)):
+        assert k == [n * s // mod for n in range(M)]
+        assert z == [int(n * s % mod != 0) for n in range(M)]

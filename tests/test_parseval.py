@@ -3,6 +3,7 @@ term, and the D2^2 enclosures."""
 
 import math
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -12,7 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from latdisc.alphas import Alpha
 from latdisc.cf import PrecisionExhausted
-from latdisc.discrepancy import d2_exact_fast
+from latdisc.discrepancy import d2_exact_fast, realization_error
 from latdisc.fixedpoint import FixedPointReal, walk_data
 from latdisc.lattice import build_L, build_S
 from latdisc.parseval import (
@@ -32,6 +33,7 @@ from latdisc.parseval import (
     variance_check,
     xi_direct,
 )
+from oracles import scaled_dioph_sum
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,42 @@ class TestDiophSumProperties:
             assert iv.lo < iv.hi  # outward-rounded, not the exact path
             assert iv.lo <= _direct_dioph_sum(alpha, m_start, m_end, power) <= iv.hi
 
+    @given(bits=st.sampled_from([128, 256, 512]), err=st.integers(0, 2),
+           mant=st.integers(0, (1 << 512) - 1), near=st.booleans(),
+           m0=st.integers(1, 60), t=st.integers(-3, 3),
+           start=st.integers(1, 3000), length=st.integers(0, 3000))
+    @example(bits=128, err=1, mant=1, near=True, m0=7, t=3, start=1,
+             length=100)
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_contains_oracle_for_fixed_point(self, bits, err, mant,
+                                                    near, m0, t, start,
+                                                    length):
+        # near puts m0 alpha within a few ulps of an integer, inside the
+        # error eta_m of the two-limb realization or the exact fallback
+        mod = 1 << bits
+        mant %= mod
+        if near:
+            mant = ((mant % m0) * mod // m0 + t) % mod
+        if err == 0:  # an exact value takes the exact path on short ranges
+            length += _EXACT_TERM_LIMIT
+        _kernel_contains_oracle(FixedPointReal(mant, bits, err), start,
+                                start + length)
+
+    @given(p=st.integers(1, 20000), q=st.integers(_EXACT_TERM_LIMIT + 2, 20000),
+           data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_kernel_contains_oracle_for_rationals(self, p, q, data):
+        assume(gcd(p, q) == 1)
+        start = data.draw(st.integers(1, 2 * q))
+        end = data.draw(st.integers(start + _EXACT_TERM_LIMIT,
+                                    start + 2 * _EXACT_TERM_LIMIT))
+        _kernel_contains_oracle(Fraction(p, q), start, end)
+
+    def test_kernel_needs_m_below_two_to_the_32(self, phi):
+        for alpha in (phi, Fraction(13, 30)):
+            with pytest.raises(ValueError):
+                dioph_sum2(alpha, (1 << 32) - 5000, 1 << 32)
+
     # block additivity is what the gap sweep's running sum over the blocks
     # [q_{K-1}, q_K) relies on
     @given(mant=st.integers(1, (1 << 256) - 1),
@@ -204,6 +242,20 @@ class TestDiophSumProperties:
         assert iv.lo == 0 and direct <= iv.hi
 
 
+def _kernel_contains_oracle(alpha, m_start, m_end):
+    """The block kernel's interval contains the term-by-term big-integer
+    one, and it raises where the oracle raises, with the same message."""
+    for fn, power in ((dioph_sum1, 1), (dioph_sum2, 2)):
+        try:
+            want = scaled_dioph_sum(alpha, m_start, m_end, power)
+        except (ZeroDivisionError, PrecisionExhausted) as e:
+            with pytest.raises(type(e), match=re.escape(str(e)) + "$"):
+                fn(alpha, m_start, m_end)
+            continue
+        got = fn(alpha, m_start, m_end)
+        assert got.lo <= want.lo and want.hi <= got.hi
+
+
 class TestEnclosureProperties:
     @given(q=st.integers(2, 2000), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -216,6 +268,22 @@ class TestEnclosureProperties:
         for enclosure, build in ((enclosure_S, build_S), (enclosure_L, build_L)):
             d = d2_exact_fast(build(alpha, N)).d2_squared
             assert enclosure(alpha, N, K).contains(d)
+
+    # the true D2^2 lies within realization_error of the stored lattice's,
+    # so the exact value may sit at most that far outside the enclosure
+    @given(mant=st.integers(1, (1 << 256) - 1), N=st.integers(1, 400))
+    @settings(max_examples=30, deadline=None)
+    def test_enclosures_contain_exact_value_fixed_point(self, mant, N):
+        alpha = Alpha.from_bits(mant, 256)
+        for enclosure, build in ((enclosure_S, build_S), (enclosure_L, build_L)):
+            try:
+                P = build(alpha, N)
+                enc = enclosure(alpha, N)
+            except PrecisionExhausted:
+                return
+            pad = realization_error(P)
+            exact = d2_exact_fast(P).d2_squared
+            assert enc.lo - pad <= exact <= enc.hi + pad
 
 
 class TestInequalities:
