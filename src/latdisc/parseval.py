@@ -76,8 +76,8 @@ def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
                      in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
         total = Fraction(mod ** power * terms[0][0], terms[0][1])
         return Interval(total, total)
-    if m_end >> 32:
-        raise ValueError("a scaled Diophantine sum needs m < 2^32")
+    if m_start < 0 or m_end >> 32:
+        raise ValueError("a scaled Diophantine sum needs 0 <= m < 2^32")
     num = (mod ** power) << _SCALE_BITS
     eta = float(Fraction(1, 1 << 128) + Fraction(err0, mod)) * (1 + _SLACK)
     lo = hi = 0

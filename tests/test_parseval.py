@@ -180,8 +180,9 @@ class TestDiophSumProperties:
 
     def test_kernel_needs_m_below_two_to_the_32(self, phi):
         for alpha in (phi, Fraction(13, 30)):
-            with pytest.raises(ValueError):
-                dioph_sum2(alpha, (1 << 32) - 5000, 1 << 32)
+            for m_start, m_end in (((1 << 32) - 5000, 1 << 32), (-1, 5000)):
+                with pytest.raises(ValueError):
+                    dioph_sum2(alpha, m_start, m_end)
 
     # block additivity is what the gap sweep's running sum over the blocks
     # [q_{K-1}, q_K) relies on
@@ -271,16 +272,20 @@ class TestEnclosureProperties:
 
     # the true D2^2 lies within realization_error of the stored lattice's,
     # so the exact value may sit at most that far outside the enclosure
-    @given(mant=st.integers(1, (1 << 256) - 1), N=st.integers(1, 400))
+    # a seeded mantissa is uniform: hypothesis draws favour small integers,
+    # whose expansions are too short to certify
+    @given(seed=st.integers(0, 1 << 32), N=st.integers(1, 400))
     @settings(max_examples=30, deadline=None)
-    def test_enclosures_contain_exact_value_fixed_point(self, mant, N):
-        alpha = Alpha.from_bits(mant, 256)
-        for enclosure, build in ((enclosure_S, build_S), (enclosure_L, build_L)):
-            try:
-                P = build(alpha, N)
-                enc = enclosure(alpha, N)
-            except PrecisionExhausted:
-                return
+    def test_enclosures_contain_exact_value_fixed_point(self, seed, N):
+        alpha = Alpha.from_bits(random.Random(seed).getrandbits(256) or 1, 256)
+        try:
+            # the enclosure walks m < q_K; the kernel refuses q_K > 2^32
+            assume(alpha.q(alpha.index_for(N)) <= 10 ** 6)
+            cases = [(enclosure(alpha, N), build(alpha, N)) for enclosure, build
+                     in ((enclosure_S, build_S), (enclosure_L, build_L))]
+        except PrecisionExhausted:
+            return
+        for enc, P in cases:
             pad = realization_error(P)
             exact = d2_exact_fast(P).d2_squared
             assert enc.lo - pad <= exact <= enc.hi + pad
