@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--variant", choices=("S", "L"), default="S")
     s.add_argument("--kmin", type=int, default=5)
     s.add_argument("--kmax", type=int, default=15)
-    s.add_argument("--grid-points", type=int, default=5)
+    s.add_argument("--grid-points", type=int, choices=(4, 5), default=5)
     s.set_defaults(fn=_cmd_quadratic)
 
     s = sub.add_parser("sweep-rational", help="Farey lattice sweep")

@@ -124,8 +124,8 @@ _WALK_CHUNK = 4096
 
 def residues(step: int, mod: int, start: int, stop: int) -> Iterator[list]:
     """n*step mod mod for start <= n < stop, in order, as lists of at most
-    _WALK_CHUNK values.  This is the one walk behind every {n alpha} and
-    ||m alpha|| loop of the package."""
+    _WALK_CHUNK values: the one exact walk behind the {n alpha} and
+    ||m alpha|| loops of the package."""
     step %= mod
     v = (start * step) % mod
     for lo in range(start, stop, _WALK_CHUNK):
@@ -141,8 +141,8 @@ def residues(step: int, mod: int, start: int, stop: int) -> Iterator[list]:
 
 def norms(step: int, mod: int, start: int, stop: int) -> Iterator[list]:
     """min(v, mod - v) for each v = n*step mod mod, start <= n < stop, in
-    the blocks of residues: mod * ||n alpha|| for the walk of walk_data.
-    This is the one fold behind every ||m alpha|| sum of the package."""
+    the blocks of residues: mod * ||n alpha|| for the walk of walk_data,
+    behind the exact rational sums and the float diagnostics."""
     for block in residues(step, mod, start, stop):
         yield [v if 2 * v <= mod else mod - v for v in block]
 

@@ -11,9 +11,8 @@ explicit error budget built from the partial quotients:
 with 0 <= xi_S <= twice the window sum, and a refined two-sided bracket for
 xi_S around the window sum itself.  The unsymmetrized version adds the exact
 block (1/N) sum (T_n^2 + T_n/2), a factor (1 - 1/(2N)) on the main sum, and
-the budget constants (1/8-weighted quotient sum, 2.78).  All sums are certified
-intervals: exact rationals for rational alpha over < 3000 terms, reduced once;
-otherwise exact sums of per-term integer brackets at 2^-64, rounded outward.
+the budget constants (1/8-weighted quotient sum, 2.78).  Every sum is exact
+for rational alpha over < 3000 terms, else an exact sum of 2^-64 brackets.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .lattice import build_L, build_S, step_words
 _SCALE_BITS = 64
 _EXACT_TERM_LIMIT = 3000
 _BLOCK = 1 << 12  # 2^12 slices below 2^48 add up below 2^60
-_SLACK = 2.0 ** -50  # 8 rounding units: above each chain of <= 5 in _dioph_sum
+_SLACK = 2.0 ** -50  # 8 rounding units: above each chain of <= 5 below
 _UP, _SIGN = np.array([[1 + _SLACK], [1 - _SLACK]]), np.array([[1.], [-1.]])
 
 
@@ -51,14 +50,43 @@ _UP, _SIGN = np.array([[1 + _SLACK], [1 - _SLACK]]), np.array([[1.], [-1.]])
 # Certified Diophantine sums
 # ---------------------------------------------------------------------------
 
+def _norm_rows(step: int, mod: int, err0: int, m_start: int, m_end: int):
+    """(m, float64 rows [above; below] ||m alpha||, fix) per block of
+    m_start <= m <= m_end < 2^32, from ||W|| +- m (2^-128 + err0/mod) for W
+    the 128-bit fraction of m floor(2^128 step/mod).  A row below <= 0 turns
+    the rows to [inf; -inf] and puts (k, mod ||k alpha||, k err0) in fix."""
+    if m_start < 0 or m_end >> 32:
+        raise ValueError("a scaled Diophantine sum needs 0 <= m < 2^32")
+    eta = float(Fraction(1, 1 << 128) + Fraction(err0, mod)) * (1 + _SLACK)
+    for _, n, _, mid, low in step_words([step], mod, m_start, m_end + 1,
+                                        _BLOCK):
+        # past one half ||W|| = 2^128 - W, a two's complement of the words
+        low, mid = np.where(mid >> 63, [-low, ~mid + (low == 0)], [low, mid])
+        x = ((mid * 2.0 ** -64 + low * 2.0 ** -128) * _UP  # 3 roundings,
+             + n * eta * _SIGN) * _UP  # then 2
+        zero = np.flatnonzero(x[1] <= 0)
+        x[:, zero] = [[np.inf], [-np.inf]]
+        yield n, x, [(k, min(k * step % mod, -k * step % mod), k * err0)
+                     for k in n[zero].tolist()]
+
+
+def _exact_sums(t: np.ndarray) -> List[int]:
+    """Exact row sums of t, whole floats >= 0 (inf raises), 48 bits a slice."""
+    sums = [0] * len(t)
+    for shift in range(0, int(t.max()).bit_length(), 48):
+        top = np.floor(t * 2.0 ** -48)
+        low = (t - top * 2.0 ** 48).astype(np.int64).sum(1).tolist()
+        sums = [s + (v << shift) for s, v in zip(sums, low)]
+        t = top
+    return sums
+
+
 def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
     """Certified sum of 1/(m^2 ||m alpha||^power), power 1 or 2, over
     m_start <= m <= m_end, as described at dioph_sum2.  An exact sum goes up
     a pairwise tree of unreduced fractions and is reduced once, at the root.
 
-    Otherwise, in numpy blocks, ||W|| for W the 128-bit fraction of
-    m floor(2^128 step/mod) is within eta_m = m (2^-128 + err_ulp/mod) of
-    ||m alpha||.  Float64 bounds widened by _SLACK give integers
+    Otherwise the rows of _norm_rows, widened by _SLACK, give integers
     L_m <= 2^64/(m^2 ||m alpha||^power) <= H_m, which add up exactly; an m
     with no positive lower bound takes the exact formula, which may raise."""
     if m_end < m_start:
@@ -76,37 +104,20 @@ def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
                      in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
         total = Fraction(mod ** power * terms[0][0], terms[0][1])
         return Interval(total, total)
-    if m_start < 0 or m_end >> 32:
-        raise ValueError("a scaled Diophantine sum needs 0 <= m < 2^32")
     num = (mod ** power) << _SCALE_BITS
-    eta = float(Fraction(1, 1 << 128) + Fraction(err0, mod)) * (1 + _SLACK)
     lo = hi = 0
-    for a, n, _, mid, low in step_words([step], mod, m_start, m_end + 1,
-                                        _BLOCK):
-        # past one half ||W|| = 2^128 - W, a two's complement of the words
-        low, mid = np.where(mid >> 63, [-low, ~mid + (low == 0)], [low, mid])
-        # rows above and below ||m alpha||; n and n^2 < 2^64 convert once
-        x = ((mid * 2.0 ** -64 + low * 2.0 ** -128) * _UP
-             + n * eta * _SIGN) * _UP
-        zero = np.flatnonzero(x[1] <= 0)
-        for k in (a + zero).tolist():
-            d, e = min(k * step % mod, -k * step % mod), k * err0
+    for n, x, fix in _norm_rows(step, mod, err0, m_start, m_end):
+        for k, d, e in fix:
             if d <= e:
                 if err0 == 0:  # alpha is exact, so this is a true zero
                     raise ZeroDivisionError(f"||m alpha|| = 0 at m = {k}")
                 raise PrecisionExhausted(f"||m alpha|| uncertain at m = {k}")
             lo += num // (k * k * (d + e) ** power)
             hi += ceil_div(num, k * k * (d - e) ** power)
-        x[:, zero] = 1.0
+        # n and n^2 < 2^64 convert once: <= 4 roundings to the quotient
         t = 2.0 ** 64 / (n * n * (x if power == 1 else x * x)) * _UP[::-1]
-        t = np.stack((np.floor(t[0]), np.ceil(t[1])))
-        t[:, zero] = 0.0
-        shift = 0
-        while t.any():  # exactly, in slices of 48 bits
-            top = np.floor(t * 2.0 ** -48)
-            s0, s1 = (t - top * 2.0 ** 48).astype(np.int64).sum(1).tolist()
-            lo, hi = lo + (s0 << shift), hi + (s1 << shift)
-            t, shift = top, shift + 48
+        s0, s1 = _exact_sums(np.stack((np.floor(t[0]), np.ceil(t[1]))))
+        lo, hi = lo + s0, hi + s1
     s = 1 << _SCALE_BITS
     return Interval(Fraction(lo, s), Fraction(hi, s))
 
@@ -163,19 +174,15 @@ def dioph_sum2_float(alpha, marks: Iterable[int]) -> List[float]:
     """
     marks = sorted(marks)
     step, mod, err0 = walk_data(alpha)
-    coeff = float(INV_4PI4.mid)
-    fmod = float(mod)
-    out = []
-    mi = 0
-    total = 0.0
+    coeff, fmod = float(INV_4PI4.mid), float(mod)
+    out, mi, total = [], 0, 0.0
     walk = chain.from_iterable(norms(step, mod, 1, max(marks, default=0) + 1))
     for m, d in enumerate(walk, 1):
-        if d == 0:
-            if err0:
-                raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
-        else:
+        if d:
             x = d / fmod
             total += coeff / (m * m * x * x)
+        elif err0:
+            raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
         while mi < len(marks) and marks[mi] == m:
             out.append(total)
             mi += 1
@@ -206,9 +213,7 @@ def first_power_bound(alpha, K: int) -> BoundPair:
     if K < 1:
         raise ValueError("K must be >= 1")
     lhs = dioph_sum1(alpha, 1, alpha.q(K) - 1) * INV_PI2
-    rhs = Fraction(0)
-    for a, qk in _quotient_denoms(alpha, K):
-        rhs += Fraction(a, 2 * qk)
+    rhs = sum(Fraction(a, 2 * qk) for a, qk in _quotient_denoms(alpha, K))
     return BoundPair(lhs, Interval.exact(rhs + Fraction(312, 100)))
 
 
@@ -216,9 +221,10 @@ def tail_min_bound(alpha, K: int, n: int) -> BoundPair:
     """sum_{m>=q_K} (1/(2 pi^2 m^2)) min(1/(4||m a||^2), n^2)
     <= 1.12 n/q_K + 0.61 n^2/q_K^2.
 
-    The infinite tail is truncated at m_max = 8 q_K n and the exact remainder
-    bound n^2/(2 pi^2 (m_max - 1)) is added to the left-hand side, so the
-    reported inequality stays sound.
+    The tail is summed up to m_max = 8 q_K n, which must be below 2^32 (a
+    ValueError before any term otherwise), and the remainder bound
+    n^2/(2 pi^2 (m_max - 1)), under 0.6% of the 1.12 n/q_K on the right, is
+    added to the left-hand side, so the reported inequality stays sound.
     """
     if K < 1 or n < 0:
         raise ValueError("need K >= 1 and n >= 0")
@@ -227,27 +233,22 @@ def tail_min_bound(alpha, K: int, n: int) -> BoundPair:
                          + Fraction(61, 100) * Fraction(n * n, qK * qK))
     if n == 0:
         return BoundPair(Interval.zero(), rhs)
-    # the remainder is then about n/(16 pi^2 q_K), under 0.6% of the
-    # 1.12 n/q_K on the right whatever q_K and n are
     m_max = 8 * qK * n
-    step, mod, err0 = walk_data(alpha)
-    s = 1 << _SCALE_BITS
-    n2s = (n * n) << _SCALE_BITS
-    num = (mod * mod) << (_SCALE_BITS - 2)  # 2^{2B+S}/4
-    hi = 0
-    for m, d in enumerate(chain.from_iterable(norms(step, mod, qK, m_max + 1)),
-                          qK):
-        dl = d - m * err0
-        m2 = m * m
-        cap = ceil_div(n2s, m2)
-        if dl > 0:
-            hi += min(cap, ceil_div(num, m2 * dl * dl))
-        else:
-            hi += cap
-    lhs = Interval(Fraction(0), Fraction(hi, s)) * (INV_PI2 * Fraction(1, 2))
+    lhs = _tail_min_sum(alpha, qK, m_max, n) * (INV_PI2 * Fraction(1, 2))
     rem = (Fraction(n * n, 2 * (m_max - 1)) * INV_PI2).hi
-    lhs = Interval(lhs.lo, lhs.hi + rem)
-    return BoundPair(lhs, rhs)
+    return BoundPair(Interval(lhs.lo, lhs.hi + rem), rhs)
+
+
+def _tail_min_sum(alpha, m_start: int, m_end: int, n: int) -> Interval:
+    """Certified [0, hi] above the sum of min(1/(4||m a||^2), n^2)/m^2 =
+    1/(4 m^2 max(||m a||, 1/(2n))^2) from the row below; a fix, whose row
+    below is -inf, takes the cap n^2 through the floor 1/(2n)."""
+    hi = 0
+    for m, x, _ in _norm_rows(*walk_data(alpha), m_start, m_end):
+        # 1/(2n), m times the max, its square and the quotient: 4 roundings
+        t = 2.0 ** 62 / (m * np.maximum(x[1:], 0.5 / n)) ** 2 * (1 + _SLACK)
+        hi += _exact_sums(np.ceil(t))[0]
+    return Interval(Fraction(0), Fraction(hi, 1 << _SCALE_BITS))
 
 
 def min_weighted_bound(alpha, K: int, N: int) -> BoundPair:
@@ -262,25 +263,22 @@ def min_weighted_bound(alpha, K: int, N: int) -> BoundPair:
 
 
 def _min_weighted_sum(alpha, m_start: int, m_end: int, N: int) -> Interval:
-    """Certified [0, hi] above the sum of (1/(m^2 ||m a||^2)) *
-    min(1/(4N ||2m a||), 1): BoundPair.holds reads only the upper end, so,
-    as in tail_min_bound, the lower end is the trivial 0."""
-    if m_end < m_start:
-        return Interval.zero()
+    """Certified [0, hi] (BoundPair.holds reads only hi) above the sum of
+    min(1/(4N ||2m a||), 1)/(m^2 ||m a||^2): 1/(m^2 x_lo^2 max(4N y_lo, 1))
+    per term, y_lo = min(2 x_lo, 1 - 2 x_hi); a fix is 1/(m^2 ||m a||^2)."""
     step, mod, err0 = walk_data(alpha)
-    num2 = (mod * mod) << _SCALE_BITS
-    num3 = (mod * mod * mod) << _SCALE_BITS
+    num = (mod * mod) << _SCALE_BITS
     hi = 0
-    for m, d in enumerate(chain.from_iterable(norms(step, mod, m_start,
-                                                    m_end + 1)), m_start):
-        d2 = min(2 * d, mod - 2 * d)  # mod * ||2m alpha||, as 2d <= mod
-        dl, d2l = d - m * err0, d2 - 2 * m * err0
-        if dl <= 0:
-            raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
-        # the largest 1/||.||^2 and the largest min-factor
-        cap = ceil_div(num2, m * m * dl * dl)
-        hi += cap if d2l <= 0 else min(
-            cap, ceil_div(num3, m * m * dl * dl * 4 * N * d2l))
+    for m, x, fix in _norm_rows(step, mod, err0, m_start, m_end):
+        for k, d, e in fix:
+            if d <= e:
+                raise PrecisionExhausted(f"||m alpha|| uncertain at m = {k}")
+            hi += ceil_div(num, k * k * (d - e) ** 2)
+        # y_lo is exact: 1 - 2 x_hi is, unless above 1/2 > 2 x_lo; m x_lo,
+        # its square, 4N y_lo, the product and the quotient: 5 roundings
+        y = np.minimum(2 * x[1:], 1 - 2 * x[:1])
+        t = 2.0 ** 64 / ((m * x[1:]) ** 2 * np.maximum(4 * N * y, 1.0))
+        hi += _exact_sums(np.ceil(t * (1 + _SLACK)))[0]
     return Interval(Fraction(0), Fraction(hi, 1 << _SCALE_BITS))
 
 
@@ -320,6 +318,8 @@ def xi_direct(alpha, N: int, K: int, sym: bool) -> float:
     with c_n = 2n+1 for the symmetrized lattice (sym) and n+1 otherwise.
     Double precision, intended for small instances (guarded by term count).
     """
+    if K < 1 or N < 1:
+        raise ValueError("need K >= 1 and N >= 1")
     m_lo, m_hi = alpha.q(K - 1), alpha.q(K) - 1
     if m_hi < m_lo:
         return 0.0
@@ -333,8 +333,7 @@ def xi_direct(alpha, N: int, K: int, sym: bool) -> float:
         # sin^2(pi c x) = sin^2(pi c (1 - x)) for integer c, so the phase
         # may start from ||m alpha|| in place of {m alpha}
         x = d / mod
-        phases = np.mod(x * ns, 1.0)
-        ssum = float(np.sum(np.sin(np.pi * phases) ** 2))
+        ssum = float(np.sum(np.sin(np.pi * np.mod(x * ns, 1.0)) ** 2))
         total += ssum / (2 * np.pi ** 4 * m * m * x * x)
     return total / N
 

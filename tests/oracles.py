@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against different machinery than the
 library paths it checks: symbolic cell integration and an x-sorted merge
-sweep for the discrepancy, a term-by-term big-integer Diophantine sum,
+sweep for the discrepancy, term-by-term big-integer Diophantine sums,
 exact factorial/sine series for e and tan 1, integer square roots for
 surds, and adaptive quadrature for the Levy law.
 """
@@ -130,6 +130,50 @@ def scaled_dioph_sum(alpha, m_start: int, m_end: int, power: int):
             raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
         lo += num // (m * m * (d + e) ** power)
         hi += -(-num // (m * m * (d - e) ** power))
+    return Interval(Fraction(lo, 1 << 64), Fraction(hi, 1 << 64))
+
+
+def tail_min_sum(alpha, m_start: int, m_end: int, n: int):
+    """Floor and ceil sums at 2^-64 of min(1/(4||m alpha||^2), n^2)/m^2
+    over [m_start, m_end], term by term in big integers, ||m alpha|| lying
+    in [d - e, d + e]/mod as in scaled_dioph_sum; a term whose lower end
+    of ||m alpha|| is <= 0 takes the cap n^2."""
+    step, mod, err0 = walk_data(alpha)
+    n2s = (n * n) << 64
+    num = (mod * mod) << 62  # 2^64 mod^2/4
+    lo = hi = 0
+    walk = chain.from_iterable(norms(step, mod, m_start, m_end + 1))
+    for m, d in enumerate(walk, m_start):
+        e, m2 = m * err0, m * m
+        lo += n2s // m2 if d + e == 0 else min(n2s // m2,
+                                               num // (m2 * (d + e) ** 2))
+        cap = -(-n2s // m2)
+        hi += cap if d <= e else min(cap, -(-num // (m2 * (d - e) ** 2)))
+    return Interval(Fraction(lo, 1 << 64), Fraction(hi, 1 << 64))
+
+
+def min_weighted_sum(alpha, m_start: int, m_end: int, N: int):
+    """Floor and ceil sums at 2^-64 of min(1/(4N||2m alpha||), 1) /
+    (m^2 ||m alpha||^2) over [m_start, m_end], term by term in big
+    integers: mod ||2m alpha|| lies within 2e of d2 = min(2d, mod - 2d).
+    A d <= e raises PrecisionExhausted, as parseval does."""
+    step, mod, err0 = walk_data(alpha)
+    num2 = (mod * mod) << 64
+    num3 = (mod * mod * mod) << 64
+    lo = hi = 0
+    walk = chain.from_iterable(norms(step, mod, m_start, m_end + 1))
+    for m, d in enumerate(walk, m_start):
+        e, m2 = m * err0, m * m
+        if d <= e:
+            raise PrecisionExhausted(f"||m alpha|| uncertain at m = {m}")
+        d2 = min(2 * d, mod - 2 * d)
+        y_hi, y_lo = d2 + 2 * e, d2 - 2 * e  # around mod ||2m alpha||
+        f = num2 // (m2 * (d + e) ** 2)
+        lo += f if y_hi == 0 else min(
+            f, num3 // (m2 * (d + e) ** 2 * 4 * N * y_hi))
+        c = -(-num2 // (m2 * (d - e) ** 2))
+        hi += c if y_lo <= 0 else min(
+            c, -(-num3 // (m2 * (d - e) ** 2 * 4 * N * y_lo)))
     return Interval(Fraction(lo, 1 << 64), Fraction(hi, 1 << 64))
 
 

@@ -191,6 +191,14 @@ def test_negative_value_after_a_space(spaced, glued, capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("points", ["-1", "0", "3", "6", "9"])
+def test_grid_points_outside_four_to_five_exit_2(points, capsys):
+    # a slice of the five-point grid once ran -1 as 4 points and 9 as 5
+    assert main(["quadratic", "--surd", "0,3,1", "--report", "beck",
+                 f"--grid-points={points}"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_residuals_L_skips_beck_regression(monkeypatch, capsys):
     from latdisc import quadratic
 

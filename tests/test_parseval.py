@@ -20,6 +20,7 @@ from latdisc.parseval import (
     dioph_inequalities,
     _EXACT_TERM_LIMIT,
     _min_weighted_sum,
+    _tail_min_sum,
     dioph_sum,
     dioph_sum1,
     dioph_sum2,
@@ -33,7 +34,12 @@ from latdisc.parseval import (
     variance_check,
     xi_direct,
 )
-from oracles import scaled_dioph_sum
+from oracles import (
+    min_weighted_sum,
+    quotients_of_fraction,
+    scaled_dioph_sum,
+    tail_min_sum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -157,16 +163,10 @@ class TestDiophSumProperties:
     def test_kernel_contains_oracle_for_fixed_point(self, bits, err, mant,
                                                     near, m0, t, start,
                                                     length):
-        # near puts m0 alpha within a few ulps of an integer, inside the
-        # error eta_m of the two-limb realization or the exact fallback
-        mod = 1 << bits
-        mant %= mod
-        if near:
-            mant = ((mant % m0) * mod // m0 + t) % mod
         if err == 0:  # an exact value takes the exact path on short ranges
             length += _EXACT_TERM_LIMIT
-        _kernel_contains_oracle(FixedPointReal(mant, bits, err), start,
-                                start + length)
+        _kernel_contains_oracle(_fixed_point(bits, err, mant, near, m0, t),
+                                start, start + length)
 
     @given(p=st.integers(1, 20000), q=st.integers(_EXACT_TERM_LIMIT + 2, 20000),
            data=st.data())
@@ -243,6 +243,27 @@ class TestDiophSumProperties:
         assert iv.lo == 0 and direct <= iv.hi
 
 
+def _fixed_point(bits, err, mant, near, m0, t):
+    """A drawn alpha; near puts m0 alpha within a few ulps of an integer,
+    inside the error eta_m of the two-limb realization or the exact
+    fallback."""
+    mod = 1 << bits
+    mant %= mod
+    if near:
+        mant = ((mant % m0) * mod // m0 + t) % mod
+    return FixedPointReal(mant, bits, err)
+
+
+def _last_q_below(x: Fraction, cap: int) -> int:
+    """The largest convergent denominator of x that is at most cap."""
+    q0, q1 = 0, 1
+    for a in quotients_of_fraction(x, 64)[1]:
+        if a * q1 + q0 > cap:
+            break
+        q0, q1 = q1, a * q1 + q0
+    return q1
+
+
 def _kernel_contains_oracle(alpha, m_start, m_end):
     """The block kernel's interval contains the term-by-term big-integer
     one, and it raises where the oracle raises, with the same message."""
@@ -255,6 +276,69 @@ def _kernel_contains_oracle(alpha, m_start, m_end):
             continue
         got = fn(alpha, m_start, m_end)
         assert got.lo <= want.lo and want.hi <= got.hi
+
+
+def _sums_within_oracle(alpha, m_start, m_end, n, N, tight):
+    """Each upper end lies between the oracle's floor sum and its ceil sum
+    widened by 2^-40, the min-weighted one only on a tight range (below
+    q_K, where ||m alpha|| >= 1/(2 q_K)); the min-weighted sum raises where
+    the oracle raises, with the same message."""
+    want = tail_min_sum(alpha, m_start, m_end, n)
+    got = _tail_min_sum(alpha, m_start, m_end, n)
+    assert got.lo == 0 and want.lo <= got.hi <= want.hi * (1 + 2 ** -40)
+    try:
+        want = min_weighted_sum(alpha, m_start, m_end, N)
+    except PrecisionExhausted as e:
+        with pytest.raises(PrecisionExhausted, match=re.escape(str(e)) + "$"):
+            _min_weighted_sum(alpha, m_start, m_end, N)
+        return
+    got = _min_weighted_sum(alpha, m_start, m_end, N)
+    assert got.lo == 0 and want.lo <= got.hi
+    assert not tight or got.hi <= want.hi * (1 + 2 ** -40)
+
+
+class TestBoundSumProperties:
+    """The tail and min-weighted sums against their term-by-term oracles."""
+
+    @given(p=st.integers(1, 20000), q=st.integers(2, 20000),
+           n=st.integers(1, 60), N=st.integers(1, 1 << 20), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rationals(self, p, q, n, N, data):
+        assume(gcd(p, q) == 1)
+        alpha = Fraction(p, q)
+        # past q, through the exact zeros at multiples of q
+        start = data.draw(st.integers(1, 2 * q))
+        end = data.draw(st.integers(start, start + 2 * _EXACT_TERM_LIMIT))
+        _sums_within_oracle(alpha, start, end, n, N, False)
+        start = data.draw(st.integers(1, q - 1))
+        end = data.draw(st.integers(start, min(q - 1,
+                                               start + 2 * _EXACT_TERM_LIMIT)))
+        _sums_within_oracle(alpha, start, end, n, N, True)
+
+    @given(bits=st.sampled_from([128, 256, 512]), err=st.integers(0, 2),
+           mant=st.integers(0, (1 << 512) - 1), near=st.booleans(),
+           m0=st.integers(1, 60), t=st.integers(-3, 3),
+           start=st.integers(1, 3000), length=st.integers(0, 3000),
+           n=st.integers(1, 60), N=st.integers(1, 1 << 20))
+    @example(bits=128, err=0, mant=1, near=True, m0=7, t=1, start=1,
+             length=100, n=5, N=1000)
+    @example(bits=128, err=1, mant=1, near=True, m0=7, t=1, start=1,
+             length=100, n=5, N=1000)
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_point(self, bits, err, mant, near, m0, t, start, length,
+                         n, N):
+        alpha = _fixed_point(bits, err, mant, near, m0, t)
+        _sums_within_oracle(alpha, start, start + length, n, N, False)
+        qK = _last_q_below(Fraction(alpha.mantissa, 1 << bits), 6000)
+        if qK > 1:  # m below q_K, as min_weighted_bound calls it
+            start = 1 + start % (qK - 1)
+            _sums_within_oracle(alpha, start, min(start + length, qK - 1),
+                                n, N, True)
+
+    def test_tail_refuses_a_walk_past_two_to_the_32(self, phi):
+        # 8 q_40 n = 32 F_41 > 2^32: refused before the first term
+        with pytest.raises(ValueError, match=r"0 <= m < 2\^32"):
+            tail_min_bound(phi, 40, 4)
 
 
 class TestEnclosureProperties:
@@ -375,6 +459,12 @@ class TestWindowTerm:
                 total += (1 / (4 * math.pi ** 4 * m * m * d * d)
                           - s4 / (8 * math.pi ** 4 * N * m * m * d * d * s2))
             assert abs(direct - total) < 1e-9
+
+    @pytest.mark.parametrize("N,K", [(5, 0), (0, 3), (-4, 3)])
+    def test_K_or_N_below_one_rejected(self, phi, N, K):
+        # once a bare ZeroDivisionError, or -0.0 for N = -4
+        with pytest.raises(ValueError, match="need K >= 1 and N >= 1"):
+            xi_direct(phi, N, K, True)
 
     def test_term_guard(self, phi):
         with pytest.raises(ValueError):
