@@ -66,12 +66,15 @@ def d2_exact_quadratic(P: PointsLike) -> DiscrepancyValue:
 def _dot(a: np.ndarray, b: np.ndarray, a_bits: int, b_bits: int):
     """Exact sums of a * b over the last axis (broadcast over the others) of
     int64 arrays with |a| < 2^a_bits and |b| < 2^b_bits, as Python ints:
-    over limbs of b narrow enough that no int64 sum overflows."""
+    over limbs of the wider operand, at least half of it wide, narrow
+    enough that no int64 sum overflows."""
+    if a_bits > b_bits:
+        a, b, a_bits, b_bits = b, a, b_bits, a_bits
     width = 63 - a_bits - a.shape[-1].bit_length()
     if b_bits <= width:
         return np.einsum("...j,...j->...", a, b).astype(object)
-    low = np.einsum("...j,...j->...", a, b & ((1 << width) - 1))
-    return low.astype(object) + (
+    width = max(width, (b_bits + 1) // 2)
+    return _dot(a, b & ((1 << width) - 1), a_bits, width) + (
         _dot(a, b >> width, a_bits, b_bits - width) << width)
 
 

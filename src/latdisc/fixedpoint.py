@@ -1,5 +1,5 @@
-"""Certified fixed-point evaluation of alpha, {n alpha}, ||m alpha|| and
-the running sums T_n = sum_{l<=n} (1/2 - {l alpha}).
+"""Certified fixed-point evaluation of alpha, its realization step/mod
+with the trust check, and the running sums T_n = sum_{l<=n} (1/2 - {l alpha}).
 
 A FixedPointReal stores the fractional part of a real as an integer mantissa
 at resolution 2^-B together with an explicit error counter in ulps.  Rational
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Tuple, Union
+from typing import Tuple
+
+import numpy as np
 
 from .cf import ContinuedFraction, Finite, PrecisionExhausted, iter_convergents
 
@@ -31,9 +33,6 @@ class FixedPointReal:
             raise ValueError("mantissa out of range for bit width")
         if self.err_ulp < 0:
             raise ValueError("err_ulp must be >= 0")
-
-
-RealValue = Union[Fraction, FixedPointReal]
 
 
 def eval_alpha(cf: ContinuedFraction, bits: int = DEFAULT_BITS) -> FixedPointReal:
@@ -119,34 +118,6 @@ def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
     return step, mod, err_ulp
 
 
-_WALK_CHUNK = 4096
-
-
-def residues(step: int, mod: int, start: int, stop: int) -> Iterator[list]:
-    """n*step mod mod for start <= n < stop, in order, as lists of at most
-    _WALK_CHUNK values: the one exact walk behind the {n alpha} and
-    ||m alpha|| loops of the package."""
-    step %= mod
-    v = (start * step) % mod
-    for lo in range(start, stop, _WALK_CHUNK):
-        block = []
-        append = block.append
-        for _ in range(min(_WALK_CHUNK, stop - lo)):
-            append(v)
-            v += step
-            if v >= mod:
-                v -= mod
-        yield block
-
-
-def norms(step: int, mod: int, start: int, stop: int) -> Iterator[list]:
-    """min(v, mod - v) for each v = n*step mod mod, start <= n < stop, in
-    the blocks of residues: mod * ||n alpha|| for the walk of walk_data,
-    behind the exact rational sums and the float diagnostics."""
-    for block in residues(step, mod, start, stop):
-        yield [v if 2 * v <= mod else mod - v for v in block]
-
-
 @dataclass(frozen=True)
 class BirkhoffSums:
     """T_0..T_{N-1} and their average E_N, exact in the representation.
@@ -164,45 +135,41 @@ class BirkhoffSums:
         assert self.E * self.N == sum(self.T)
 
 
-def _scaled_running_sums(value, N: int):
-    """Integers u_0..u_{N-1} and scale D with T_n = u_n / D, plus a bound on
-    how far each T_n can sit from the true T_n, which walk_data's trust check
-    makes sound.  Exact integer arithmetic throughout."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    step, modulus, err_ulp = walk_data(value, N)
-    u = []
-    append = u.append
-    s = 0
-    for block in residues(step, modulus, 0, N):
-        for v in block:
-            s += modulus - 2 * v
-            append(s)
+def _running_sums(value, N: int):
+    """int64 a_n = n + 1 + 2 sum_(l<=n) floor(l step/mod) and nn_n = n(n+1),
+    both at most N^2, with T_n = (mod a_n - step nn_n)/(2 mod) for n < N; the
+    realization step/mod; and the drift bound of each T_n that walk_data's
+    trust check makes sound."""
+    if not 1 <= N < 1 << 31:
+        raise ValueError("N must be >= 1 and < 2^31")
+    from .lattice import floors
+    step, mod, err_ulp = walk_data(value, N)
+    n = np.arange(N)
+    a = n + 1 + 2 * np.cumsum(floors([step], mod, N)[0, 0])
     # each {l*alpha} is off by <= l*err ulps, so T_n is off by <= n^2 * err ulps
-    return u, modulus << 1, Fraction(err_ulp * N * N, modulus)
+    return a, n * (n + 1), step, mod, Fraction(err_ulp * N * N, mod)
 
 
-def birkhoff_sums(value: RealValue, N: int) -> BirkhoffSums:
+def birkhoff_sums(value, N: int) -> BirkhoffSums:
     """Running sums T_n = sum_{l=0}^{n} (1/2 - {l alpha}) for n < N, and
     their average.  O(N), exact for rational alpha."""
-    u, D, err = _scaled_running_sums(value, N)
-    T = tuple(Fraction(x, D) for x in u)
-    E = Fraction(sum(u), D * N)
-    return BirkhoffSums(N, T, E, err)
+    a, nn, step, mod, err = _running_sums(value, N)
+    u = [mod * x - step * y for x, y in zip(a.tolist(), nn.tolist())]
+    D = mod << 1
+    return BirkhoffSums(N, tuple(Fraction(x, D) for x in u),
+                        Fraction(sum(u), D * N), err)
 
 
 def starred_sums(p: int, q: int) -> BirkhoffSums:
     """Exact rational sums T*_n = sum_{l=0}^{n} (1/2 - 1/(2q) - {l p/q})
-    for n < q, with average E*_q.  Requires gcd(p, q) = 1."""
+    = T_n - (n+1)/(2q) for n < q, with average E*_q = E_q - (q+1)/(4q).
+    Requires gcd(p, q) = 1."""
     from math import gcd
     if q < 1 or gcd(p, q) != 1:
         raise ValueError("need q >= 1 and gcd(p, q) = 1")
-    # T*_n = T_n - (n+1)/(2q), and T_n = u_n/(2q)
-    u, D, _ = _scaled_running_sums(Fraction(p, q), q)
-    u = [x - n for n, x in enumerate(u, 1)]
-    T = tuple(Fraction(x, D) for x in u)
-    E = Fraction(sum(u), D * q)
-    return BirkhoffSums(q, T, E, Fraction(0))
+    b = birkhoff_sums(Fraction(p, q), q)
+    T = tuple(t - Fraction(n, 2 * q) for n, t in enumerate(b.T, 1))
+    return BirkhoffSums(q, T, b.E - Fraction(q + 1, 4 * q), Fraction(0))
 
 
 def birkhoff_quad_block(value, N: int):
@@ -211,15 +178,30 @@ def birkhoff_quad_block(value, N: int):
 
     Returns (block, E, var, err) where block and var = (1/N) sum (T_n - E)^2
     are exact Fractions of the representation and err bounds the drift of the
-    block for fixed-point alpha (zero for rationals).
+    block for fixed-point alpha (zero for rationals).  Sums of 2 mod T_n =
+    mod a_n - step nn_n and its square take limb dots of a with 1, a and nn.
     """
-    u, D, err = _scaled_running_sums(value, N)
-    su = sum(u)
-    su2 = sum(x * x for x in u)
+    from .discrepancy import _CHUNK, _dot
+    a, nn, step, mod, err = _running_sums(value, N)
+    bits = 2 * N.bit_length()
+    X = np.stack((np.ones_like(a), a, nn))
+    sa, saa, san = sum(_dot(a[i:i + _CHUNK], X[:, i:i + _CHUNK], bits, bits)
+                       for i in range(0, N, _CHUNK))
+    p1 = (N - 1) * N * (N + 1) // 3  # sums of nn_n and nn_n^2
+    p2 = p1 * (3 * N * N - 2) // 5
+    su = mod * sa - step * p1
+    su2 = mod * mod * saa - 2 * mod * step * san + step * step * p2
+    D = mod << 1
     block = Fraction(2 * su2 + D * su, 2 * D * D * N)
     E = Fraction(su, D * N)
     var = Fraction(su2, D * D * N) - E * E
     if err:
-        tmax = Fraction(max(abs(min(u)), abs(max(u))), D)
-        err = (2 * tmax + err + Fraction(1, 2)) * err
+        # 2 T_n = a_n - nn_n step/mod; in floats a_n and nn_n (<= N^2), the
+        # ratio, the product and the difference each round by at most
+        # 2^-53 of their size: under 8 N^2 2^-53 in all, so the n whose
+        # float |2 T_n| is within twice that of the largest hold max |u_n|
+        t = np.abs(a - nn * (step / mod))
+        cand = np.flatnonzero(t >= t.max() - N * N * 2.0 ** -49)
+        umax = max(abs(mod * int(a[n]) - step * int(nn[n])) for n in cand)
+        err = (2 * Fraction(umax, D) + err + Fraction(1, 2)) * err
     return block, E, var, err

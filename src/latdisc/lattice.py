@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .fixedpoint import residues, walk_data
+from .fixedpoint import walk_data
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +35,8 @@ class LatticePointSet:
     @property
     def x_num(self) -> tuple:
         """x numerators over mod, in point order; y_i = (i >> sym)/N."""
-        xs = chain.from_iterable(residues(self.step, self.mod, 0, self.N))
+        xs = [m * self.step - k * self.mod for m, k in
+              enumerate(floors([self.step], self.mod, self.N)[0, 0].tolist())]
         if self.sym:
             return tuple(v for x in xs for v in (x, -x % self.mod))
         return tuple(xs)
@@ -53,6 +53,8 @@ def step_words(steps: Sequence[int], mod: int, start, stop, chunk):
     """For start <= n < stop <= 2^32, in blocks of at most chunk: (first n,
     uint64 n, and the 64-bit words (k mod 2^64, mid, low) of n r = 2^128 k +
     2^64 mid + low with r = floor(2^128 s/mod), one row per step s)."""
+    if start < 0 or stop > 1 << 32:
+        raise ValueError("the 128-bit words need 0 <= m < 2^32")
     r = [(s << 128) // mod for s in steps]
     R = np.array([[v >> 64 for v in r], [v & ((1 << 64) - 1) for v in r]],
                  np.uint64)[..., None]
@@ -74,24 +76,20 @@ def floors(steps: Sequence[int], mod: int, M: int):
     With r = floor(2^128 step/mod), 2^128 m step/mod lies in [m r, m r + m).
     In 64-bit limbs m r = 2^128 k + 2^64 mid + lo; k is exact unless lo + m
     reaches 2^64, and m step/mod can be an integer only then or if lo < m.
-    Those few m (and m = 0) are recomputed exactly, unless every r is exact
-    (dyadic steps): then so is every k, and z = [(mid, lo) != 0]."""
+    Those few m are recomputed exactly, in int64 when mod M < 2^63; other
+    z are [(mid, lo) != 0], as are all of dyadic steps (exact r and k)."""
     kz = np.empty((2, len(steps), M), np.int64)
     k, z = kz
     exact = not any((s << 128) % mod for s in steps)
+    dt = np.int64 if mod * M < 1 << 63 else object
     for lo, n, kb, mid, low in step_words(steps, mod, 0, M, _FLOOR_CHUNK):
         k[:, lo:lo + len(n)] = kb.view(np.int64)
-        if exact:
-            z[:, lo:lo + len(n)] = (mid | low) != 0
-            continue
-        inexact = (low < n) | (low + n < low)
-        inexact[:, 0] |= lo == 0
-        z[:, lo:lo + len(n)] = ~inexact
-        b, m = np.nonzero(inexact)
-        qr = [divmod((lo + i) * steps[j], mod)
-              for j, i in zip(b.tolist(), m.tolist())]
-        k[b, lo + m] = [v for v, _ in qr]
-        z[b, lo + m] = [rem != 0 for _, rem in qr]
+        z[:, lo:lo + len(n)] = (mid | low) != 0
+        if not exact:
+            b, m = np.nonzero((low < n) | (low + n < low))
+            m += lo
+            ms = m.astype(dt) * np.array(steps, dt)[b]
+            k[b, m], z[b, m] = ms // mod, ms % mod != 0
     return kz
 
 

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .cf import PrecisionExhausted
 from .discrepancy import d2_exact_fast
-from .fixedpoint import birkhoff_quad_block, norms, walk_data
+from .fixedpoint import birkhoff_quad_block, walk_data
 from .intervals import (
     INV_2PI4,
     INV_4PI4,
@@ -50,24 +49,44 @@ _UP, _SIGN = np.array([[1 + _SLACK], [1 - _SLACK]]), np.array([[1.], [-1.]])
 # Certified Diophantine sums
 # ---------------------------------------------------------------------------
 
+def _fold(mid, low):
+    """The words of 2^128 ||W||, W = 2^64 mid + low: 2^128 - W past 1/2."""
+    return np.where(mid >> 63, [~mid + (low == 0), -low], [mid, low])
+
+
 def _norm_rows(step: int, mod: int, err0: int, m_start: int, m_end: int):
     """(m, float64 rows [above; below] ||m alpha||, fix) per block of
-    m_start <= m <= m_end < 2^32, from ||W|| +- m (2^-128 + err0/mod) for W
-    the 128-bit fraction of m floor(2^128 step/mod).  A row below <= 0 turns
+    m_start <= m <= m_end < 2^32, from ||W|| +- m eta, eta = err0/mod plus
+    2^-128 unless floor(2^128 step/mod) is exact.  A row below <= 0 turns
     the rows to [inf; -inf] and puts (k, mod ||k alpha||, k err0) in fix."""
-    if m_start < 0 or m_end >> 32:
-        raise ValueError("a scaled Diophantine sum needs 0 <= m < 2^32")
-    eta = float(Fraction(1, 1 << 128) + Fraction(err0, mod)) * (1 + _SLACK)
+    eta = Fraction(int((step << 128) % mod != 0), 1 << 128)
+    eta = float(eta + Fraction(err0, mod)) * (1 + _SLACK)
     for _, n, _, mid, low in step_words([step], mod, m_start, m_end + 1,
                                         _BLOCK):
-        # past one half ||W|| = 2^128 - W, a two's complement of the words
-        low, mid = np.where(mid >> 63, [-low, ~mid + (low == 0)], [low, mid])
+        mid, low = _fold(mid[0], low[0])
         x = ((mid * 2.0 ** -64 + low * 2.0 ** -128) * _UP  # 3 roundings,
              + n * eta * _SIGN) * _UP  # then 2
         zero = np.flatnonzero(x[1] <= 0)
         x[:, zero] = [[np.inf], [-np.inf]]
         yield n, x, [(k, min(k * step % mod, -k * step % mod), k * err0)
                      for k in n[zero].tolist()]
+
+
+def _norm_floats(step: int, mod: int, m_start: int, m_end: int):
+    """(m, x) per block of m_start <= m <= m_end < 2^32, x = ||m step/mod||
+    correctly rounded: the high word of ||W|| with a sticky last bit (it cuts
+    two or more bits, so no tie) where that word is >= 2^54 and [W, W + m)
+    keeps it and a low word above 0; else exact, from m step mod mod."""
+    inexact = (step << 128) % mod != 0
+    for _, n, _, mid, low in step_words([step], mod, m_start, m_end + 1,
+                                        _BLOCK):
+        # 2^128 {m step/mod} lies in [W, W + m) (is W for an exact floor)
+        fix = inexact & ((low == 0) | (low + n < low))
+        mid, low = _fold(mid[0], low[0])
+        x = (mid | (low != 0)).astype(np.float64) * 2.0 ** -64
+        for i in np.flatnonzero(fix | (mid < 1 << 54)).tolist():
+            x[i] = min(v := int(n[i]) * step % mod, mod - v) / mod
+        yield n, x
 
 
 def _exact_sums(t: np.ndarray) -> List[int]:
@@ -93,12 +112,12 @@ def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
         return Interval.zero()
     step, mod, err0 = walk_data(alpha)
     if err0 == 0 and (m_end - m_start) < _EXACT_TERM_LIMIT:
-        dens = [m * m * d ** power for m, d in enumerate(chain.from_iterable(
-            norms(step, mod, m_start, m_end + 1)), m_start)]
-        if 0 in dens:  # a term is 0 exactly where d is
+        h = mod >> 1
+        terms = [(1, m * m * (v if (v := m * step % mod) <= h else mod - v)
+                  ** power) for m in range(m_start, m_end + 1)]
+        if (1, 0) in terms:  # a term is 0 exactly where ||m alpha|| is
             raise ZeroDivisionError(
-                f"||m alpha|| = 0 at m = {m_start + dens.index(0)}")
-        terms = [(1, x) for x in dens]
+                f"||m alpha|| = 0 at m = {m_start + terms.index((1, 0))}")
         while len(terms) > 1:
             terms = [(n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2)
                      in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
@@ -166,26 +185,27 @@ def dioph_sum(alpha, M: int, weight: str = "unit_sq") -> Interval:
 
 def dioph_sum2_float(alpha, marks: Iterable[int]) -> List[float]:
     """Float partial sums of 1/(4 pi^4 m^2 ||m alpha||^2) over m <= M at
-    each checkpoint M of marks, ascending, in one O(max(marks)) walk.
+    each checkpoint 1 <= M < 2^32 of marks, ascending, in one O(max(marks))
+    pass: one sequential cumulative sum of the terms of _norm_floats.
 
     An exact alpha (rational, or a fixed-point value with no error) skips
     its undefined terms, the multiples of its denominator, which is what
     lets the sum saturate; any other zero term raises ZeroDivisionError.
     """
     marks = sorted(marks)
+    if marks and not 1 <= marks[0] <= marks[-1] < 1 << 32:
+        raise ValueError("every mark needs 1 <= M < 2^32")
     step, mod, err0 = walk_data(alpha)
-    coeff, fmod = float(INV_4PI4.mid), float(mod)
-    out, mi, total = [], 0, 0.0
-    walk = chain.from_iterable(norms(step, mod, 1, max(marks, default=0) + 1))
-    for m, d in enumerate(walk, 1):
-        if d:
-            x = d / fmod
-            total += coeff / (m * m * x * x)
-        elif err0:
-            raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
-        while mi < len(marks) and marks[mi] == m:
-            out.append(total)
-            mi += 1
+    out, total, marks = [], 0.0, np.array(marks, np.int64)
+    for m, x in _norm_floats(step, mod, 1, int(marks.max(initial=0))):
+        if err0 and not x.all():
+            raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m[x == 0][0]}")
+        x[x == 0] = np.inf  # a skipped term adds 0
+        t = float(INV_4PI4.mid) / ((m * m) * x * x)
+        t[0] += total
+        c = np.cumsum(t)
+        total, lo = c[-1], int(m[0])
+        out += c[marks[(lo <= marks) & (marks < lo + len(m))] - lo].tolist()
     return out
 
 
@@ -321,20 +341,16 @@ def xi_direct(alpha, N: int, K: int, sym: bool) -> float:
     if K < 1 or N < 1:
         raise ValueError("need K >= 1 and N >= 1")
     m_lo, m_hi = alpha.q(K - 1), alpha.q(K) - 1
-    if m_hi < m_lo:
-        return 0.0
     if N * (m_hi - m_lo + 1) > _XI_TERM_GUARD:
         raise ValueError("instance too large for direct window evaluation")
-    step, mod, _ = walk_data(alpha)
     ns = 2.0 * np.arange(N) + 1.0 if sym else np.arange(N) + 1.0
     total = 0.0
-    for m, d in enumerate(chain.from_iterable(norms(step, mod, m_lo, m_hi + 1)),
-                          m_lo):
-        # sin^2(pi c x) = sin^2(pi c (1 - x)) for integer c, so the phase
-        # may start from ||m alpha|| in place of {m alpha}
-        x = d / mod
-        ssum = float(np.sum(np.sin(np.pi * np.mod(x * ns, 1.0)) ** 2))
-        total += ssum / (2 * np.pi ** 4 * m * m * x * x)
+    for ms, xs in _norm_floats(*walk_data(alpha)[:2], m_lo, m_hi):
+        for m, x in zip(ms.tolist(), xs.tolist()):
+            # sin^2(pi c x) = sin^2(pi c (1 - x)) for integer c, so the
+            # phase may start from ||m alpha|| in place of {m alpha}
+            ssum = float(np.sum(np.sin(np.pi * np.mod(x * ns, 1.0)) ** 2))
+            total += ssum / (2 * np.pi ** 4 * m * m * x * x)
     return total / N
 
 

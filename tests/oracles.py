@@ -10,14 +10,73 @@ surds, and adaptive quadrature for the Levy law.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import isqrt, lcm
 
 import numpy as np
 
 from latdisc.cf import PrecisionExhausted
-from latdisc.fixedpoint import norms, walk_data
-from latdisc.intervals import Interval
+from latdisc.fixedpoint import walk_data
+from latdisc.intervals import INV_4PI4, Interval
+
+
+def residues(step: int, mod: int, start: int, stop: int):
+    """n*step mod mod for start <= n < stop, in order, by the exact
+    big-integer walk that adds step and subtracts mod on overflow."""
+    step %= mod
+    v = (start * step) % mod
+    out = []
+    for _ in range(start, stop):
+        out.append(v)
+        v += step
+        if v >= mod:
+            v -= mod
+    return out
+
+
+def norms(step: int, mod: int, start: int, stop: int):
+    """mod ||n step/mod|| = min(v, mod - v) along the walk of residues."""
+    return [v if 2 * v <= mod else mod - v
+            for v in residues(step, mod, start, stop)]
+
+
+def birkhoff_quad_block(value, N: int):
+    """(block, E, var, err) as fixedpoint.birkhoff_quad_block defines them,
+    from the running sums u_n = D T_n, D = 2 mod, of the walk: each step adds
+    mod - 2 v_l, and err bounds the drift from the exact max |u_n|."""
+    step, mod, err_ulp = walk_data(value, N)
+    u, s = [], 0
+    for v in residues(step, mod, 0, N):
+        s += mod - 2 * v
+        u.append(s)
+    D, err = 2 * mod, Fraction(err_ulp * N * N, mod)
+    su, su2 = sum(u), sum(x * x for x in u)
+    block = Fraction(2 * su2 + D * su, 2 * D * D * N)
+    E = Fraction(su, D * N)
+    var = Fraction(su2, D * D * N) - E * E
+    if err:
+        tmax = Fraction(max(abs(min(u)), abs(max(u))), D)
+        err = (2 * tmax + err + Fraction(1, 2)) * err
+    return block, E, var, err
+
+
+def dioph_sum2_float(alpha, marks):
+    """The float partial sums of parseval.dioph_sum2_float by a sequential
+    loop over the walk: x = d/mod correctly rounded (int by int), and a zero
+    term skipped for exact alpha, else ZeroDivisionError."""
+    marks = sorted(marks)
+    step, mod, err0 = walk_data(alpha)
+    coeff = float(INV_4PI4.mid)
+    out, mi, total = [], 0, 0.0
+    for m, d in enumerate(norms(step, mod, 1, max(marks, default=0) + 1), 1):
+        if d:
+            x = d / mod
+            total += coeff / (m * m * x * x)
+        elif err0:
+            raise ZeroDivisionError(f"||m alpha|| = 0 at m = {m}")
+        while mi < len(marks) and marks[mi] == m:
+            out.append(total)
+            mi += 1
+    return out
 
 
 def cell_integration_d2sq(points) -> Fraction:
@@ -121,7 +180,7 @@ def scaled_dioph_sum(alpha, m_start: int, m_end: int, power: int):
     step, mod, err0 = walk_data(alpha)
     num = (mod ** power) << 64
     lo = hi = 0
-    walk = chain.from_iterable(norms(step, mod, m_start, m_end + 1))
+    walk = norms(step, mod, m_start, m_end + 1)
     for m, d in enumerate(walk, m_start):
         e = m * err0
         if d <= e:
@@ -142,7 +201,7 @@ def tail_min_sum(alpha, m_start: int, m_end: int, n: int):
     n2s = (n * n) << 64
     num = (mod * mod) << 62  # 2^64 mod^2/4
     lo = hi = 0
-    walk = chain.from_iterable(norms(step, mod, m_start, m_end + 1))
+    walk = norms(step, mod, m_start, m_end + 1)
     for m, d in enumerate(walk, m_start):
         e, m2 = m * err0, m * m
         lo += n2s // m2 if d + e == 0 else min(n2s // m2,
@@ -161,7 +220,7 @@ def min_weighted_sum(alpha, m_start: int, m_end: int, N: int):
     num2 = (mod * mod) << 64
     num3 = (mod * mod * mod) << 64
     lo = hi = 0
-    walk = chain.from_iterable(norms(step, mod, m_start, m_end + 1))
+    walk = norms(step, mod, m_start, m_end + 1)
     for m, d in enumerate(walk, m_start):
         e, m2 = m * err0, m * m
         if d <= e:

@@ -1,5 +1,5 @@
-"""Fixed-point evaluation, the walk {n alpha} and its fold ||n alpha||, and
-the running sums."""
+"""Fixed-point evaluation, {n alpha} and its fold ||n alpha||, and the
+running sums against the exact walk of the oracles."""
 
 import cmath
 import random
@@ -11,21 +11,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from latdisc.cf import PrecisionExhausted, QuadraticSurd, cf_of_bits, cf_of_rational, cf_of_surd, cf_rule
-from latdisc.discrepancy import d2_exact_fast, realization_error
+from latdisc.discrepancy import _CHUNK, d2_exact_fast, realization_error
 from latdisc.fixedpoint import (
-    _WALK_CHUNK,
     FixedPointReal,
     birkhoff_quad_block,
     birkhoff_sums,
     eval_alpha,
-    norms,
-    residues,
     starred_sums,
     walk_data,
 )
 from latdisc.lattice import build_L, build_S
 
-from oracles import e_fraction, sqrt_mantissa
+import oracles
+from oracles import e_fraction, norms, residues, sqrt_mantissa
 
 
 class TestEvalAlpha:
@@ -56,14 +54,14 @@ def walk_at(x, n):
     """{n x} as the program realizes it: the residue n*step mod modulus of
     the walk, the modulus, and the error bound n*err_ulp in ulps."""
     step, mod, err_ulp = walk_data(x)
-    [[v]] = residues(step, mod, n, n + 1)
+    [v] = residues(step, mod, n, n + 1)
     return v, mod, n * err_ulp
 
 
 def norm_at(x, n):
     """modulus * ||n x|| through the fold, with the same error bound."""
     step, mod, err_ulp = walk_data(x)
-    [[d]] = norms(step, mod, n, n + 1)
+    [d] = norms(step, mod, n, n + 1)
     return d, mod, n * err_ulp
 
 
@@ -218,21 +216,6 @@ class TestFiniteFourier:
 
 
 class TestWalk:
-    @given(mod=st.one_of(st.just(1), st.integers(2, 500), st.just(1 << 256)),
-           step=st.integers(0, 1 << 257), start=st.integers(1, 10 ** 6),
-           length=st.integers(0, 3 * _WALK_CHUNK))
-    @example(mod=1 << 256, step=3 ** 160, start=_WALK_CHUNK - 1,
-             length=_WALK_CHUNK + 2)
-    @settings(max_examples=40, deadline=None)
-    def test_residues_match_direct_formula(self, mod, step, start, length):
-        blocks = list(residues(step, mod, start, start + length))
-        assert all(len(b) == _WALK_CHUNK for b in blocks[:-1])
-        assert sum(blocks, []) == [(n * step) % mod
-                                   for n in range(start, start + length)]
-        folded = list(norms(step, mod, start, start + length))
-        assert [len(b) for b in folded] == [len(b) for b in blocks]
-        assert sum(folded, []) == [min(v, mod - v) for v in sum(blocks, [])]
-
     @given(p=st.integers(0, 10 ** 4), q=st.integers(1, 300),
            N=st.integers(1, 400))
     @settings(max_examples=40, deadline=None)
@@ -252,6 +235,34 @@ class TestWalk:
                             for l in range(q)))
         s = starred_sums(p, q)
         assert s.T == tuple(T) and s.E == sum(T) / q
+
+
+# the block against the walk: rationals, and 256-bit mantissas with an error
+# counter placed 2^-j off p/n0, where the running sums come near-tied and the
+# exact max |u_n| behind err needs every float candidate
+@given(rational=st.booleans(), q=st.integers(1, 400), p=st.integers(0, 400),
+       n0=st.integers(1, 12), j=st.integers(20, 128),
+       sign=st.sampled_from((-1, 1)), err=st.integers(1, 4),
+       N=st.one_of(st.integers(1, 50), st.integers(1, 5000)))
+@example(rational=True, q=7, p=3, n0=1, j=20, sign=1, err=1, N=_CHUNK + 1)
+@example(rational=False, q=1, p=1, n0=2, j=60, sign=1, err=2, N=_CHUNK)
+# the float |T_n| ranks a near-tie the wrong way round
+@example(rational=False, q=1, p=7, n0=11, j=103, sign=-1, err=3, N=11)
+@settings(max_examples=60, deadline=None)
+def test_quad_block_matches_the_walk(rational, q, p, n0, j, sign, err, N):
+    if rational:
+        alpha = Fraction(p, q)
+    else:
+        mod = 1 << 256
+        alpha = FixedPointReal((p * mod // n0 + sign * (mod >> j)) % mod, 256,
+                               err)
+    try:
+        want = oracles.birkhoff_quad_block(alpha, N)
+    except PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            birkhoff_quad_block(alpha, N)
+        return
+    assert birkhoff_quad_block(alpha, N) == want
 
 
 def test_budget_overflow_message_names_the_walk_not_a_lattice():

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from latdisc.alphas import Alpha
 from latdisc.cf import PrecisionExhausted
 from latdisc.discrepancy import d2_exact_fast, d2_exact_quadratic
-from latdisc.fixedpoint import FixedPointReal, residues, walk_data
+from latdisc.fixedpoint import FixedPointReal, walk_data
 from latdisc.lattice import build_L, build_S, floors
+
+from oracles import residues
 
 
 def test_single_point():
@@ -150,7 +152,7 @@ def test_realization_matches_exact_walk(B, q, dyadic, m, near, n0, t, N):
         step = ((m % n0) * mod // n0 + t) % mod
     alpha = FixedPointReal(step, B, 0) if dyadic else Fraction(step, q)
     step, mod, _ = walk_data(alpha)
-    walk = list(chain.from_iterable(residues(step, mod, 0, N)))
+    walk = residues(step, mod, 0, N)
     L, S = build_L(alpha, N), build_S(alpha, N)
     k, z = floors([step], mod, 2 * N - 1)[:, 0].tolist()
     assert k == [n * step // mod for n in range(2 * N - 1)]
@@ -176,3 +178,24 @@ def test_floors_of_dyadic_steps_match_divmod(B, m, M):
     for (k, z), s in zip(kz.transpose(1, 0, 2).tolist(), (step, -step % mod)):
         assert k == [n * s // mod for n in range(M)]
         assert z == [int(n * s % mod != 0) for n in range(M)]
+
+
+# the m next to an integer are recomputed in int64 while mod M < 2^63, else
+# in Python integers: small q at M >> q, and mod = g t on both sides of
+# 2^(62 + over)/M, with step = j t + e landing every g-th m on (e = 0) or
+# beside an integer
+@given(g=st.integers(1, 40), t=st.integers(1, 8), j=st.integers(0, 40),
+       e=st.integers(0, 1), M=st.integers(1, 3000), side=st.integers(-1, 1),
+       over=st.sampled_from((None, 0, 1, 2)))
+@example(g=3, t=1, j=1, e=0, M=3000, side=0, over=None)
+# m step reaches 2^63 below mod M = 2^64
+@example(g=3, t=1, j=2, e=0, M=3000, side=-1, over=2)
+@settings(max_examples=60, deadline=None)
+def test_floors_next_to_integers_match_divmod(g, t, j, e, M, side, over):
+    if over is not None:
+        t = (1 << (62 + over)) // (M * g) + side
+    mod = g * t
+    step = (j * t + e) % mod
+    k, z = floors([step], mod, M)[:, 0].tolist()
+    assert k == [n * step // mod for n in range(M)]
+    assert z == [int(n * step % mod != 0) for n in range(M)]

@@ -34,6 +34,7 @@ from latdisc.parseval import (
     variance_check,
     xi_direct,
 )
+import oracles
 from oracles import (
     min_weighted_sum,
     quotients_of_fraction,
@@ -116,6 +117,77 @@ class TestDiophSum:
         v4, v5 = dioph_sum2_float(sq3, [10 ** 4, 10 ** 5])
         c = 1 / (12 * math.sqrt(3) * math.log(2 + math.sqrt(3)))
         assert abs((v5 - v4) / math.log(10) - c) < 0.15 * c
+
+
+class TestFloatDiagnostics:
+    """dioph_sum2_float against the sequential loop over the exact walk, bit
+    for bit, where the correctly rounded ||m alpha|| needs its exact
+    fallback: next to an integer, exact zero terms, and wide denominators."""
+
+    @given(bits=st.integers(64, 256), err=st.integers(0, 3),
+           mant=st.integers(0, (1 << 256) - 1), near=st.booleans(),
+           m0=st.integers(1, 300), t=st.integers(-3, 3),
+           M=st.integers(1, 3000))
+    # ||alpha|| = 2^-2 + 2^-55 + 2^-128: the high word alone is a tie
+    @example(bits=128, err=0, mant=(((1 << 62) + (1 << 9)) << 64) + 1,
+             near=False, m0=1, t=0, M=1)
+    # {3 alpha} = 2^-8 + 2^-61 + 2^-129, above a tie, but the words of
+    # 3 floor(2^128 alpha) end just below the carry into the high word
+    @example(bits=256, err=0, near=False, m0=1, t=0, M=3,
+             mant=((((1 << 56) + (1 << 3) << 64) - 1 + (1 << 128)) // 3 << 128)
+             + (1 << 127))
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_point_near_convergents(self, bits, err, mant, near, m0, t,
+                                          M):
+        alpha = _fixed_point(bits, err, mant, near, m0, t)
+        self._same(alpha, M)
+
+    @given(bits=st.integers(1, 12), mant=st.integers(0, 1 << 12),
+           M=st.integers(1, 3000))
+    @settings(max_examples=20, deadline=None)
+    def test_exact_dyadic_skips_zero_terms(self, bits, mant, M):
+        self._same(FixedPointReal(mant % (1 << bits), bits, 0), M)
+
+    @given(q=st.integers((1 << 53) - 2000, (1 << 53) - 1),
+           p=st.integers(1, 1 << 60), M=st.integers(1, 3000))
+    @settings(max_examples=20, deadline=None)
+    def test_denominator_just_below_two_to_the_53(self, q, p, M):
+        self._same(Fraction(p, q), M)
+
+    @staticmethod
+    def _same(alpha, M):
+        marks = sorted({1, M, (M + 1) // 2, min(M, 4096), min(M, 4097)})
+        try:
+            want = oracles.dioph_sum2_float(alpha, marks)
+        except ZeroDivisionError as e:
+            with pytest.raises(ZeroDivisionError, match=re.escape(str(e))):
+                dioph_sum2_float(alpha, marks)
+            return
+        assert dioph_sum2_float(alpha, marks) == want
+
+    def test_refuses_m_past_two_to_the_32_and_marks_below_one(self, phi):
+        for marks in ([10, 1 << 32], [0, 10], [1 << 64]):
+            with pytest.raises(ValueError, match=r"1 <= M < 2\^32"):
+                dioph_sum2_float(phi, marks)
+        # [0; 1, 5 10^9, 1, 2]: the window [q_2, q_3) is the one m = q_2
+        # = 5 10^9 + 1, past 2^32
+        a = Fraction(0)
+        for t in reversed((1, 5 * 10 ** 9, 1, 2)):
+            a = 1 / (t + a)
+        alpha = Alpha.from_rational(a.numerator, a.denominator)
+        assert alpha.q(2) == 5 * 10 ** 9 + 1 and alpha.q(3) == alpha.q(2) + 1
+        with pytest.raises(ValueError, match=r"0 <= m < 2\^32"):
+            xi_direct(alpha, 1, 3, True)
+
+    def test_exact_floor_charges_no_realization_error(self):
+        # (2^128 + 17)/(7 2^128) is stored exactly at 128 bits, and so is
+        # floor(2^128 alpha): ||7 alpha|| = 17 2^-128 carries no 7 2^-128
+        a = Fraction((1 << 128) + 17, 7 << 128)
+        assert a.denominator == 1 << 128
+        got = dioph_sum2(a, 1, 3100)
+        want = scaled_dioph_sum(a, 1, 3100, 2)
+        assert want.lo * (1 - 2 ** -40) <= got.lo <= want.lo
+        assert want.hi <= got.hi <= want.hi * (1 + 2 ** -40)
 
 
 class TestDiophSumProperties:
