@@ -15,6 +15,7 @@ from typing import List
 
 from .cf import (
     ContinuedFraction,
+    ExpansionExhausted,
     QuadraticSurd,
     cf_of_bits,
     cf_of_rational,
@@ -112,9 +113,9 @@ class Alpha:
     def index_for(self, N: int) -> int:
         """Smallest K >= 1 with q_K >= N, so q_{K-1} <= N <= q_K.
 
-        For a rational alpha this fails once N exceeds the final denominator.
+        For a rational alpha this fails once N exceeds the final denominator,
+        and for every N if the expansion ends at q_0.
         """
-        from .cf import ExpansionExhausted
         if N < 1:
             raise ValueError("N must be >= 1")
         K = 1
@@ -124,7 +125,8 @@ class Alpha:
                     return K
             except ExpansionExhausted:
                 raise ValueError(
-                    f"no convergent denominator of {self.label} reaches {N}")
+                    f"no q_K with K >= 1 reaches {N}: the expansion of "
+                    f"{self.label} ends at K = {K - 1}")
             K += 1
 
     def stats(self, K: int):

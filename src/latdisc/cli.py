@@ -119,8 +119,7 @@ def _cmd_dioph(args) -> int:
 
 
 def _cmd_quadratic(args) -> int:
-    P, D, Q = (int(t) for t in args.surd.split(","))
-    alpha = Alpha.from_surd(P, D, Q, bits=args.bits)
+    alpha = Alpha.parse(f"surd:{args.surd}", bits=args.bits)
     if args.report == "constants":
         A = quadratic.alternation_constant(alpha.cf)
         tr, det, lam = quadratic.growth_constant(alpha.cf)

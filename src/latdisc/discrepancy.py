@@ -80,9 +80,9 @@ def _dot(a: np.ndarray, b: np.ndarray, a_bits: int, b_bits: int):
 
 # elements (rows x indices) of one block of the streamed sums
 _CHUNK = 1 << 14
-# the rows of _lattice_sums' first pass; "_" marks the low limb of a sum
-_SUMS = ("tFk", "tFz", "kFk", "kFz", "zFk", "zFz", "kw", "ku", "ke", "kte",
-         "kte_", "zw", "zu", "ze", "zte", "zte_", "kke", "kke_", "zke", "zke_")
+# the rows of _lattice_sums' first pass
+_SUMS = ("tFk", "tFz", "kFk", "kFz", "zFk", "zFz", "kw", "ku", "ke", "zw",
+         "zu", "ze", "kte", "kke", "zte", "zke")
 
 
 def _lattice_sums(steps: Sequence[int], mod: int, N: int,
@@ -92,10 +92,11 @@ def _lattice_sums(steps: Sequence[int], mod: int, N: int,
     four prefix sums are held at full length; the weights are made one block
     of indices at a time, and each block's sums are exact int64 limb dots.
 
-    What reaches a dot or a floor division is below 4 N^2 (t e and k e go in
-    two limbs of e).  The prefix sums of m f_m, V and (1 + k) V_1 reach about
-    N^3 and may wrap, but they only enter sums, differences and products,
-    which int64 gets right modulo 2^64; the F and g they make are < 2 N^2.
+    What reaches a dot or a floor division is below 4 N^2; _dot splits the
+    products k t and k k against e = N^2 - t^2 into limbs.  The prefix sums
+    of m f_m, V and (1 + k) V_1 reach about N^3 and may wrap, but they only
+    enter sums, differences and products, which int64 gets right modulo
+    2^64; the F and g they make are < 2 N^2.
     """
     B, M = len(steps), 2 * N - 1 if sym else N
     KZ = floors(steps, mod, M)
@@ -105,7 +106,6 @@ def _lattice_sums(steps: Sequence[int], mod: int, N: int,
     np.cumsum(KZ[..., :N], axis=-1, out=S0[..., 1:])
     np.cumsum(KZ[..., :N] * m, axis=-1, out=S1[..., 1:])
     b = N.bit_length() + 2  # bits of n, k_m (m < 2N) and 2 k + z
-    eb = b - 2  # e = N^2 - t^2 = 2^eb e_hi + e_lo with e_hi, e_lo < 2^eb
     width = max(1, _CHUNK // B)
     acc = 0
     for lo in range(0, N, width):
@@ -119,17 +119,14 @@ def _lattice_sums(steps: Sequence[int], mod: int, N: int,
         F = (N * (S0[..., N:] - S0[..., lo:hi]) - S1[..., N:]
              + S1[..., lo:hi] - Nt * S0[..., rev] + S1[..., rev]
              - kz * (Nt * (Nt + 1) // 2))
-        eh, el = e >> eb, e & ((1 << eb) - 1)
         W = np.array([Nt * (2 * t + 1), N * (N + 1) // 2 - t * (t + 1) // 2,
-                      e, t * eh, t * el])
+                      e])
+        tk = np.stack((np.broadcast_to(t, kz[0].shape), kz[0]))
         acc += np.concatenate([x.reshape(-1, B) for x in (
             _dot(t, F, b, 2 * b), _dot(kz[:, None], F, b, 2 * b),
             _dot(kz[:, None], W[:, None], b, 2 * b),
-            _dot(kz[:, None], np.array([kz[0] * eh, kz[0] * el]), b, 2 * b))])
+            _dot(kz[:, None] * tk, e, 2 * b, 2 * b))])
     sums = [dict(zip(_SUMS, col)) for col in acc.T]
-    for d in sums:
-        for f in ("kte", "zte", "kke", "zke"):
-            d[f] = (d[f] << eb) + d.pop(f + "_")
     if not sym:
         return sums
     # S0[0] and S1[0] become the prefix sums of f = 2 k + z and of m f

@@ -1,5 +1,5 @@
-"""Certified fixed-point evaluation of alpha, its realization step/mod
-with the trust check, and the running sums T_n = sum_{l<=n} (1/2 - {l alpha}).
+"""Certified fixed-point evaluation of alpha, and the running sums
+T_n = sum_{l<=n} (1/2 - {l alpha}) on its realization lattice.walk_data.
 
 A FixedPointReal stores the fractional part of a real as an integer mantissa
 at resolution 2^-B together with an explicit error counter in ulps.  Rational
@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 import numpy as np
 
 from .cf import ContinuedFraction, Finite, PrecisionExhausted, iter_convergents
+from .discrepancy import _CHUNK, _dot
+from .lattice import floors, walk_data
 
 DEFAULT_BITS = 256
 
@@ -64,60 +65,6 @@ def eval_alpha(cf: ContinuedFraction, bits: int = DEFAULT_BITS) -> FixedPointRea
     return FixedPointReal(mant, bits, 2)
 
 
-def _least_denominator(lo: Fraction, hi: Fraction, cap: int) -> int:
-    """The least n >= 1 with some p/n in [lo, hi], or a number >= cap once
-    that n is known to be >= cap.
-
-    Walks the continued fraction of the simplest fraction in the interval:
-    with x = (P y + P1)/(Q y + Q1) for the tail y in [lo, hi], an integer in
-    [lo, hi] ends the walk (the least one gives the least Q y + Q1); else
-    y = t + 1/y' with t = floor(lo), and y' lies in [1/(hi - t), 1/(lo - t)].
-    """
-    # Q runs inline, not through iter_convergents: it is the stopping rule
-    # of the quotient generation, whose quotients exist only in this walk
-    Q, Q1 = 0, 1
-    while True:
-        t = lo.numerator // lo.denominator
-        if t == lo or t + 1 <= hi:
-            return Q * (t if t == lo else t + 1) + Q1
-        Q, Q1 = Q * t + Q1, Q
-        if Q >= cap:  # every later term is >= 1, so the end is >= Q
-            return Q
-        lo, hi = 1 / (hi - t), 1 / (lo - t)
-
-
-def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
-    """(step, modulus, err_ulp) of an Alpha, a Fraction or a FixedPointReal:
-    {m alpha} = (m*step mod modulus)/modulus, off by at most m*err_ulp/modulus.
-    Exact (err_ulp = 0) for rational alpha.
-
-    With N > 1 this is also the trust check for {n alpha}, 1 <= n < N.  The
-    per-point bound holds only if no alpha the error counter admits puts
-    n alpha on the other side of an integer: every n*step mod modulus must
-    lie farther than n*err_ulp from 0.  It fails exactly when some p/n lies
-    within err_ulp/modulus of step/modulus, so PrecisionExhausted is raised
-    when the least such n is below N, and also once the budget
-    (N-1)*err_ulp reaches 2^(bits/2).  ||m alpha|| is continuous mod 1 and
-    needs no such check.
-    """
-    if not isinstance(x, (Fraction, FixedPointReal)):
-        x = x.value
-    if isinstance(x, Fraction):
-        v = x % 1
-        return v.numerator, v.denominator, 0
-    step, mod, err_ulp = x.mantissa, 1 << x.bits, x.err_ulp
-    if N > 1 and err_ulp:
-        if (N - 1) * err_ulp >= (1 << (x.bits // 2)):
-            raise PrecisionExhausted(
-                "error budget overflow walking {n alpha}, n < N")
-        n = _least_denominator(Fraction(step - err_ulp, mod),
-                               Fraction(step + err_ulp, mod), N)
-        if n < N:
-            raise PrecisionExhausted(
-                f"{{n alpha}} within its error of an integer at n = {n}")
-    return step, mod, err_ulp
-
-
 @dataclass(frozen=True)
 class BirkhoffSums:
     """T_0..T_{N-1} and their average E_N, exact in the representation.
@@ -142,7 +89,6 @@ def _running_sums(value, N: int):
     trust check makes sound."""
     if not 1 <= N < 1 << 31:
         raise ValueError("N must be >= 1 and < 2^31")
-    from .lattice import floors
     step, mod, err_ulp = walk_data(value, N)
     n = np.arange(N)
     a = n + 1 + 2 * np.cumsum(floors([step], mod, N)[0, 0])
@@ -181,7 +127,6 @@ def birkhoff_quad_block(value, N: int):
     block for fixed-point alpha (zero for rationals).  Sums of 2 mod T_n =
     mod a_n - step nn_n and its square take limb dots of a with 1, a and nn.
     """
-    from .discrepancy import _CHUNK, _dot
     a, nn, step, mod, err = _running_sums(value, N)
     bits = 2 * N.bit_length()
     X = np.stack((np.ones_like(a), a, nn))

@@ -3,7 +3,9 @@
 L(alpha, N) is the N-point set {({n alpha}, n/N)}; S(alpha, N) adds the
 reflections ({-n alpha}, n/N) with multiplicity (n = 0 gives (0, 0) twice).
 A set is stored as alpha's realization step/mod (q for rational alpha, 2^B
-for fixed point), N and the variant; floors() gives its floors.
+for fixed point), N and the variant.  This module is the one home of that
+realization: walk_data() gives step/mod and its trust check, step_words()
+and floors() the 128-bit words and the floors of m step/mod.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .fixedpoint import walk_data
+from .cf import PrecisionExhausted, cf_of_rational, iter_convergents
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +93,52 @@ def floors(steps: Sequence[int], mod: int, M: int):
             ms = m.astype(dt) * np.array(steps, dt)[b]
             k[b, m], z[b, m] = ms // mod, ms % mod != 0
     return kz
+
+
+def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
+    """(step, modulus, err_ulp) of an Alpha (by its .value), a Fraction or a
+    FixedPointReal: {m alpha} = (m*step mod modulus)/modulus, off by at most
+    m*err_ulp/modulus.  Exact (err_ulp = 0) for rational alpha.
+
+    With N > 1 this is also the trust check for {n alpha}, 1 <= n < N.  The
+    per-point bound holds only if no alpha the error counter admits puts
+    n alpha on the other side of an integer: every n*step mod modulus must
+    lie farther than n*err_ulp from 0.  It fails exactly when some p/n lies
+    within err_ulp/modulus of step/modulus, so PrecisionExhausted is raised
+    when the least such n is below N, and also once the budget
+    (N-1)*err_ulp reaches 2^(bits/2).  ||m alpha|| is continuous mod 1 and
+    needs no such check.
+
+    The least n is a best approximation, so a convergent p_k/q_k of
+    step/modulus or a semiconvergent just before the first convergent inside
+    (Khinchin, Continued Fractions, sec. 6): with d_k = |q_k step - p_k mod|,
+    the semiconvergents q_(k-2) + t q_(k-1) have d_(k-2) - t d_(k-1).
+    """
+    x = getattr(x, "value", x)
+    if isinstance(x, Fraction):
+        v = x % 1
+        return v.numerator, v.denominator, 0
+    step, mod, err = x.mantissa, 1 << x.bits, x.err_ulp
+    if N > 1 and err:
+        if (N - 1) * err >= (1 << (x.bits // 2)):
+            raise PrecisionExhausted(
+                "error budget overflow walking {n alpha}, n < N")
+        # (q, d) of the convergents k - 2 and k - 1, from p/q = 0/1 and 1/0;
+        # the last convergent has d = 0, so the loop always breaks
+        q2, d2, q1, d1 = 1, step, 0, mod
+        for c in iter_convergents(cf_of_rational(step, mod)):
+            d = abs(c.q * step - c.p * mod)
+            if d <= c.q * err:
+                # the least t >= 0 with d2 - t d1 <= (q2 + t q1) err
+                n = q2 - (q2 * err - d2) // (d1 + q1 * err) * q1
+                if n < N:
+                    raise PrecisionExhausted(
+                        f"{{n alpha}} within its error of an integer at n = {n}")
+                break
+            if c.q >= N:
+                break
+            q2, d2, q1, d1 = q1, d1, c.q, d
+    return step, mod, err
 
 
 def _build(alpha, N: int, sym: bool) -> LatticePointSet:

@@ -285,19 +285,22 @@ def min_weighted_bound(alpha, K: int, N: int) -> BoundPair:
 def _min_weighted_sum(alpha, m_start: int, m_end: int, N: int) -> Interval:
     """Certified [0, hi] (BoundPair.holds reads only hi) above the sum of
     min(1/(4N ||2m a||), 1)/(m^2 ||m a||^2): 1/(m^2 x_lo^2 max(4N y_lo, 1))
-    per term, y_lo = min(2 x_lo, 1 - 2 x_hi); a fix is 1/(m^2 ||m a||^2)."""
+    per term, y_lo the row below ||2m a|| of the realization of 2a, not
+    1 - 2 x_hi, which would carry the slack of x_hi near 1/2 into a y near
+    1/mod; a fix is 1/(m^2 ||m a||^2)."""
     step, mod, err0 = walk_data(alpha)
     num = (mod * mod) << _SCALE_BITS
     hi = 0
-    for m, x, fix in _norm_rows(step, mod, err0, m_start, m_end):
+    for (m, x, fix), (_, y, _) in zip(
+            _norm_rows(step, mod, err0, m_start, m_end),
+            _norm_rows(2 * step % mod, mod, 2 * err0, m_start, m_end)):
         for k, d, e in fix:
             if d <= e:
                 raise PrecisionExhausted(f"||m alpha|| uncertain at m = {k}")
             hi += ceil_div(num, k * k * (d - e) ** 2)
-        # y_lo is exact: 1 - 2 x_hi is, unless above 1/2 > 2 x_lo; m x_lo,
-        # its square, 4N y_lo, the product and the quotient: 5 roundings
-        y = np.minimum(2 * x[1:], 1 - 2 * x[:1])
-        t = 2.0 ** 64 / ((m * x[1:]) ** 2 * np.maximum(4 * N * y, 1.0))
+        # m x_lo, its square, 4N y_lo, the product and the quotient: 5
+        # roundings; a y_lo of -inf takes the cap 1
+        t = 2.0 ** 64 / ((m * x[1:]) ** 2 * np.maximum(4 * N * y[1:], 1.0))
         hi += _exact_sums(np.ceil(t * (1 + _SLACK)))[0]
     return Interval(Fraction(0), Fraction(hi, 1 << _SCALE_BITS))
 

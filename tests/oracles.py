@@ -15,8 +15,8 @@ from math import isqrt, lcm
 import numpy as np
 
 from latdisc.cf import PrecisionExhausted
-from latdisc.fixedpoint import walk_data
 from latdisc.intervals import INV_4PI4, Interval
+from latdisc.lattice import walk_data
 
 
 def residues(step: int, mod: int, start: int, stop: int):
@@ -37,6 +37,42 @@ def norms(step: int, mod: int, start: int, stop: int):
     """mod ||n step/mod|| = min(v, mod - v) along the walk of residues."""
     return [v if 2 * v <= mod else mod - v
             for v in residues(step, mod, start, stop)]
+
+
+def least_denominator(lo: Fraction, hi: Fraction, cap: int) -> int:
+    """The least n >= 1 with some p/n in [lo, hi], or a number >= cap once
+    that n is known to be >= cap.
+
+    Walks the continued fraction of the simplest fraction in the interval:
+    with x = (P y + P1)/(Q y + Q1) for the tail y in [lo, hi], an integer in
+    [lo, hi] ends the walk (the least one gives the least Q y + Q1); else
+    y = t + 1/y' with t = floor(lo), and y' lies in [1/(hi - t), 1/(lo - t)].
+    """
+    Q, Q1 = 0, 1
+    while True:
+        t = lo.numerator // lo.denominator
+        if t == lo or t + 1 <= hi:
+            return Q * (t if t == lo else t + 1) + Q1
+        Q, Q1 = Q * t + Q1, Q
+        if Q >= cap:  # every later term is >= 1, so the end is >= Q
+            return Q
+        lo, hi = 1 / (hi - t), 1 / (lo - t)
+
+
+def trust_check(x, N: int):
+    """lattice.walk_data's trust check for a FixedPointReal, by the interval
+    walk of least_denominator: the same outcome and the same message."""
+    step, mod, err_ulp = x.mantissa, 1 << x.bits, x.err_ulp
+    if N > 1 and err_ulp:
+        if (N - 1) * err_ulp >= (1 << (x.bits // 2)):
+            raise PrecisionExhausted(
+                "error budget overflow walking {n alpha}, n < N")
+        n = least_denominator(Fraction(step - err_ulp, mod),
+                              Fraction(step + err_ulp, mod), N)
+        if n < N:
+            raise PrecisionExhausted(
+                f"{{n alpha}} within its error of an integer at n = {n}")
+    return step, mod, err_ulp
 
 
 def birkhoff_quad_block(value, N: int):

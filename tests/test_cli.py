@@ -299,6 +299,19 @@ def test_exit_codes():
     assert main(["dioph", "--alpha", "13/30", "--M", "5000"]) == 2
 
 
+@pytest.mark.parametrize("argv, err", [
+    # 1/1 has q_0 = 1 >= N but no q_K with K >= 1 at all
+    ("estimate --alpha 1/1 --N 1",
+     "no q_K with K >= 1 reaches 1: the expansion of 1/1 ends at K = 0"),
+    ("estimate --alpha 2/5 --N 6",
+     "no q_K with K >= 1 reaches 6: the expansion of 2/5 ends at K = 2"),
+    ("quadratic --surd 1,2", "bad surd spec: 'surd:1,2'"),
+])
+def test_input_error_messages_exit_2(argv, err, capsys):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_realization_wrap_exits_3():
     # alpha = 1/2 to one ulp: 2 alpha may sit on either side of 1, so the
     # lattice can be built only while N <= 2

@@ -18,9 +18,8 @@ from latdisc.fixedpoint import (
     birkhoff_sums,
     eval_alpha,
     starred_sums,
-    walk_data,
 )
-from latdisc.lattice import build_L, build_S
+from latdisc.lattice import build_L, build_S, walk_data
 
 import oracles
 from oracles import e_fraction, norms, residues, sqrt_mantissa

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from latdisc.alphas import Alpha
 from latdisc.cf import PrecisionExhausted
 from latdisc.discrepancy import d2_exact_fast, d2_exact_quadratic
-from latdisc.fixedpoint import FixedPointReal, walk_data
-from latdisc.lattice import build_L, build_S, floors
+from latdisc.fixedpoint import FixedPointReal
+from latdisc.lattice import build_L, build_S, floors, walk_data
 
+import oracles
 from oracles import residues
 
 
@@ -128,6 +129,47 @@ def test_wrap_check_matches_definition(bits, err, N, p, n0, shift, free, m):
         except PrecisionExhausted:
             raised = True
         assert raised == (budget or wraps)
+
+
+def trust_outcome(check, x, N):
+    try:
+        return check(x, N)
+    except PrecisionExhausted as e:
+        return str(e)
+
+
+# the convergent check against the interval walk of the oracle, outcome and
+# message: 16-24 bits, where Legendre's 2 n^2 err < 2^bits can fail below
+# the budget, and 128-300 bits; mantissas free or within a few err of p/n0,
+# N on both sides of 2^(bits/2 - 1)
+@given(bits=st.one_of(st.integers(16, 24), st.integers(128, 300)),
+       err=st.one_of(st.integers(1, 4), st.integers(5, 1 << 20)),
+       free=st.booleans(), m=st.integers(0, (1 << 300) - 1),
+       p=st.integers(0, 1 << 160),
+       n0=st.one_of(st.integers(1, 300), st.integers(1, 1 << 160)),
+       shift=st.integers(-4, 4), fine=st.integers(-2, 2),
+       N=st.one_of(st.integers(1, 300), st.integers(0, 1 << 10)))
+@example(bits=16, err=1, free=True, m=519, p=0, n0=1, shift=0, fine=0, N=255)
+@settings(max_examples=400, deadline=None)
+def test_trust_check_matches_interval_walk(bits, err, free, m, p, n0, shift,
+                                           fine, N):
+    mod = 1 << bits
+    if N > 300:  # N/2^8 times 2^(bits/2 - 1), so up to 4 times it
+        N = 1 + (N << (bits // 2 - 1) >> 8)
+    m = m % mod if free else (p * mod // n0 + shift * err + fine) % mod
+    x = FixedPointReal(m, bits, err)
+    assert (trust_outcome(walk_data, x, N)
+            == trust_outcome(oracles.trust_check, x, N))
+
+
+def test_trust_check_finds_a_semiconvergent():
+    # 519/2^16 = [0; 126, 3, 1, ...]: q = 1, 126, 379, 505.  2/253, the
+    # semiconvergent 1 + 2 * 126 before q = 379, is within one ulp, while
+    # 379 >= N: a check on convergents alone would pass N = 255
+    x = FixedPointReal(519, 16, 1)
+    with pytest.raises(PrecisionExhausted, match=r"at n = 253$"):
+        walk_data(x, 255)
+    assert walk_data(x, 253) == (519, 1 << 16, 1)
 
 
 # mod = 2^B (a mantissa) or a rational q.  With near, step = floor(i mod/n0)

@@ -14,8 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from latdisc.alphas import Alpha
 from latdisc.cf import PrecisionExhausted
 from latdisc.discrepancy import d2_exact_fast, realization_error
-from latdisc.fixedpoint import FixedPointReal, walk_data
-from latdisc.lattice import build_L, build_S
+from latdisc.fixedpoint import FixedPointReal
+from latdisc.lattice import build_L, build_S, walk_data
 from latdisc.parseval import (
     dioph_inequalities,
     _EXACT_TERM_LIMIT,
@@ -386,6 +386,11 @@ class TestBoundSumProperties:
         end = data.draw(st.integers(start, min(q - 1,
                                                start + 2 * _EXACT_TERM_LIMIT)))
         _sums_within_oracle(alpha, start, end, n, N, True)
+
+    def test_min_weighted_sum_tight_next_to_one_half(self):
+        # ||1035/2071|| is 1/2 - 1/4142: 1 - 2 x_hi from the rows of ||m a||
+        # would leave ||2m a|| = 1/2071 about 2^-39 too low
+        _sums_within_oracle(Fraction(1, 2071), 449, 1037, 1, 996, True)
 
     @given(bits=st.sampled_from([128, 256, 512]), err=st.integers(0, 2),
            mant=st.integers(0, (1 << 512) - 1), near=st.booleans(),
