@@ -10,7 +10,6 @@ the CLI's --alpha format.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import List
 
 from .cf import (
@@ -33,6 +32,14 @@ def _width(bits: int) -> int:
     return bits
 
 
+def _int(text: str, bad: str, base: int = 10) -> int:
+    """int(text, base), raising ValueError(bad) if text is no integer."""
+    try:
+        return int(text, base)
+    except ValueError:
+        raise ValueError(bad) from None
+
+
 class Alpha:
     """An alpha with its expansion, exact-or-certified value, and caches."""
 
@@ -49,10 +56,7 @@ class Alpha:
 
     @classmethod
     def from_rational(cls, p: int, q: int) -> "Alpha":
-        cf = cf_of_rational(p, q)
-        g = gcd(p % q, q)
-        value = Fraction((p % q) // g, q // g)
-        return cls(cf, value, f"{p}/{q}")
+        return cls(cf_of_rational(p, q), Fraction(p % q, q), f"{p}/{q}")
 
     @classmethod
     def from_surd(cls, P: int, D: int, Q: int, bits: int = DEFAULT_BITS) -> "Alpha":
@@ -76,24 +80,24 @@ class Alpha:
         """Parse the CLI grammar; raises ValueError on malformed specs."""
         text = text.strip()
         if text.startswith("surd:"):
+            bad = f"bad surd spec: {text!r}"
             parts = text[5:].split(",")
             if len(parts) != 3:
-                raise ValueError(f"bad surd spec: {text!r}")
-            return cls.from_surd(int(parts[0]), int(parts[1]), int(parts[2]),
-                                 bits=bits)
+                raise ValueError(bad)
+            return cls.from_surd(*(_int(v, bad) for v in parts), bits=bits)
         if text.startswith("rule:"):
             return cls.from_rule(text[5:], bits=bits)
         if text.startswith("bits:"):
-            body = text[5:]
-            if "@" not in body:
-                raise ValueError(f"bad bits spec: {text!r}")
-            hexpart, bstr = body.rsplit("@", 1)
-            b = int(bstr)
-            return cls.from_bits(int(hexpart, 16), b)
+            bad = f"bad bits spec: {text!r}"
+            hexpart, at, bstr = text[5:].rpartition("@")
+            if not at:
+                raise ValueError(bad)
+            return cls.from_bits(_int(hexpart, bad, 16), _int(bstr, bad))
+        bad = f"unrecognized alpha spec: {text!r}"
         if "/" in text:
             ps, qs = text.split("/", 1)
-            return cls.from_rational(int(ps), int(qs))
-        raise ValueError(f"unrecognized alpha spec: {text!r}")
+            return cls.from_rational(_int(ps, bad), _int(qs, bad))
+        raise ValueError(bad)
 
     # -- convergent cache ---------------------------------------------------
 

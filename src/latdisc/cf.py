@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
@@ -170,11 +170,8 @@ def cf_of_rational(p: int, q: int) -> ContinuedFraction:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    p %= q
-    g = gcd(p, q)
-    p, q = p // g, q // g
     terms = []
-    a, b = q, p
+    a, b = q, p % q
     while b:
         t, r = divmod(a, b)
         terms.append(t)

@@ -4,8 +4,9 @@ L(alpha, N) is the N-point set {({n alpha}, n/N)}; S(alpha, N) adds the
 reflections ({-n alpha}, n/N) with multiplicity (n = 0 gives (0, 0) twice).
 A set is stored as alpha's realization step/mod (q for rational alpha, 2^B
 for fixed point), N and the variant.  This module is the one home of that
-realization: walk_data() gives step/mod and its trust check, step_words()
-and floors() the 128-bit words and the floors of m step/mod.
+realization: walk_data() gives step/mod and its trust check on Euclid's
+remainders, step_words() the 128-bit words of m step/mod and the m they may
+not place, and floors() the floors of m step/mod.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .cf import PrecisionExhausted, cf_of_rational, iter_convergents
+from .cf import PrecisionExhausted
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,18 +49,18 @@ class LatticePointSet:
             yield Fraction(xn, self.mod), Fraction(i >> self.sym, self.N)
 
 
-_FLOOR_CHUNK = 1 << 16
-
-
 def step_words(steps: Sequence[int], mod: int, start, stop, chunk):
     """For start <= n < stop <= 2^32, in blocks of at most chunk: (first n,
-    uint64 n, and the 64-bit words (k mod 2^64, mid, low) of n r = 2^128 k +
-    2^64 mid + low with r = floor(2^128 s/mod), one row per step s)."""
+    uint64 n, the 64-bit words (k mod 2^64, mid, low) of n r = 2^128 k +
+    2^64 mid + low with r = floor(2^128 s/mod), and the near set), one row
+    per step s.  The near set holds the n whose n s/mod the words may not
+    place: r is inexact, and low < n or low + n wraps past 2^64."""
     if start < 0 or stop > 1 << 32:
         raise ValueError("the 128-bit words need 0 <= m < 2^32")
-    r = [(s << 128) // mod for s in steps]
+    r, rem = zip(*(divmod(s << 128, mod) for s in steps))
     R = np.array([[v >> 64 for v in r], [v & ((1 << 64) - 1) for v in r]],
                  np.uint64)[..., None]
+    inexact = np.array(rem, bool)[:, None]
     for lo in range(start, stop, chunk):
         n = np.arange(lo, min(lo + chunk, stop), dtype=np.uint64)
         # high and low 64-bit words of n R[0] and n R[1], from 32-bit halves
@@ -67,7 +68,7 @@ def step_words(steps: Sequence[int], mod: int, start, stop, chunk):
         (k, hi), (mid, low) = (n * (R >> 32) + (t >> 32)) >> 32, n * R
         mid += hi
         k += mid < hi
-        yield lo, n, k, mid, low
+        yield lo, n, k, mid, low, inexact & ((low < n) | (low + n < low))
 
 
 def floors(steps: Sequence[int], mod: int, M: int):
@@ -75,23 +76,20 @@ def floors(steps: Sequence[int], mod: int, M: int):
     divide m steps[b]] as int64, for m < M <= 2^32 and 0 <= steps[b] < mod:
     the one realization of {m alpha} = (m step - k mod)/mod.
 
-    With r = floor(2^128 step/mod), 2^128 m step/mod lies in [m r, m r + m).
-    In 64-bit limbs m r = 2^128 k + 2^64 mid + lo; k is exact unless lo + m
-    reaches 2^64, and m step/mod can be an integer only then or if lo < m.
-    Those few m are recomputed exactly, in int64 when mod M < 2^63; other
-    z are [(mid, lo) != 0], as are all of dyadic steps (exact r and k)."""
+    With r = floor(2^128 step/mod), 2^128 m step/mod lies in [m r, m r + m),
+    so k is exact and z is [(mid, low) != 0] off the near set of
+    step_words.  Its few m are recomputed exactly, in int64 when
+    mod M < 2^63."""
     kz = np.empty((2, len(steps), M), np.int64)
     k, z = kz
-    exact = not any((s << 128) % mod for s in steps)
     dt = np.int64 if mod * M < 1 << 63 else object
-    for lo, n, kb, mid, low in step_words(steps, mod, 0, M, _FLOOR_CHUNK):
+    for lo, n, kb, mid, low, near in step_words(steps, mod, 0, M, 1 << 16):
         k[:, lo:lo + len(n)] = kb.view(np.int64)
         z[:, lo:lo + len(n)] = (mid | low) != 0
-        if not exact:
-            b, m = np.nonzero((low < n) | (low + n < low))
-            m += lo
-            ms = m.astype(dt) * np.array(steps, dt)[b]
-            k[b, m], z[b, m] = ms // mod, ms % mod != 0
+        b, m = np.nonzero(near)
+        m += lo
+        ms = m.astype(dt) * np.array(steps, dt)[b]
+        k[b, m], z[b, m] = ms // mod, ms % mod != 0
     return kz
 
 
@@ -111,8 +109,9 @@ def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
 
     The least n is a best approximation, so a convergent p_k/q_k of
     step/modulus or a semiconvergent just before the first convergent inside
-    (Khinchin, Continued Fractions, sec. 6): with d_k = |q_k step - p_k mod|,
-    the semiconvergents q_(k-2) + t q_(k-1) have d_(k-2) - t d_(k-1).
+    (Khinchin, Continued Fractions, sec. 6): Euclid on (step, modulus) gives
+    q_k and the remainders d_k = |q_k step - p_k mod|, and the
+    semiconvergents q_(k-2) + t q_(k-1) have d_(k-2) - t d_(k-1).
     """
     x = getattr(x, "value", x)
     if isinstance(x, Fraction):
@@ -123,21 +122,22 @@ def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
         if (N - 1) * err >= (1 << (x.bits // 2)):
             raise PrecisionExhausted(
                 "error budget overflow walking {n alpha}, n < N")
-        # (q, d) of the convergents k - 2 and k - 1, from p/q = 0/1 and 1/0;
-        # the last convergent has d = 0, so the loop always breaks
+        # (q, d) of the convergents k - 2 and k - 1, from (1, step) and
+        # (0, mod); the last remainder is 0, so the loop always breaks
         q2, d2, q1, d1 = 1, step, 0, mod
-        for c in iter_convergents(cf_of_rational(step, mod)):
-            d = abs(c.q * step - c.p * mod)
-            if d <= c.q * err:
+        while True:
+            a, d = divmod(d2, d1)
+            q = a * q1 + q2
+            if d <= q * err:
                 # the least t >= 0 with d2 - t d1 <= (q2 + t q1) err
                 n = q2 - (q2 * err - d2) // (d1 + q1 * err) * q1
                 if n < N:
                     raise PrecisionExhausted(
                         f"{{n alpha}} within its error of an integer at n = {n}")
                 break
-            if c.q >= N:
+            if q >= N:
                 break
-            q2, d2, q1, d1 = q1, d1, c.q, d
+            q2, d2, q1, d1 = q1, d1, q, d
     return step, mod, err
 
 

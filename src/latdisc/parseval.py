@@ -61,8 +61,8 @@ def _norm_rows(step: int, mod: int, err0: int, m_start: int, m_end: int):
     the rows to [inf; -inf] and puts (k, mod ||k alpha||, k err0) in fix."""
     eta = Fraction(int((step << 128) % mod != 0), 1 << 128)
     eta = float(eta + Fraction(err0, mod)) * (1 + _SLACK)
-    for _, n, _, mid, low in step_words([step], mod, m_start, m_end + 1,
-                                        _BLOCK):
+    for _, n, _, mid, low, _ in step_words([step], mod, m_start, m_end + 1,
+                                           _BLOCK):
         mid, low = _fold(mid[0], low[0])
         x = ((mid * 2.0 ** -64 + low * 2.0 ** -128) * _UP  # 3 roundings,
              + n * eta * _SIGN) * _UP  # then 2
@@ -75,16 +75,13 @@ def _norm_rows(step: int, mod: int, err0: int, m_start: int, m_end: int):
 def _norm_floats(step: int, mod: int, m_start: int, m_end: int):
     """(m, x) per block of m_start <= m <= m_end < 2^32, x = ||m step/mod||
     correctly rounded: the high word of ||W|| with a sticky last bit (it cuts
-    two or more bits, so no tie) where that word is >= 2^54 and [W, W + m)
-    keeps it and a low word above 0; else exact, from m step mod mod."""
-    inexact = (step << 128) % mod != 0
-    for _, n, _, mid, low in step_words([step], mod, m_start, m_end + 1,
-                                        _BLOCK):
-        # 2^128 {m step/mod} lies in [W, W + m) (is W for an exact floor)
-        fix = inexact & ((low == 0) | (low + n < low))
+    two or more bits, so no tie) where that word is >= 2^54 and m is off the
+    near set of step_words; else exact, from m step mod mod."""
+    for _, n, _, mid, low, near in step_words([step], mod, m_start,
+                                              m_end + 1, _BLOCK):
         mid, low = _fold(mid[0], low[0])
         x = (mid | (low != 0)).astype(np.float64) * 2.0 ** -64
-        for i in np.flatnonzero(fix | (mid < 1 << 54)).tolist():
+        for i in np.flatnonzero(near[0] | (mid < 1 << 54)).tolist():
             x[i] = min(v := int(n[i]) * step % mod, mod - v) / mod
         yield n, x
 

@@ -306,6 +306,11 @@ def test_exit_codes():
     ("estimate --alpha 2/5 --N 6",
      "no q_K with K >= 1 reaches 6: the expansion of 2/5 ends at K = 2"),
     ("quadratic --surd 1,2", "bad surd spec: 'surd:1,2'"),
+    ("quadratic --surd 1,2,x", "bad surd spec: 'surd:1,2,x'"),
+    ("disc --alpha surd:1,2,x --N 3", "bad surd spec: 'surd:1,2,x'"),
+    ("disc --alpha 1/x --N 3", "unrecognized alpha spec: '1/x'"),
+    ("disc --alpha bits:zz@256 --N 3", "bad bits spec: 'bits:zz@256'"),
+    ("disc --alpha bits:ff@x --N 3", "bad bits spec: 'bits:ff@x'"),
 ])
 def test_input_error_messages_exit_2(argv, err, capsys):
     assert main(argv.split()) == 2

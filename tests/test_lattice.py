@@ -162,6 +162,20 @@ def test_trust_check_matches_interval_walk(bits, err, free, m, p, n0, shift,
             == trust_outcome(oracles.trust_check, x, N))
 
 
+def test_trust_check_matches_interval_walk_on_every_12_bit_mantissa():
+    # at err_ulp 1 both outcomes occur for each N, and a semiconvergent
+    # below N, a t off by one or a q_k >= N stop before the d-check each
+    # change some of these outcomes
+    outcomes = set()
+    for N in (33, 47, 64):
+        for m in range(1 << 12):
+            x = FixedPointReal(m, 12, 1)
+            got = trust_outcome(walk_data, x, N)
+            assert got == trust_outcome(oracles.trust_check, x, N), (m, N)
+            outcomes.add(isinstance(got, str))
+    assert outcomes == {False, True}
+
+
 def test_trust_check_finds_a_semiconvergent():
     # 519/2^16 = [0; 126, 3, 1, ...]: q = 1, 126, 379, 505.  2/253, the
     # semiconvergent 1 + 2 * 126 before q = 379, is within one ulp, while

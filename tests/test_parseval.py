@@ -142,6 +142,16 @@ class TestFloatDiagnostics:
         alpha = _fixed_point(bits, err, mant, near, m0, t)
         self._same(alpha, M)
 
+    # m0 alpha within 3 err ulps of an integer, so k m0 alpha within 3 k err
+    # of one: above 128 bits r is inexact, and these m fall in the near set
+    @given(bits=st.integers(129, 320), err=st.integers(1, 8),
+           mant=st.integers(0, (1 << 320) - 1), m0=st.integers(1, 300),
+           t=st.integers(-3, 3), M=st.integers(1, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_fixed_point_multiples_within_a_few_err(self, bits, err, mant,
+                                                    m0, t, M):
+        self._same(_fixed_point(bits, err, mant, True, m0, t * err), M)
+
     @given(bits=st.integers(1, 12), mant=st.integers(0, 1 << 12),
            M=st.integers(1, 3000))
     @settings(max_examples=20, deadline=None)

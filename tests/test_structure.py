@@ -27,4 +27,6 @@ def test_no_relative_import_inside_a_function():
 
 def test_lattice_imports_only_cf():
     tree = ast.parse((SRC / "lattice.py").read_text())
-    assert {m for _, m, _ in relative_imports(tree)} == {"cf"}
+    assert {(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names} == {("cf", "PrecisionExhausted")}
