@@ -9,8 +9,9 @@ the CLI's --alpha format.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from typing import List
+from typing import Dict, List
 
 from .cf import (
     ContinuedFraction,
@@ -48,6 +49,8 @@ class Alpha:
         self.value = value
         self.label = label
         self._q: List[int] = [0, 1]       # q_{-1}, q_0, ...
+        # K -> the certified main and window sums of parseval's enclosures
+        self.sums: Dict[int, tuple] = {}
 
     def __repr__(self):
         return f"Alpha({self.label})"
@@ -122,16 +125,20 @@ class Alpha:
         """
         if N < 1:
             raise ValueError("N must be >= 1")
-        K = 1
-        while True:
-            try:
-                if self.q(K) >= N:
+        q = self._q
+        K = bisect_left(q, N, 2) - 1  # q_K sits at q[K + 1]
+        if K + 2 <= len(q):
+            return K
+        try:
+            for a in self.cf.quotients(K):
+                q.append(a * q[-1] + q[-2])
+                if q[-1] >= N:
                     return K
-            except ExpansionExhausted:
-                raise ValueError(
-                    f"no q_K with K >= 1 reaches {N}: the expansion of "
-                    f"{self.label} ends at K = {K - 1}")
-            K += 1
+                K += 1
+        except ExpansionExhausted:
+            raise ValueError(
+                f"no q_K with K >= 1 reaches {N}: the expansion of "
+                f"{self.label} ends at K = {K - 1}")
 
     def stats(self, K: int):
         return cf_stats(self.cf, K)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import isqrt
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from itertools import count, islice
+from math import inf, isqrt
+from typing import Callable, Iterator, List, NamedTuple, Optional, Union
 
 
 class ExpansionExhausted(ValueError):
@@ -48,11 +49,55 @@ class Rule:
     name: str
 
 
-@dataclass(frozen=True)
 class Truncated:
-    """A known-correct prefix of an expansion; asking past it is an error."""
+    """A known-correct prefix of an expansion; asking past it is an error.
 
-    terms: tuple
+    The prefix grows on demand, one Euclid step (a, b) -> (b, a mod b) per
+    quotient t = a // b, and ends before the first convergent denominator
+    t q_k + q_(k-1) whose square exceeds limit: q_k runs inline, not through
+    iter_convergents, as the stopping rule.  The state (a, b, q_(k-1), q_k,
+    limit), None once the prefix has ended, is plain ints, so an expansion
+    pickles part way through.
+    """
+
+    def __init__(self, a: int, b: int, limit: int):
+        self.known: List[int] = []
+        self.state = (a, b, 0, 1, limit)
+
+    def grow(self, k) -> int:
+        """Extend the prefix to k quotients, or to its end; its length."""
+        known = self.known
+        if len(known) >= k or self.state is None:
+            return len(known)
+        a, b, q1, q, limit = self.state
+        while len(known) < k:
+            if not b:
+                self.state = None
+                return len(known)
+            t, r = divmod(a, b)
+            qn = t * q + q1
+            if qn * qn > limit:
+                self.state = None
+                return len(known)
+            known.append(t)
+            a, b, q1, q = b, r, q, qn
+        self.state = (a, b, q1, q, limit)
+        return len(known)
+
+    def quotients(self, k: int) -> Iterator[int]:
+        """a_k, a_(k+1), ... to the end of the prefix, then the error."""
+        known = self.known
+        while k <= len(known) or self.grow(k) >= k:
+            yield known[k - 1]
+            k += 1
+        raise PrecisionExhausted(
+            f"expansion truncated after {len(self.known)} quotients")
+
+    @property
+    def terms(self) -> tuple:
+        """The whole prefix."""
+        self.grow(inf)
+        return tuple(self.known)
 
 
 Body = Union[Finite, Periodic, Rule, Truncated]
@@ -70,22 +115,27 @@ class ContinuedFraction:
         if k == 0:
             return self.a0
         body = self.body
-        if isinstance(body, (Finite, Truncated)):
+        if isinstance(body, Finite):
             if k > len(body.terms):
-                if isinstance(body, Truncated):
-                    raise PrecisionExhausted(
-                        f"expansion truncated after {len(body.terms)} quotients"
-                    )
                 raise ExpansionExhausted(
                     f"finite expansion has only {len(body.terms)} quotients"
                 )
             return body.terms[k - 1]
+        if isinstance(body, Truncated):
+            return next(body.quotients(k))
         if isinstance(body, Periodic):
             r = len(body.preperiod)
             if k <= r:
                 return body.preperiod[k - 1]
             return body.period[(k - 1 - r) % len(body.period)]
         return body.fn(k)
+
+    def quotients(self, k: int = 1) -> Iterator[int]:
+        """a_k, a_(k+1), ... (k >= 1); past the end of the expansion the
+        iteration raises as quotient() does."""
+        if isinstance(self.body, Truncated):
+            return self.body.quotients(k)
+        return map(self.quotient, count(k))
 
     @property
     def length(self) -> Optional[int]:
@@ -108,7 +158,8 @@ class ContinuedFraction:
             inner = per if not pre else pre + "," + per
             return "[%d;%s]" % (self.a0, inner)
         if isinstance(body, Truncated):
-            shown = ",".join(map(str, body.terms[:max_terms]))
+            body.grow(max_terms)
+            shown = ",".join(map(str, body.known[:max_terms]))
             return "[%d;%s,...]" % (self.a0, shown)
         shown = ",".join(str(body.fn(k)) for k in range(1, max_terms + 1))
         return "[%d;%s,...]" % (self.a0, shown)
@@ -275,30 +326,17 @@ def cf_rule(name: str) -> ContinuedFraction:
 def cf_of_bits(mantissa: int, bits: int) -> ContinuedFraction:
     """Certified expansion prefix of a real known to bits binary digits.
 
-    Runs the Euclidean algorithm on (mantissa, 2^bits) and stops as soon as
-    the next convergent denominator q would have q^2 > 2^(bits-64); up to
-    that point the quotients agree with those of any real within one ulp of
-    mantissa / 2^bits.
+    The Euclidean algorithm on (2^bits, mantissa), run as far as the
+    quotients are read, stops as soon as the next convergent denominator q
+    would have q^2 > 2^(bits-64); up to that point the quotients agree with
+    those of any real within one ulp of mantissa / 2^bits.
     """
     if bits < 128:
         raise ValueError("need bits >= 128 for a trustworthy prefix")
     if not 0 <= mantissa < (1 << bits):
         raise ValueError("mantissa out of range")
-    limit = 1 << (bits - 64)
-    terms = []
-    # q_k runs inline, not through iter_convergents: it is the stopping rule
-    # of the quotient generation that builds the expansion
-    qk_1, qk = 0, 1
-    a, b = 1 << bits, mantissa
-    while b:
-        t, r = divmod(a, b)
-        qn = t * qk + qk_1
-        if qn * qn > limit:
-            break
-        terms.append(t)
-        qk_1, qk = qk, qn
-        a, b = b, r
-    return ContinuedFraction(0, Truncated(tuple(terms)))
+    return ContinuedFraction(
+        0, Truncated(1 << bits, mantissa, 1 << (bits - 64)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +364,9 @@ def cf_stats(cf: ContinuedFraction, K: int) -> CFStats:
     """Exact sums of a_k, a_k^2, (-1)^k a_k and max a_k over k = 1..K."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    sum_a = sum_a2 = alt = 0
-    max_a = 0
-    for k in range(1, K + 1):
-        a = cf.quotient(k)
-        sum_a += a
-        sum_a2 += a * a
-        alt += a if k % 2 == 0 else -a
-        if a > max_a:
-            max_a = a
-    return CFStats(K, sum_a, sum_a2, alt, max_a)
+    a = list(islice(cf.quotients(), K))
+    return CFStats(K, sum(a), sum(v * v for v in a),
+                   sum(a[1::2]) - sum(a[::2]), max(a))
 
 
 def optimality_stats(cf: ContinuedFraction, K: int):

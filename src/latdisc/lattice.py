@@ -5,8 +5,8 @@ reflections ({-n alpha}, n/N) with multiplicity (n = 0 gives (0, 0) twice).
 A set is stored as alpha's realization step/mod (q for rational alpha, 2^B
 for fixed point), N and the variant.  This module is the one home of that
 realization: walk_data() gives step/mod and its trust check on Euclid's
-remainders, step_words() the 128-bit words of m step/mod and the m they may
-not place, and floors() the floors of m step/mod.
+remainders, step_words() the 128-bit words of m step/mod, near() the m they
+may not place, and floors() the floors of m step/mod.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ class LatticePointSet:
 def step_words(steps: Sequence[int], mod: int, start, stop, chunk):
     """For start <= n < stop <= 2^32, in blocks of at most chunk: (first n,
     uint64 n, the 64-bit words (k mod 2^64, mid, low) of n r = 2^128 k +
-    2^64 mid + low with r = floor(2^128 s/mod), and the near set), one row
-    per step s.  The near set holds the n whose n s/mod the words may not
-    place: r is inexact, and low < n or low + n wraps past 2^64."""
+    2^64 mid + low with r = floor(2^128 s/mod), and whether r is inexact),
+    one row per step s.  near() turns a block into its near set."""
     if start < 0 or stop > 1 << 32:
         raise ValueError("the 128-bit words need 0 <= m < 2^32")
     r, rem = zip(*(divmod(s << 128, mod) for s in steps))
@@ -68,7 +67,14 @@ def step_words(steps: Sequence[int], mod: int, start, stop, chunk):
         (k, hi), (mid, low) = (n * (R >> 32) + (t >> 32)) >> 32, n * R
         mid += hi
         k += mid < hi
-        yield lo, n, k, mid, low, inexact & ((low < n) | (low + n < low))
+        yield lo, n, k, mid, low, inexact
+
+
+def near(n, low, inexact):
+    """The near set of a step_words block: the n whose n s/mod the words
+    may not place, as r is inexact and low < n or low + n wraps past
+    2^64."""
+    return inexact & ((low < n) | (low + n < low))
 
 
 def floors(steps: Sequence[int], mod: int, M: int):
@@ -77,16 +83,16 @@ def floors(steps: Sequence[int], mod: int, M: int):
     the one realization of {m alpha} = (m step - k mod)/mod.
 
     With r = floor(2^128 step/mod), 2^128 m step/mod lies in [m r, m r + m),
-    so k is exact and z is [(mid, low) != 0] off the near set of
-    step_words.  Its few m are recomputed exactly, in int64 when
-    mod M < 2^63."""
+    so k is exact and z is [(mid, low) != 0] off the near set.  Its few m
+    are recomputed exactly, in int64 when mod M < 2^63."""
     kz = np.empty((2, len(steps), M), np.int64)
     k, z = kz
     dt = np.int64 if mod * M < 1 << 63 else object
-    for lo, n, kb, mid, low, near in step_words(steps, mod, 0, M, 1 << 16):
+    for lo, n, kb, mid, low, inexact in step_words(steps, mod, 0, M,
+                                                   1 << 16):
         k[:, lo:lo + len(n)] = kb.view(np.int64)
         z[:, lo:lo + len(n)] = (mid | low) != 0
-        b, m = np.nonzero(near)
+        b, m = np.nonzero(near(n, low, inexact))
         m += lo
         ms = m.astype(dt) * np.array(steps, dt)[b]
         k[b, m], z[b, m] = ms // mod, ms % mod != 0

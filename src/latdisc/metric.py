@@ -13,8 +13,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
-from math import gcd
+from math import factorial, gcd
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -133,9 +134,93 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _rand_bits(gen: np.random.Generator, bits: int) -> int:
+    """int.from_bytes(gen.bytes(nbytes), "big") mod 2^bits, nbytes =
+    ceil(bits/8).  A whole number of Philox words is read raw: gen.bytes
+    lays out each 64-bit word little-endian, so those are its bytes too."""
     nbytes = (bits + 7) // 8
-    x = int.from_bytes(gen.bytes(nbytes), "big")
+    if nbytes % 8:
+        x = int.from_bytes(gen.bytes(nbytes), "big")
+    else:
+        raw = gen.bit_generator.random_raw(nbytes // 8)
+        x = int.from_bytes(raw.astype("<u8").tobytes(), "big")
     return x & ((1 << bits) - 1)
+
+
+# 2^(u/2^B) for 0 < u < 2^B in integers at P = B + 64 fraction bits (a unit
+# is 2^-P): u = i 2^(B-8) + r with r < 2^(B-8) gives 2^(u/2^B) = 2^(i/256)
+# e^s with 0 <= s = r ln2/2^B < 2^-8.  Per B, with G = P + 16:
+# - ln 2 at g = G + 32 bits as sum_{k <= g} floor(2^g/(k 2^k)): the floors
+#   lose < g units there and the tail < 1, so L_G = that >> 32 is within
+#   1 + (g + 1) 2^-32 < 2 units (at G) of 2^G ln2 for g < 2^32, and
+#   L = L_G >> 16 within 2 (at P);
+# - exp(t) = sum_{j <= n} c_j (t/2^prec)^j by Horner, c_j = floor(2^prec/j!)
+#   and n + 1 the least m with 2^(8m) m! >= 2^(prec+1), so the dropped tail
+#   is < 2 s^m/m! < 1 unit for s < 2^-8.  Each step loses < 1 to c_j and < 1
+#   to its floor, and the steps after it scale that by s, so Horner is
+#   within 2/(1 - 2^-8) of the polynomial: < 3.02 units in all, plus
+#   e^s |t - t*| for an argument t off the true t* = 2^prec s;
+# - T1 = exp(L_G >> 8) at G: t is within 1 + 2^-7 of 2^G ln2/256, so T1 is
+#   within 3.02 + 1.003 * 1.008 < 5 units of 2^G 2^(1/256);
+# - T_i = T_(i-1) T1 >> G: with T_(i-1) < 2^(G+1), e_i <= 1.003 e_(i-1)
+#   + 2 * 5 + 1, so e_255 < 11 * 383 < 2^13 units at G, and the table
+#   T_i >> 16 is within 1 + 2^-3 units (at P) of 2^P 2^(i/256).
+# Then t = r L >> B is within 1 + 2^-7 units of 2^P s, A = exp(t) within
+# 3.02 + 1.003 * 1.008 < 5, and v = T_i A >> P within 1.13 * 1.003
+# + 2 * 5 + 1 < 13 of 2^P 2^(u/2^B): _POW2_ERR = 16 units bounds it.
+_POW2_ERR = 16
+
+
+def _exp_fixed(t: int, prec: int, coeffs: tuple) -> int:
+    """Horner for 2^prec e^(t/2^prec), coefficients c_n, ..., c_0."""
+    acc = 0
+    for c in coeffs:
+        acc = c + (acc * t >> prec)
+    return acc
+
+
+@lru_cache(maxsize=8)
+def _pow2_tables(bits: int):
+    """(P, Horner coefficients at P, ln 2 at P, 2^(i/256) at P for i < 256),
+    as derived above."""
+    P = bits + 64
+    G = P + 16
+
+    def coeffs(prec):
+        m = 1
+        while (factorial(m) << 8 * m) < 1 << (prec + 1):
+            m += 1
+        return tuple((1 << prec) // factorial(j) for j in reversed(range(m)))
+
+    g = G + 32
+    ln2 = sum((1 << g) // (k << k) for k in range(1, g + 1)) >> 32
+    t1 = _exp_fixed(ln2 >> 8, G, coeffs(G))
+    table = [1 << G]
+    for _ in range(255):
+        table.append(table[-1] * t1 >> G)
+    return P, coeffs(P), ln2 >> 16, tuple(v >> 16 for v in table)
+
+
+def _pow2_fixed(u: int, bits: int) -> int:
+    """2^(u/2^bits) times 2^(bits+64), within _POW2_ERR, for 0 < u < 2^bits."""
+    P, coeffs, ln2, table = _pow2_tables(bits)
+    t = (u & ((1 << (bits - 8)) - 1)) * ln2 >> bits
+    return table[u >> (bits - 8)] * _exp_fixed(t, P, coeffs) >> P
+
+
+def _gauss_mantissa(u: int, bits: int) -> int:
+    """floor(2^B (2^(u/2^B) - 1)) as mpmath gives it at B + 64 bits.
+
+    The integer estimate decides the floor where its 64 bits below 2^-B sit
+    farther than _POW2_ERR + 2^32 units from a multiple of 2^-B: then the
+    true value, and mpmath's within 2^-(B+32) of it, lie in its cell."""
+    v = _pow2_fixed(u, bits)
+    low, margin = v & ((1 << 64) - 1), _POW2_ERR + (1 << 32)
+    if margin < low < (1 << 64) - margin:
+        return (v >> 64) - (1 << bits)
+    import mpmath
+    with mpmath.workprec(bits + 64):
+        a = mpmath.mpf(2) ** (mpmath.mpf(u) / (1 << bits)) - 1
+        return int(mpmath.floor(a * (1 << bits)))
 
 
 def _farey_draw(gen: np.random.Generator, Q: int, min_q: int) -> Tuple[int, int]:
@@ -176,13 +261,7 @@ def sample_irrational(measure: str, bits: int = 256, seed: int = 0,
         u = _rand_bits(gen, bits)
         if u == 0:
             continue
-        if measure == "lebesgue":
-            mant = u
-        else:
-            import mpmath
-            with mpmath.workprec(bits + 64):
-                a = mpmath.mpf(2) ** (mpmath.mpf(u) / (1 << bits)) - 1
-                mant = int(mpmath.floor(a * (1 << bits)))
+        mant = u if measure == "lebesgue" else _gauss_mantissa(u, bits)
         if mant:
             return Alpha.from_bits(mant, bits)
 

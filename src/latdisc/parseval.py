@@ -36,7 +36,7 @@ from .intervals import (
     ZETA3_16PI4,
     ceil_div,
 )
-from .lattice import build_L, build_S, step_words
+from .lattice import build_L, build_S, near, step_words
 
 _SCALE_BITS = 64
 _EXACT_TERM_LIMIT = 3000
@@ -76,12 +76,13 @@ def _norm_floats(step: int, mod: int, m_start: int, m_end: int):
     """(m, x) per block of m_start <= m <= m_end < 2^32, x = ||m step/mod||
     correctly rounded: the high word of ||W|| with a sticky last bit (it cuts
     two or more bits, so no tie) where that word is >= 2^54 and m is off the
-    near set of step_words; else exact, from m step mod mod."""
-    for _, n, _, mid, low, near in step_words([step], mod, m_start,
-                                              m_end + 1, _BLOCK):
+    near set; else exact, from m step mod mod."""
+    for _, n, _, mid, low, inexact in step_words([step], mod, m_start,
+                                                 m_end + 1, _BLOCK):
+        close = near(n, low[0], inexact[0])
         mid, low = _fold(mid[0], low[0])
         x = (mid | (low != 0)).astype(np.float64) * 2.0 ** -64
-        for i in np.flatnonzero(near[0] | (mid < 1 << 54)).tolist():
+        for i in np.flatnonzero(close | (mid < 1 << 54)).tolist():
             x[i] = min(v := int(n[i]) * step % mod, mod - v) / mod
         yield n, x
 
@@ -383,8 +384,11 @@ def _enclosure(alpha, N: int, K: Optional[int], sym: bool) -> Enclosure:
     q_lo, q_hi = alpha.q(K - 1), alpha.q(K)
     if not (q_lo <= N <= q_hi):
         raise ValueError(f"need q_(K-1) <= N <= q_K, got K={K}, N={N}")
-    main = dioph_sum2(alpha, 1, q_lo - 1) * INV_4PI4
-    window = dioph_sum2(alpha, q_lo, q_hi - 1)
+    if K not in alpha.sums:  # shared by S and L and every N of this K
+        alpha.sums[K] = (dioph_sum2(alpha, 1, q_lo - 1),
+                         dioph_sum2(alpha, q_lo, q_hi - 1))
+    main, window = alpha.sums[K]
+    main = main * INV_4PI4
     tq = window * INV_4PI4
     # the last pair, (a_K, q_{K-1}), pads the window; the others enter the
     # budget's zeta(3) sum

@@ -326,6 +326,34 @@ def quotients_of_fraction(x: Fraction, count: int):
     return a0, out
 
 
+def cf_of_bits(mantissa: int, bits: int) -> tuple:
+    """The certified quotient prefix of mantissa/2^bits, read eagerly: Euclid
+    on (2^bits, mantissa) until the next convergent denominator q would have
+    q^2 > 2^(bits-64)."""
+    limit = 1 << (bits - 64)
+    terms = []
+    qk_1, qk = 0, 1
+    a, b = 1 << bits, mantissa
+    while b:
+        t, r = divmod(a, b)
+        qn = t * qk + qk_1
+        if qn * qn > limit:
+            break
+        terms.append(t)
+        qk_1, qk = qk, qn
+        a, b = b, r
+    return tuple(terms)
+
+
+def gauss_mantissa(u: int, bits: int) -> int:
+    """floor(2^bits (2^(u/2^bits) - 1)) by mpmath at bits + 64 bits: the
+    inverse CDF of the Gauss measure at u/2^bits."""
+    import mpmath
+    with mpmath.workprec(bits + 64):
+        a = mpmath.mpf(2) ** (mpmath.mpf(u) / (1 << bits)) - 1
+        return int(mpmath.floor(a * (1 << bits)))
+
+
 def sqrt_mantissa(D: int, bits: int) -> int:
     """floor(frac(sqrt(D)) * 2^bits), exactly."""
     s = isqrt(D << (2 * bits))

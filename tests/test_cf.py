@@ -1,12 +1,13 @@
 """Continued fraction construction, convergents and quotient statistics."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latdisc.cf import (
     ContinuedFraction,
@@ -25,6 +26,7 @@ from latdisc.cf import (
 from latdisc.fixedpoint import eval_alpha
 from latdisc.quadratic import period_matrix
 
+import oracles
 from oracles import sqrt_mantissa
 
 
@@ -261,6 +263,48 @@ class TestTruncated:
         cf = cf_of_bits(1 << 200, 256)
         with pytest.raises(PrecisionExhausted):
             cf.quotient(len(cf.body.terms) + 1)
+
+    # free mantissas, and mantissas a few ulps off p/2^j, whose prefix ends
+    # early or carries a huge quotient
+    @given(bits=st.integers(128, 320), mant=st.integers(0, (1 << 320) - 1),
+           near=st.booleans(), j=st.integers(0, 60), t=st.integers(-3, 3),
+           reads=st.lists(st.integers(1, 90), max_size=12),
+           shown=st.integers(1, 90), cut=st.integers(1, 90))
+    @settings(max_examples=150, deadline=None)
+    # q_1 = 2^32 has q_1^2 = 2^(bits-64) exactly, which the prefix keeps
+    @example(bits=128, mant=1 << 96, near=False, j=0, t=0, reads=[2, 1],
+             shown=3, cut=1)
+    def test_lazy_prefix_is_the_eager_euclid(self, bits, mant, near, j, t,
+                                            reads, shown, cut):
+        from latdisc.alphas import Alpha
+        from latdisc.cf import PrecisionExhausted
+
+        mod = 1 << bits
+        mant %= mod
+        if near:
+            mant = ((mant >> (bits - j) << (bits - j)) + t) % mod
+        eager = oracles.cf_of_bits(mant, bits)
+        past = f"^expansion truncated after {len(eager)} quotients$"
+        cf = cf_of_bits(mant, bits)
+        for k in reads:  # in the drawn order, past the end too
+            if k <= len(eager):
+                assert cf.quotient(k) == eager[k - 1]
+            else:
+                with pytest.raises(PrecisionExhausted, match=past):
+                    cf.quotient(k)
+        assert cf.render(shown) == "[0;%s,...]" % ",".join(
+            map(str, eager[:shown]))
+        assert cf.body.terms == eager and cf.length == len(eager)
+        with pytest.raises(PrecisionExhausted, match=past):
+            cf.quotient(len(eager) + 1)
+
+        # an Alpha read part way pickles, and its copy reads on alike
+        alpha = Alpha.from_bits(mant, bits)
+        if eager:
+            alpha.q(min(cut, len(eager)))
+        copy = pickle.loads(pickle.dumps(alpha))
+        assert copy.label == alpha.label
+        assert copy.cf.body.terms == alpha.cf.body.terms == eager
 
 
 class TestStats:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latdisc import metric
 from latdisc.metric import (
@@ -22,7 +23,7 @@ from latdisc.metric import (
     trimmed_quotient_mean,
 )
 
-from oracles import levy_cdf_quadrature
+from oracles import gauss_mantissa, levy_cdf_quadrature
 
 
 class TestLevy:
@@ -168,6 +169,61 @@ class TestSampling:
             assert all(x >= 1 for x in a.cf.body.terms)
         with pytest.raises(ValueError):
             sample_irrational("cauchy", 256, 1, 0)
+
+    @pytest.mark.parametrize("bits", [128, 130, 192, 256, 320])
+    def test_rand_bits_are_the_generator_bytes(self, bits):
+        for seed in range(4):
+            gen, ref = metric._substream(seed, 7), metric._substream(seed, 7)
+            for _ in range(2):  # a second draw is the u = 0 redraw
+                want = int.from_bytes(ref.bytes((bits + 7) // 8), "big")
+                assert metric._rand_bits(gen, bits) == want & ((1 << bits) - 1)
+
+    @given(bits=st.sampled_from([128, 256, 320, 1000]),
+           seed=st.integers(0, 1 << 32), index=st.integers(0, 1 << 40))
+    @settings(max_examples=40, deadline=None)
+    def test_gauss_draw_is_the_mpmath_floor(self, bits, seed, index):
+        gen = metric._substream(seed, index)
+        mant = 0
+        while not mant:
+            u = int.from_bytes(gen.bytes((bits + 7) // 8), "big")
+            u &= (1 << bits) - 1
+            mant = u and gauss_mantissa(u, bits)
+        assert sample_irrational("gauss", bits, seed, index).label == \
+            f"bits:{mant:x}@{bits}"
+
+    # free u, small u, and u next to a table step i 2^(B-8)
+    @given(bits=st.sampled_from([128, 256, 320, 1000]),
+           u=st.integers(1, (1 << 1000) - 1), shift=st.integers(0, 999),
+           step=st.booleans(), i=st.integers(0, 256), d=st.integers(-2, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_gauss_mantissa_matches_mpmath(self, bits, u, shift, step, i, d):
+        import mpmath
+        u = (u % (1 << bits)) >> (shift % bits)
+        if step:
+            u = ((i << (bits - 8)) + d) % (1 << bits)
+        u = u or 1
+        assert metric._gauss_mantissa(u, bits) == gauss_mantissa(u, bits)
+        # the integer estimate is within its bound of 2^(u/2^B) 2^(B+64)
+        with mpmath.workprec(bits + 264):
+            true = mpmath.mpf(2) ** (mpmath.mpf(u) / (1 << bits) + bits + 64)
+            assert abs(metric._pow2_fixed(u, bits) - true) <= \
+                metric._POW2_ERR
+
+    @pytest.mark.parametrize("low", ["lo_edge", "hi_edge"])
+    def test_gauss_fallback_is_mpmath(self, monkeypatch, low):
+        # an estimate at its cell's edge whose floor is five cells off: only
+        # the mpmath fallback gets the draw right
+        bits, u = 256, 0x9E3779B97F4A7C15F39CC0605CEDC8341082276BF3A27251
+        margin = metric._POW2_ERR + (1 << 32)
+        low = margin if low == "lo_edge" else (1 << 64) - margin
+        top = (metric._pow2_fixed(u, bits) >> 64) + 5
+        monkeypatch.setattr(metric, "_pow2_fixed",
+                            lambda u, bits: (top << 64) + low)
+        assert metric._gauss_mantissa(u, bits) == gauss_mantissa(u, bits)
+        # one unit inside the margin the floor is taken, as it stands
+        monkeypatch.setattr(metric, "_pow2_fixed",
+                            lambda u, bits: (top << 64) + margin + 1)
+        assert metric._gauss_mantissa(u, bits) == top - (1 << bits)
 
     def test_truncation_length_distribution(self):
         # with B = 256 and the q^2 > 2^(B-64) cutoff the prefix length sits
