@@ -169,9 +169,9 @@ def _emit_sweep(result, args, threshold_key) -> None:
         for r in result.rows:
             print(f"{r.ident},{r.source},{_fmt(r.stat)},{r.estimator},"
                   f"{_fmt(r.enclosure_width)}")
-        # on stderr only, which leaves stdout's format unchanged
-        print(json.dumps({**summary, "resampled": result.resampled}),
-              file=sys.stderr)
+    # on stderr only, which leaves stdout's format unchanged
+    print(json.dumps({**summary, "resampled": result.resampled}),
+          file=sys.stderr)
 
 
 def _cmd_sweep_rational(args) -> int:

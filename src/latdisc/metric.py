@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import factorial, gcd
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,6 +146,102 @@ def _rand_bits(gen: np.random.Generator, bits: int) -> int:
     return x & ((1 << bits) - 1)
 
 
+# _rand_bits(_substream(seed, i), bits) for many i at once.  numpy keys
+# Philox by SeedSequence, whose uint32 hash is O'Neill's seed_seq scheme:
+# the entropy words are the seed's 32-bit words, padded with zeros to 4
+# because a spawn key follows, then the key word i.  The first 4 are hashed
+# into a 4-word pool, the pool words are mixed with each other, and every
+# further word is mixed into each pool word; generate_state(2, uint64)
+# hashes the pool into the two Philox key words.  Philox4x64-10 (Salmon et
+# al., SC 2011) then fills its buffer from counters 1, 2, ...  The hash
+# constants run through a fixed sequence, so only the mix of i and what
+# follows it depend on i.
+_M32 = 0xFFFFFFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # pool mixing: first constant, multiplier
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # generate_state
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _hash(v, h: int, mult: int):
+    """SeedSequence's hash of v (an int or a uint32 array) under the running
+    constant h: (the hashed v, the next constant)."""
+    h2 = h * mult & _M32
+    v = (v ^ h) * h2 & _M32
+    return v ^ v >> 16, h2
+
+
+def _mix(x, y):
+    r = ((0xCA01F9DD * x & _M32) - (0x4973F715 * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _absorb(pool: list, h: int, w) -> int:
+    """Mix one more entropy word w into every pool word; the next constant."""
+    for d in range(4):
+        v, h = _hash(w, h, _HASH_A[1])
+        pool[d] = _mix(pool[d], v)
+    return h
+
+
+def _seed_pool(seed: int) -> Tuple[list, int]:
+    """SeedSequence's pool once the words of seed >= 0 are mixed in, and the
+    hash constant reached there."""
+    words = [seed >> s & _M32 for s in range(0, max(32, seed.bit_length()), 32)]
+    words += [0] * (4 - len(words))
+    pool, h = [], _HASH_A[0]
+    for w in words[:4]:
+        v, h = _hash(w, h, _HASH_A[1])
+        pool.append(v)
+    for s in range(4):
+        for d in range(4):
+            if s != d:
+                v, h = _hash(pool[s], h, _HASH_A[1])
+                pool[d] = _mix(pool[d], v)
+    for w in words[4:]:
+        h = _absorb(pool, h, w)
+    return pool, h
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """The high and low 64-bit words of m * x, over 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & _M32)
+    x_hi, x_lo = x >> 32, x & _M32
+    ll, hl, lh = m_lo * x_lo, m_hi * x_lo, m_lo * x_hi
+    mid = (ll >> 32) + (hl & _M32) + lh  # <= 2 (2^32 - 1) + (2^32 - 1)^2
+    return m_hi * x_hi + (hl >> 32) + (mid >> 32), x * np.uint64(m)
+
+
+def _first_draws(seed: int, index, bits: int) -> List[int]:
+    """[_rand_bits(_substream(seed, i), bits) for i in index], for seed >= 0
+    and every i < 2^32, in one numpy pass."""
+    i = np.asarray(index, dtype=np.uint32)
+    pool, h = _seed_pool(seed)
+    _absorb(pool, h, i)
+    h = _HASH_B[0]
+    for d in range(4):
+        pool[d], h = _hash(pool[d], h, _HASH_B[1])
+    pool = [p.astype(np.uint64) for p in pool]
+    k0 = (pool[0] | pool[1] << 32)[:, None]
+    k1 = (pool[2] | pool[3] << 32)[:, None]
+    nbytes = (bits + 7) // 8
+    shape = (len(i), -(-nbytes // 32))  # 32 bytes a Philox block
+    zero = np.zeros(shape, np.uint64)
+    c = [np.broadcast_to(np.arange(1, shape[1] + 1, dtype=np.uint64), shape),
+         zero, zero, zero]
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
+        c = [hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0]
+    words = np.stack(c, axis=-1).reshape(len(i), -1).astype("<u8")
+    raw = words.view(np.uint8)[:, :nbytes].tobytes()
+    mask = (1 << bits) - 1
+    return [int.from_bytes(raw[k:k + nbytes], "big") & mask
+            for k in range(0, len(raw), nbytes)]
+
+
 # 2^(u/2^B) for 0 < u < 2^B in integers at P = B + 64 fraction bits (a unit
 # is 2^-P): u = i 2^(B-8) + r with r < 2^(B-8) gives 2^(u/2^B) = 2^(i/256)
 # e^s with 0 <= s = r ln2/2^B < 2^-8.  Per B, with G = P + 16:
@@ -245,23 +341,29 @@ def farey_sample(Q: int, M: int, seed: int) -> List[Tuple[int, int]]:
 
 
 def sample_irrational(measure: str, bits: int = 256, seed: int = 0,
-                      index: int = 0) -> Alpha:
+                      index: int = 0, first: Optional[int] = None) -> Alpha:
     """One random alpha with its certified mantissa and truncated expansion.
 
     lebesgue: uniform B-bit mantissa.  gauss: alpha = 2^u - 1 with u uniform,
     the inverse CDF of the measure (1/log 2) dx/(1+x).  Zero mantissas are
-    measure-zero endpoints and are redrawn.
+    measure-zero endpoints and are redrawn.  `first`, if given, is the
+    substream's first draw as _first_draws computes it; a redraw starts the
+    substream over.
     """
     if measure not in ("lebesgue", "gauss"):
         raise ValueError("measure must be 'lebesgue' or 'gauss'")
     if bits < 128:
         raise ValueError("bits must be >= 128")
+
+    def mantissa(u):
+        return u if measure == "lebesgue" or not u else _gauss_mantissa(u, bits)
+
+    mant = first and mantissa(first)
+    if mant:
+        return Alpha.from_bits(mant, bits)
     gen = _substream(seed, index)
     while True:
-        u = _rand_bits(gen, bits)
-        if u == 0:
-            continue
-        mant = u if measure == "lebesgue" else _gauss_mantissa(u, bits)
+        mant = mantissa(_rand_bits(gen, bits))
         if mant:
             return Alpha.from_bits(mant, bits)
 
@@ -299,6 +401,10 @@ class SweepConfig:
             raise ValueError("farey modes need Q >= 2")
         if self.mode != "farey_full" and self.M < 1:
             raise ValueError("sampled modes need M >= 1")
+        if self.M >= 1 << 32:  # a redraw keys index + r 2^32
+            raise ValueError("M must be < 2^32")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.mode == "irrational" and self.N < 2:
             raise ValueError("irrational mode needs N >= 2")
 
@@ -397,10 +503,11 @@ def rational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
 
 
 def _irrational_stat(args) -> Tuple[str, float, float, int]:
-    measure, bits, seed, index, N, estimator = args
+    measure, bits, seed, index, N, estimator, first = args
     retries = 0
     while True:
-        alpha = sample_irrational(measure, bits, seed, index + (retries << 32))
+        alpha = sample_irrational(measure, bits, seed, index + (retries << 32),
+                                  None if retries else first)
         try:
             K = alpha.index_for(N)
             if estimator == "cf_moment":
@@ -421,8 +528,9 @@ def irrational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     cf_moment scores (2 log^2 2 / pi) K^-2 sum a_k^2 at K with q_K >= N."""
     if cfg.mode != "irrational":
         raise ValueError("irrational_sweep needs mode='irrational'")
-    args = [(cfg.measure, cfg.bits, cfg.seed, i, cfg.N, cfg.estimator)
-            for i in range(cfg.M)]
+    draws = _first_draws(cfg.seed, np.arange(cfg.M, dtype=np.uint32), cfg.bits)
+    args = [(cfg.measure, cfg.bits, cfg.seed, i, cfg.N, cfg.estimator, u)
+            for i, u in enumerate(draws)]
     return _sweep(_map(_irrational_stat, args, 16, threads), cfg.estimator)
 
 

@@ -128,6 +128,19 @@ def test_sweep_irrational_json(capsys):
     assert doc["summary"]["n"] == 5
 
 
+def test_sweep_json_reports_resampled_on_stderr(capsys):
+    argv = ["sweep-irrational", "--M", "40", "--bits", "128", "--N",
+            "1000000000", "--estimator", "cf_moment"]
+    assert main(argv) == 0
+    csv = capsys.readouterr()
+    assert main([*argv, "--out", "json"]) == 0
+    js = capsys.readouterr()
+    assert js.err == csv.err
+    summary = json.loads(js.err)
+    assert summary.pop("resampled") == 12
+    assert json.loads(js.out)["summary"] == summary
+
+
 def test_threads_byte_identical():
     a = run_cli("sweep-rational", "--Q", "25", "--mode", "full", "--threads", "1")
     b = run_cli("sweep-rational", "--Q", "25", "--mode", "full", "--threads", "2")
@@ -311,6 +324,9 @@ def test_exit_codes():
     ("disc --alpha 1/x --N 3", "unrecognized alpha spec: '1/x'"),
     ("disc --alpha bits:zz@256 --N 3", "bad bits spec: 'bits:zz@256'"),
     ("disc --alpha bits:ff@x --N 3", "bad bits spec: 'bits:ff@x'"),
+    ("sweep-irrational --N 100 --M 5 --seed -1", "seed must be >= 0"),
+    ("sweep-rational --Q 5 --mode sample --seed -2", "seed must be >= 0"),
+    ("sweep-irrational --N 100 --M 4294967296", "M must be < 2^32"),
 ])
 def test_input_error_messages_exit_2(argv, err, capsys):
     assert main(argv.split()) == 2

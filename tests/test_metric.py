@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latdisc import metric
 from latdisc.metric import (
@@ -178,6 +178,25 @@ class TestSampling:
                 want = int.from_bytes(ref.bytes((bits + 7) // 8), "big")
                 assert metric._rand_bits(gen, bits) == want & ((1 << bits) - 1)
 
+    # seeds of 1 to 7 entropy words, spawn keys up to 2^32 - 1
+    @given(seed=st.integers(0, 200).flatmap(lambda b: st.integers(0, 1 << b)),
+           bits=st.sampled_from([128, 129, 130, 192, 200, 256, 320, 1000]),
+           index=st.sampled_from([0, (1 << 32) - 1])
+           | st.integers(0, (1 << 32) - 1),
+           count=st.integers(1, 30))
+    @example(seed=1 << 200, bits=256, index=(1 << 32) - 1, count=2)
+    @example(seed=(1 << 160) - 1, bits=129, index=0, count=3)
+    @settings(max_examples=60, deadline=None)
+    def test_first_draws_are_the_substream_draws(self, seed, bits, index,
+                                                 count):
+        def draw(i):
+            return metric._rand_bits(metric._substream(seed, i), bits)
+
+        assert metric._first_draws(seed, [index], bits) == [draw(index)]
+        start = min(index, (1 << 32) - count)
+        assert metric._first_draws(seed, range(start, start + count), bits) \
+            == [draw(i) for i in range(start, start + count)]
+
     @given(bits=st.sampled_from([128, 256, 320, 1000]),
            seed=st.integers(0, 1 << 32), index=st.integers(0, 1 << 40))
     @settings(max_examples=40, deadline=None)
@@ -278,6 +297,33 @@ class TestSweeps:
         cfg = SweepConfig(mode="irrational", N=100, M=12, seed=9,
                           estimator="cf_moment")
         assert irrational_sweep(cfg, threads=1) == irrational_sweep(cfg, threads=2)
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "gauss"])
+    def test_irrational_rows_are_the_single_draws(self, measure):
+        cfg = SweepConfig(mode="irrational", N=1000, M=30, seed=21,
+                          measure=measure, estimator="cf_moment")
+        want = [sample_irrational(measure, 256, 21, i).label for i in range(30)]
+        for threads in (1, 2):
+            res = irrational_sweep(cfg, threads=threads)
+            assert [r.source for r in res.rows] == want
+
+    def test_zero_first_draw_is_drawn_again(self, monkeypatch):
+        cfg = SweepConfig(mode="irrational", N=1000, M=8, seed=4,
+                          estimator="cf_moment")
+        want = irrational_sweep(cfg)
+        kernel, substream, keys = metric._first_draws, metric._substream, []
+
+        def zero_at_3(seed, index, bits):
+            draws = kernel(seed, index, bits)
+            draws[3] = 0
+            return draws
+
+        monkeypatch.setattr(metric, "_first_draws", zero_at_3)
+        assert irrational_sweep(cfg, threads=2) == want
+        monkeypatch.setattr(metric, "_substream",
+                            lambda *key: keys.append(key) or substream(*key))
+        assert irrational_sweep(cfg) == want
+        assert keys == [(4, 3)]  # only sample 3 took the scalar path
 
     def test_pool_never_larger_than_rows_or_cpus(self, monkeypatch):
         started = []
