@@ -17,6 +17,7 @@ from .cf import (
     ContinuedFraction,
     ExpansionExhausted,
     QuadraticSurd,
+    Truncated,
     cf_of_bits,
     cf_of_rational,
     cf_of_surd,
@@ -73,7 +74,7 @@ class Alpha:
 
     @classmethod
     def from_bits(cls, mantissa: int, bits: int) -> "Alpha":
-        cf = cf_of_bits(mantissa, _width(bits))
+        cf = cf_of_bits(mantissa, bits)
         # the dyadic mantissa itself realizes the sampled real to one ulp
         value = FixedPointReal(mantissa, bits, 1)
         return cls(cf, value, f"bits:{mantissa:x}@{bits}")
@@ -104,18 +105,15 @@ class Alpha:
 
     # -- convergent cache ---------------------------------------------------
 
-    def _extend(self, k: int) -> None:
-        while len(self._q) - 2 < k:
-            a = self.cf.quotient(len(self._q) - 1)
-            self._q.append(a * self._q[-1] + self._q[-2])
-
     def a(self, k: int) -> int:
         return self.cf.quotient(k)
 
     def q(self, k: int) -> int:
         """Convergent denominator q_k (k >= -1)."""
-        self._extend(k)
-        return self._q[k + 1]
+        q = self._q
+        while len(q) - 2 < k:
+            q.append(self.cf.quotient(len(q) - 1) * q[-1] + q[-2])
+        return q[k + 1]
 
     def index_for(self, N: int) -> int:
         """Smallest K >= 1 with q_K >= N, so q_{K-1} <= N <= q_K.
@@ -129,6 +127,13 @@ class Alpha:
         K = bisect_left(q, N, 2) - 1  # q_K sits at q[K + 1]
         if K + 2 <= len(q):
             return K
+        body = self.cf.body
+        if isinstance(body, Truncated):
+            # q_(K-1) < N: a prefix that grows here and goes on stopped at
+            # the first q_j >= N, so j is its length (q fills on demand)
+            n = len(body.known)
+            if len(body.grow(K, N)) > n and body.state:
+                return len(body.known)
         try:
             for a in self.cf.quotients(K):
                 q.append(a * q[-1] + q[-2])

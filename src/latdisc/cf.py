@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 from math import inf, isqrt
+from operator import mul
 from typing import Callable, Iterator, List, NamedTuple, Optional, Union
 
 
@@ -52,52 +53,50 @@ class Rule:
 class Truncated:
     """A known-correct prefix of an expansion; asking past it is an error.
 
-    The prefix grows on demand, one Euclid step (a, b) -> (b, a mod b) per
-    quotient t = a // b, and ends before the first convergent denominator
-    t q_k + q_(k-1) whose square exceeds limit: q_k runs inline, not through
-    iter_convergents, as the stopping rule.  The state (a, b, q_(k-1), q_k,
-    limit), None once the prefix has ended, is plain ints, so an expansion
-    pickles part way through.
+    One call to grow runs as many Euclid steps (a, b) -> (b, a mod b), one
+    quotient t = a // b each, as its reader asks for.  The prefix ends
+    before the first convergent denominator t q_k + q_(k-1) whose square
+    exceeds limit: q_k runs inline as the stopping rule.  The state (a, b,
+    q_(k-1), q_k, limit), None once the prefix has ended, is plain ints, so
+    an expansion pickles part way through.
     """
 
     def __init__(self, a: int, b: int, limit: int):
         self.known: List[int] = []
         self.state = (a, b, 0, 1, limit)
 
-    def grow(self, k) -> int:
-        """Extend the prefix to k quotients, or to its end; its length."""
+    def grow(self, k, N: int = 0) -> List[int]:
+        """The prefix, extended to at least k quotients and on to the first
+        convergent denominator q_j >= N, or to its end."""
         known = self.known
-        if len(known) >= k or self.state is None:
-            return len(known)
+        if self.state is None:
+            return known
+        n = len(known)
         a, b, q1, q, limit = self.state
-        while len(known) < k:
-            if not b:
-                self.state = None
-                return len(known)
+        while (n < k or q < N) and b:
             t, r = divmod(a, b)
             qn = t * q + q1
             if qn * qn > limit:
-                self.state = None
-                return len(known)
+                b = 0  # the prefix ends here, as at a zero remainder
+                break
             known.append(t)
             a, b, q1, q = b, r, q, qn
-        self.state = (a, b, q1, q, limit)
-        return len(known)
+            n += 1
+        self.state = (a, b, q1, q, limit) if b else None
+        return known
 
-    def quotients(self, k: int) -> Iterator[int]:
-        """a_k, a_(k+1), ... to the end of the prefix, then the error."""
-        known = self.known
-        while k <= len(known) or self.grow(k) >= k:
-            yield known[k - 1]
-            k += 1
-        raise PrecisionExhausted(
-            f"expansion truncated after {len(self.known)} quotients")
+    def upto(self, k: int) -> List[int]:
+        """The prefix grown to at least k quotients, or the error."""
+        known = self.grow(k)
+        if len(known) < k:
+            raise PrecisionExhausted(
+                f"expansion truncated after {len(known)} quotients")
+        return known
 
     @property
     def terms(self) -> tuple:
         """The whole prefix."""
-        self.grow(inf)
-        return tuple(self.known)
+        return tuple(self.grow(inf))
 
 
 Body = Union[Finite, Periodic, Rule, Truncated]
@@ -122,7 +121,7 @@ class ContinuedFraction:
                 )
             return body.terms[k - 1]
         if isinstance(body, Truncated):
-            return next(body.quotients(k))
+            return body.upto(k)[k - 1]
         if isinstance(body, Periodic):
             r = len(body.preperiod)
             if k <= r:
@@ -133,8 +132,6 @@ class ContinuedFraction:
     def quotients(self, k: int = 1) -> Iterator[int]:
         """a_k, a_(k+1), ... (k >= 1); past the end of the expansion the
         iteration raises as quotient() does."""
-        if isinstance(self.body, Truncated):
-            return self.body.quotients(k)
         return map(self.quotient, count(k))
 
     @property
@@ -158,8 +155,7 @@ class ContinuedFraction:
             inner = per if not pre else pre + "," + per
             return "[%d;%s]" % (self.a0, inner)
         if isinstance(body, Truncated):
-            body.grow(max_terms)
-            shown = ",".join(map(str, body.known[:max_terms]))
+            shown = ",".join(map(str, body.grow(max_terms)[:max_terms]))
             return "[%d;%s,...]" % (self.a0, shown)
         shown = ",".join(str(body.fn(k)) for k in range(1, max_terms + 1))
         return "[%d;%s,...]" % (self.a0, shown)
@@ -171,8 +167,7 @@ class Convergent(NamedTuple):
     q: int
 
 
-@dataclass(frozen=True)
-class CFStats:
+class CFStats(NamedTuple):
     """Exact partial-quotient statistics over k = 1..K."""
 
     K: int
@@ -332,7 +327,7 @@ def cf_of_bits(mantissa: int, bits: int) -> ContinuedFraction:
     those of any real within one ulp of mantissa / 2^bits.
     """
     if bits < 128:
-        raise ValueError("need bits >= 128 for a trustworthy prefix")
+        raise ValueError("bits must be >= 128")
     if not 0 <= mantissa < (1 << bits):
         raise ValueError("mantissa out of range")
     return ContinuedFraction(
@@ -364,8 +359,9 @@ def cf_stats(cf: ContinuedFraction, K: int) -> CFStats:
     """Exact sums of a_k, a_k^2, (-1)^k a_k and max a_k over k = 1..K."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    a = list(islice(cf.quotients(), K))
-    return CFStats(K, sum(a), sum(v * v for v in a),
+    a = (cf.body.upto(K)[:K] if isinstance(cf.body, Truncated)
+         else [cf.quotient(k) for k in range(1, K + 1)])
+    return CFStats(K, sum(a), sum(map(mul, a, a)),
                    sum(a[1::2]) - sum(a[::2]), max(a))
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import factorial, gcd
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,15 +59,13 @@ def kolmogorov_distance(samples: Sequence[float]) -> float:
     """sup_t |F_n(t) - F(t)| for the empirical distribution F_n of samples
     and the standard Levy CDF F, over the sample points (both one-sided
     gaps)."""
-    xs = sorted(float(v) for v in samples)
+    xs = np.sort(np.array(samples, dtype=float))
     n = len(xs)
     if n < 1:
         raise ValueError("empirical distribution is empty")
-    d = 0.0
-    for i, x in enumerate(xs, start=1):
-        fx = levy_cdf(x)
-        d = max(d, abs(i / n - fx), abs((i - 1) / n - fx))
-    return d
+    fx = np.array(list(map(levy_cdf, xs.tolist())))
+    i = np.arange(n + 1) / n
+    return float(max(np.abs(i[1:] - fx).max(), np.abs(i[:-1] - fx).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +405,11 @@ class SweepConfig:
             raise ValueError("seed must be >= 0")
         if self.mode == "irrational" and self.N < 2:
             raise ValueError("irrational mode needs N >= 2")
+        if self.mode == "irrational" and self.bits < 128:
+            raise ValueError("bits must be >= 128")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     ident: str
     source: str
     stat: float

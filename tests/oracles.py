@@ -4,7 +4,8 @@ Everything here is deliberately written against different machinery than the
 library paths it checks: symbolic cell integration and an x-sorted merge
 sweep for the discrepancy, term-by-term big-integer Diophantine sums,
 exact factorial/sine series for e and tan 1, integer square roots for
-surds, and adaptive quadrature for the Levy law.
+surds, adaptive quadrature for the Levy law, and a point-by-point loop for
+its Kolmogorov distance.
 """
 
 from __future__ import annotations
@@ -370,3 +371,16 @@ def levy_cdf_quadrature(t: float) -> float:
         lambda x: math.exp(-1.0 / (2.0 * x)) / (math.sqrt(2 * math.pi) * x ** 1.5),
         0.0, t, limit=200)
     return val
+
+
+def kolmogorov_distance(samples) -> float:
+    """sup_t |F_n(t) - F(t)| against latdisc's Levy CDF, one sorted sample
+    point at a time: both one-sided gaps, in plain Python floats."""
+    from latdisc.metric import levy_cdf
+    xs = sorted(float(v) for v in samples)
+    n = len(xs)
+    d = 0.0
+    for i, x in enumerate(xs, start=1):
+        fx = levy_cdf(x)
+        d = max(d, abs(i / n - fx), abs((i - 1) / n - fx))
+    return d

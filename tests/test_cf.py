@@ -306,6 +306,75 @@ class TestTruncated:
         assert copy.label == alpha.label
         assert copy.cf.body.terms == alpha.cf.body.terms == eager
 
+    # reads of an Alpha in any order: index_for at N = 2^e + d or q_j + d,
+    # stats(K), quotient(k), and a pickle round trip part way
+    @given(bits=st.integers(128, 320), mant=st.integers(0, (1 << 320) - 1),
+           near=st.booleans(), j=st.integers(0, 60), t=st.integers(-3, 3),
+           reads=st.lists(st.tuples(
+               st.sampled_from(["index_2e", "index_q", "stats", "quotient",
+                                "pickle"]),
+               st.integers(0, 170), st.integers(-1, 1)), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    @example(bits=256, mant=0x6A09E667F3BCC908B2FB1366EA957D3E << 128,
+             near=False, j=0, t=0, reads=[("quotient", 19, 0), ("stats", 4, 0),
+                                          ("index_q", 3, 0), ("pickle", 0, 0),
+                                          ("index_q", 30, 0)])
+    def test_alpha_reads_are_the_eager_euclid(self, bits, mant, near, j, t,
+                                             reads):
+        from latdisc.alphas import Alpha
+        from latdisc.cf import PrecisionExhausted
+
+        mod = 1 << bits
+        mant %= mod
+        if near:
+            mant = ((mant >> (bits - j) << (bits - j)) + t) % mod
+        eager = oracles.cf_of_bits(mant, bits)
+        past = f"^expansion truncated after {len(eager)} quotients$"
+        qs = [1]  # q_0, q_1, ...
+        for a in eager:
+            qs.append(a * qs[-1] + (qs[-2] if len(qs) > 1 else 0))
+        def first_K(N):  # the least K >= 1 with q_K >= N, or None
+            return next((K for K in range(1, len(qs)) if qs[K] >= N), None)
+
+        for K in range(1, len(qs)):  # a fresh alpha grows exactly to K
+            for N in (qs[K - 1] + 1, qs[K]):
+                fresh = Alpha.from_bits(mant, bits)
+                if first_K(N):
+                    assert fresh.index_for(N) == first_K(N) == len(
+                        fresh.cf.body.known)
+        alpha = Alpha.from_bits(mant, bits)
+        for op, x, d in reads:
+            if op == "pickle":
+                alpha = pickle.loads(pickle.dumps(alpha))
+                continue
+            before = len(alpha.cf.body.known)
+            if op.startswith("index"):
+                N = max(1, (1 << x if op == "index_2e" else qs[x % len(qs)])
+                        + d)
+                want = first_K(N)
+                if want is None:
+                    with pytest.raises(PrecisionExhausted, match=past):
+                        alpha.index_for(N)
+                    continue
+                assert alpha.index_for(N) == want
+                # the read grows the prefix only as far as q_K >= N
+                assert len(alpha.cf.body.known) == max(before, want)
+                continue
+            k = x % 40 + 1
+            if k > len(eager):
+                with pytest.raises(PrecisionExhausted, match=past):
+                    alpha.stats(k) if op == "stats" else alpha.a(k)
+            elif op == "stats":
+                head = eager[:k]
+                assert alpha.stats(k) == (
+                    k, sum(head), sum(a * a for a in head),
+                    sum((-1) ** i * a for i, a in enumerate(head, 1)),
+                    max(head))
+            else:
+                assert alpha.a(k) == eager[k - 1]
+            assert len(alpha.cf.body.known) == max(before, min(k, len(eager)))
+        assert alpha.cf.body.terms == eager
+
 
 class TestStats:
     def test_euler_example(self):

@@ -327,6 +327,8 @@ def test_exit_codes():
     ("sweep-irrational --N 100 --M 5 --seed -1", "seed must be >= 0"),
     ("sweep-rational --Q 5 --mode sample --seed -2", "seed must be >= 0"),
     ("sweep-irrational --N 100 --M 4294967296", "M must be < 2^32"),
+    ("sweep-irrational --N 100 --M 5 --bits 0", "bits must be >= 128"),
+    ("sweep-irrational --N 100 --M 5 --bits -8", "bits must be >= 128"),
 ])
 def test_input_error_messages_exit_2(argv, err, capsys):
     assert main(argv.split()) == 2

@@ -23,6 +23,7 @@ from latdisc.metric import (
     trimmed_quotient_mean,
 )
 
+import oracles
 from oracles import gauss_mantissa, levy_cdf_quadrature
 
 
@@ -62,6 +63,15 @@ class TestKolmogorov:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             kolmogorov_distance([])
+
+    # a few distinct values drawn again and again: ties, infinities, zero
+    # and negatives, where the CDF is 0
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1,
+                                          max_size=80)))
+    @settings(max_examples=200, deadline=None)
+    def test_vectorized_distance_is_the_loop(self, xs):
+        assert kolmogorov_distance(xs) == oracles.kolmogorov_distance(xs)
 
 
 class TestFarey:
@@ -306,6 +316,42 @@ class TestSweeps:
         for threads in (1, 2):
             res = irrational_sweep(cfg, threads=threads)
             assert [r.source for r in res.rows] == want
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "gauss"])
+    @pytest.mark.parametrize("bits, N, threads", [(256, 10 ** 6, 1),
+                                                  (128, 10 ** 8, 2)])
+    def test_cf_moment_rows_are_the_eager_rows(self, measure, bits, N,
+                                               threads):
+        # at 128 bits, q_K >= 10^8 leaves the certified prefix (q^2 <= 2^64)
+        # often enough that draws are redone
+        cfg = SweepConfig(mode="irrational", N=N, M=500, seed=31337,
+                          measure=measure, estimator="cf_moment", bits=bits)
+        rows, resampled = [], 0
+        for i in range(cfg.M):
+            for r in range(9):  # each try draws from its own generator
+                gen, mant = metric._substream(cfg.seed, i + (r << 32)), 0
+                while not mant:
+                    u = metric._rand_bits(gen, bits)
+                    mant = (gauss_mantissa(u, bits) if measure == "gauss"
+                            and u else u)
+                a, q = oracles.cf_of_bits(mant, bits), [0, 1]
+                for K, ak in enumerate(a, 1):
+                    q.append(ak * q[-1] + q[-2])
+                    if q[-1] >= N:
+                        break
+                else:
+                    continue  # the prefix ends below N: drawn again
+                stat = (metric.MOMENT_COEFF_IRRATIONAL
+                        * sum(x * x for x in a[:K]) / (K * K))
+                rows.append((str(i), f"bits:{mant:x}@{bits}", stat,
+                             "cf_moment", 0.0))
+                resampled += r
+                break
+        res = irrational_sweep(cfg, threads=threads)
+        assert [tuple(row) for row in res.rows] == rows
+        assert res.ks == oracles.kolmogorov_distance(row[2] for row in rows)
+        assert res.resampled == resampled
+        assert (resampled > 0) == (bits == 128)
 
     def test_zero_first_draw_is_drawn_again(self, monkeypatch):
         cfg = SweepConfig(mode="irrational", N=1000, M=8, seed=4,
