@@ -71,9 +71,6 @@ class Interval:
                  self.hi / other.lo, self.hi / other.hi)
         return Interval(min(cands), max(cands))
 
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
     def quantized(self) -> "Interval":
         """Outward-round endpoints to denominator 2^_QUANTUM_BITS."""
         scale = 1 << _QUANTUM_BITS

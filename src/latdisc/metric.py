@@ -436,8 +436,10 @@ def _levy_stat(alpha, N: int, estimator: str) -> Tuple[float, float]:
         d2sq = float(d2_exact_fast(build_S(alpha, N)).d2_squared)
         return LEVY_COEFF * d2sq / logsq, 0.0
     enc = enclosure_S(alpha, N)
-    return (LEVY_COEFF * float(enc.mid) / logsq,
-            LEVY_COEFF * float(enc.width) / logsq)
+    (ln, ld), (hn, hd) = enc.lo.as_integer_ratio(), enc.hi.as_integer_ratio()
+    # mid and width by one correctly rounded division each, no Fraction
+    return (LEVY_COEFF * ((ln * hd + hn * ld) / (2 * ld * hd)) / logsq,
+            LEVY_COEFF * ((hn * ld - ln * hd) / (ld * hd)) / logsq)
 
 
 def _map(fn, args: list, chunksize: int, threads: int) -> list:

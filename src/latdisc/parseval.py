@@ -13,6 +13,7 @@ xi_S around the window sum itself.  The unsymmetrized version adds the exact
 block (1/N) sum (T_n^2 + T_n/2), a factor (1 - 1/(2N)) on the main sum, and
 the budget constants (1/8-weighted quotient sum, 2.78).  Every sum is exact
 for rational alpha over < 3000 terms, else an exact sum of 2^-64 brackets.
+The enclosure is assembled in integers and reduced once per endpoint.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .intervals import (
     Interval,
     PI4,
     ZETA3_16PI4,
+    _QUANTUM_BITS,
     ceil_div,
 )
 from .lattice import build_L, build_S, near, step_words
@@ -365,6 +367,16 @@ class Enclosure(Interval):
     parts: Dict[str, float]
 
 
+# the constant brackets' endpoints as integer numerators over 2^_QUANTUM_BITS
+_C4_LO, _C4_HI, _C2_HI, _Z_HI = (int(c * (1 << _QUANTUM_BITS)) for c in (
+    INV_4PI4.lo, INV_4PI4.hi, INV_2PI4.hi, ZETA3_16PI4.hi))
+
+
+def _add(x, y, sign: int = 1):
+    """x + sign * y for unreduced pairs (n, d), d > 0; left unreduced."""
+    return x[0] * y[1] + sign * y[0] * x[1], x[1] * y[1]
+
+
 def _enclosure(alpha, N: int, K: Optional[int], sym: bool) -> Enclosure:
     """The one assembly behind enclosure_S (sym) and enclosure_L.
 
@@ -375,7 +387,9 @@ def _enclosure(alpha, N: int, K: Optional[int], sym: bool) -> Enclosure:
     their intersection is too.  L differs only in data: the exact block
     (1/N) sum (T_n^2 + T_n/2), the factor (2N-1)/(2N) on the main and window
     sums, no 0.07 pad on the refined bracket, and the budget weight
-    a/(8 q_k) with constant 2.78 in place of a/(2 q_k) and 6.28.
+    a/(8 q_k) with constant 2.78 in place of a/(2 q_k) and 6.28.  Every
+    quantity is an unreduced integer pair (n, d) for n / (d 2^192), so the
+    constant brackets enter as numerators; each endpoint is reduced once.
     """
     if K is None:
         K = alpha.index_for(N)
@@ -388,40 +402,47 @@ def _enclosure(alpha, N: int, K: Optional[int], sym: bool) -> Enclosure:
         alpha.sums[K] = (dioph_sum2(alpha, 1, q_lo - 1),
                          dioph_sum2(alpha, q_lo, q_hi - 1))
     main, window = alpha.sums[K]
-    main = main * INV_4PI4
-    tq = window * INV_4PI4
+    m0, m1, w0, w1 = main.lo, main.hi, window.lo, window.hi
+    Q, f, g = _QUANTUM_BITS, *((1, 1) if sym else (2 * N - 1, 2 * N))
+    main_lo = (m0.numerator * _C4_LO * f, m0.denominator * g)
+    main_hi = (m1.numerator * _C4_HI * f, m1.denominator * g)
     # the last pair, (a_K, q_{K-1}), pads the window; the others enter the
     # budget's zeta(3) sum
     pairs = _quotient_denoms(alpha, K)
     cubes = [(a + 2) ** 3 * qk for a, qk in pairs]
-    pad = ZETA3_16PI4.hi * Fraction(cubes[-1], N)
-    if sym:
-        pad += Fraction(7, 100)
-        weight, const = 2, Fraction(628, 100)
-    else:
-        factor = Fraction(2 * N - 1, 2 * N)
-        main = main * factor
-        tq = tq * factor
-        weight, const = 8, Fraction(278, 100)
-    xi = Interval(Fraction(0), window.hi * INV_2PI4.hi).intersect(
-        Interval(tq.lo - pad, tq.hi + pad))
-    budget = sum(Fraction(a, weight * qk) for a, qk in pairs)
-    budget += ZETA3_16PI4.hi * Fraction(sum(cubes[:-1]), N) + const
-    raw_lo = main.lo + xi.lo - budget
-    hi = main.hi + xi.hi + budget
+    pad = (100 * _Z_HI * cubes[-1] + (7 * N << Q if sym else 0), 100 * N)
+    xi_lo = _add((w0.numerator * _C4_LO * f, w0.denominator * g), pad, -1)
+    xi_lo = xi_lo if xi_lo[0] > 0 else (0, 1)
+    xi_hi = _add((w1.numerator * _C4_HI * f, w1.denominator * g), pad)
+    cap = (w1.numerator * _C2_HI, w1.denominator)
+    xi_hi = xi_hi if _add(xi_hi, cap, -1)[0] < 0 else cap
+    if _add(xi_hi, xi_lo, -1)[0] < 0:  # Interval raises "empty interval"
+        Interval(*(Fraction(n, d << Q) for n, d in (xi_lo, xi_hi)))
+    weight, const = (2, 628) if sym else (8, 278)
+    bn, bd = 0, 1
+    for a, qk in pairs:
+        bn, bd = bn * weight * qk + a * bd, bd * weight * qk
+    budget = ((100 * N * bn << Q)
+              + bd * (100 * _Z_HI * sum(cubes[:-1]) + (const * N << Q)),
+              100 * N * bd)
+    raw_lo = _add(_add(main_lo, xi_lo), budget, -1)
+    hi = _add(_add(main_hi, xi_hi), budget)
     parts = {}
     if not sym:
-        block, _, _, block_err = birkhoff_quad_block(alpha, N)
-        raw_lo += block - 2 * block_err
-        hi += block + 2 * block_err
+        block, _, _, err = birkhoff_quad_block(alpha, N)
+        block2 = (block.numerator << Q, block.denominator)  # over 2^192
+        err2 = (err.numerator << Q + 1, err.denominator)  # 2 err
+        raw_lo = _add(raw_lo, _add(block2, err2, -1))
+        hi = _add(hi, _add(block2, err2))
         parts["t_block"] = float(block)
-    return Enclosure(max(raw_lo, Fraction(0)), hi, K, {
-        "main_sum": float(main.mid), **parts,
-        "xi_lo": float(xi.lo),
-        "xi_hi": float(xi.hi),
-        "err_budget": float(budget),
-        "raw_lo": float(raw_lo),
-    })
+    mid = _add(main_lo, main_hi)
+    return Enclosure(
+        Fraction(raw_lo[0], raw_lo[1] << Q) if raw_lo[0] > 0 else Fraction(0),
+        Fraction(hi[0], hi[1] << Q), K, {
+            "main_sum": mid[0] / (mid[1] << Q + 1), **parts,
+            **{k: n / (d << Q) for k, (n, d) in (
+                ("xi_lo", xi_lo), ("xi_hi", xi_hi), ("err_budget", budget),
+                ("raw_lo", raw_lo))}})
 
 
 def enclosure_S(alpha, N: int, K: Optional[int] = None) -> Enclosure:

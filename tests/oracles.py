@@ -4,8 +4,9 @@ Everything here is deliberately written against different machinery than the
 library paths it checks: symbolic cell integration and an x-sorted merge
 sweep for the discrepancy, term-by-term big-integer Diophantine sums,
 exact factorial/sine series for e and tan 1, integer square roots for
-surds, adaptive quadrature for the Levy law, and a point-by-point loop for
-its Kolmogorov distance.
+surds, adaptive quadrature for the Levy law, a point-by-point loop for
+its Kolmogorov distance, and reduced Fraction arithmetic for the assembly
+of the D2^2 enclosures.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from math import isqrt, lcm
 import numpy as np
 
 from latdisc.cf import PrecisionExhausted
-from latdisc.intervals import INV_4PI4, Interval
+from latdisc.fixedpoint import birkhoff_quad_block as block_of
+from latdisc.intervals import INV_2PI4, INV_4PI4, ZETA3_16PI4, Interval
 from latdisc.lattice import walk_data
+from latdisc.parseval import dioph_sum2
 
 
 def residues(step: int, mod: int, start: int, stop: int):
@@ -271,6 +274,50 @@ def min_weighted_sum(alpha, m_start: int, m_end: int, N: int):
         hi += c if y_lo <= 0 else min(
             c, -(-num3 // (m2 * (d - e) ** 2 * 4 * N * y_lo)))
     return Interval(Fraction(lo, 1 << 64), Fraction(hi, 1 << 64))
+
+
+def enclosure_fraction(alpha, N: int, K, sym: bool):
+    """(lo, hi, K, parts) of parseval's enclosure assembly in Fraction and
+    Interval arithmetic, each operation reduced: the main and window sums
+    scaled by the constant brackets, the window term as the intersection
+    of [0, 2 * window] and the padded bracket around it, the quotient
+    budget, and for L (not sym) the exact block and the factor 1 - 1/(2N)."""
+    if K is None:
+        K = alpha.index_for(N)
+    q_lo, q_hi = alpha.q(K - 1), alpha.q(K)
+    main = dioph_sum2(alpha, 1, q_lo - 1) * INV_4PI4
+    window = dioph_sum2(alpha, q_lo, q_hi - 1)
+    tq = window * INV_4PI4
+    pairs = [(alpha.a(k + 1), alpha.q(k)) for k in range(K)]
+    cubes = [(a + 2) ** 3 * qk for a, qk in pairs]
+    pad = ZETA3_16PI4.hi * Fraction(cubes[-1], N)
+    if sym:
+        pad += Fraction(7, 100)
+        weight, const = 2, Fraction(628, 100)
+    else:
+        factor = Fraction(2 * N - 1, 2 * N)
+        main = main * factor
+        tq = tq * factor
+        weight, const = 8, Fraction(278, 100)
+    xi = Interval(max(Fraction(0), tq.lo - pad),
+                  min(window.hi * INV_2PI4.hi, tq.hi + pad))
+    budget = sum(Fraction(a, weight * qk) for a, qk in pairs)
+    budget += ZETA3_16PI4.hi * Fraction(sum(cubes[:-1]), N) + const
+    raw_lo = main.lo + xi.lo - budget
+    hi = main.hi + xi.hi + budget
+    parts = {}
+    if not sym:
+        block, _, _, block_err = block_of(alpha, N)
+        raw_lo += block - 2 * block_err
+        hi += block + 2 * block_err
+        parts["t_block"] = float(block)
+    return max(raw_lo, Fraction(0)), hi, K, {
+        "main_sum": float(main.mid), **parts,
+        "xi_lo": float(xi.lo),
+        "xi_hi": float(xi.hi),
+        "err_budget": float(budget),
+        "raw_lo": float(raw_lo),
+    }
 
 
 def e_fraction(terms: int = 220) -> Fraction:

@@ -462,6 +462,45 @@ class TestEnclosureProperties:
             assert enc.lo - pad <= exact <= enc.hi + pad
 
 
+def _assert_is_the_oracle(alpha, N, K, sym):
+    """The integer assembly gives the reduced-Fraction oracle's result:
+    the same Fractions, K and parts, every float compared with ==."""
+    enc = (enclosure_S if sym else enclosure_L)(alpha, N, K)
+    lo, hi, k, parts = oracles.enclosure_fraction(alpha, N, K, sym)
+    assert type(enc.lo) is type(enc.hi) is Fraction
+    assert (enc.lo, enc.hi, enc.K) == (lo, hi, k)
+    assert list(enc.parts.items()) == list(parts.items())
+
+
+class TestEnclosureAssembly:
+    @given(q=st.integers(2, 300), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rational_assembly_is_the_fraction_oracle(self, q, data):
+        p = data.draw(st.integers(1, q - 1))
+        assume(gcd(p, q) == 1)
+        alpha = Alpha.from_rational(p, q)
+        K = data.draw(st.integers(1, len(alpha.cf.body.terms)))
+        for N in range(alpha.q(K - 1), alpha.q(K) + 1):
+            for sym in (True, False):
+                _assert_is_the_oracle(alpha, N, K, sym)
+                _assert_is_the_oracle(alpha, N, None, sym)
+
+    # seeded mantissas, as in the containment property above
+    @given(seed=st.integers(0, 1 << 32), N=st.integers(1, 2000))
+    @settings(max_examples=100, deadline=None)
+    def test_fixed_point_assembly_is_the_fraction_oracle(self, seed, N):
+        alpha = Alpha.from_bits(random.Random(seed).getrandbits(256) or 1, 256)
+        try:
+            K = alpha.index_for(N)
+            assume(alpha.q(K) <= 10 ** 5)
+            enclosure_S(alpha, N)
+        except PrecisionExhausted:
+            return
+        for sym in (True, False):
+            _assert_is_the_oracle(alpha, N, None, sym)
+            _assert_is_the_oracle(alpha, N, K, sym)
+
+
 class TestInequalities:
     def test_golden_grid(self, phi):
         br = dioph_inequalities(phi, 12, n=9, N=phi.q(12))
