@@ -75,8 +75,9 @@ class Alpha:
     @classmethod
     def from_bits(cls, mantissa: int, bits: int) -> "Alpha":
         cf = cf_of_bits(mantissa, bits)
-        # the dyadic mantissa itself realizes the sampled real to one ulp
-        value = FixedPointReal(mantissa, bits, 1)
+        # the dyadic mantissa itself realizes the sampled real to one ulp;
+        # cf_of_bits has checked its range, so it is not checked again
+        value = tuple.__new__(FixedPointReal, (mantissa, bits, 1))
         return cls(cf, value, f"bits:{mantissa:x}@{bits}")
 
     @classmethod

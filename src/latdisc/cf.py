@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 from math import inf, isqrt
 from operator import mul
@@ -50,20 +51,24 @@ class Rule:
     name: str
 
 
+_isqrt = lru_cache(maxsize=16)(isqrt)  # one limit per sampled width
+
+
 class Truncated:
     """A known-correct prefix of an expansion; asking past it is an error.
 
     One call to grow runs as many Euclid steps (a, b) -> (b, a mod b), one
     quotient t = a // b each, as its reader asks for.  The prefix ends
     before the first convergent denominator t q_k + q_(k-1) whose square
-    exceeds limit: q_k runs inline as the stopping rule.  The state (a, b,
-    q_(k-1), q_k, limit), None once the prefix has ended, is plain ints, so
-    an expansion pickles part way through.
+    exceeds limit: q_k runs inline as the stopping rule, compared with
+    isqrt(limit), which decides q^2 > limit exactly.  The state (a, b,
+    q_(k-1), q_k, isqrt(limit)), None once the prefix has ended, is plain
+    ints, so an expansion pickles part way through.
     """
 
     def __init__(self, a: int, b: int, limit: int):
         self.known: List[int] = []
-        self.state = (a, b, 0, 1, limit)
+        self.state = (a, b, 0, 1, _isqrt(limit))
 
     def grow(self, k, N: int = 0) -> List[int]:
         """The prefix, extended to at least k quotients and on to the first
@@ -71,18 +76,17 @@ class Truncated:
         known = self.known
         if self.state is None:
             return known
-        n = len(known)
-        a, b, q1, q, limit = self.state
-        while (n < k or q < N) and b:
+        append = known.append
+        a, b, q1, q, qmax = self.state
+        while (q < N or len(known) < k) and b:
             t, r = divmod(a, b)
-            qn = t * q + q1
-            if qn * qn > limit:
+            q1, q = q, t * q + q1
+            if q > qmax:
                 b = 0  # the prefix ends here, as at a zero remainder
                 break
-            known.append(t)
-            a, b, q1, q = b, r, q, qn
-            n += 1
-        self.state = (a, b, q1, q, limit) if b else None
+            append(t)
+            a, b = b, r
+        self.state = (a, b, q1, q, qmax) if b else None
         return known
 
     def upto(self, k: int) -> List[int]:
@@ -102,8 +106,7 @@ class Truncated:
 Body = Union[Finite, Periodic, Rule, Truncated]
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(NamedTuple):
     a0: int
     body: Body
 

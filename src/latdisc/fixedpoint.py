@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,19 +22,21 @@ from .lattice import floors, walk_data
 DEFAULT_BITS = 256
 
 
-@dataclass(frozen=True)
-class FixedPointReal:
+class FixedPointReal(NamedTuple("FixedPointReal", [
+        ("mantissa", int), ("bits", int), ("err_ulp", int)])):
     """Fractional part of a real: mantissa/2^bits, off by <= err_ulp ulps."""
 
-    mantissa: int
-    bits: int
-    err_ulp: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.mantissa < (1 << self.bits):
+    def __new__(cls, mantissa: int, bits: int, err_ulp: int = 0):
+        if not 0 <= mantissa < (1 << bits):
             raise ValueError("mantissa out of range for bit width")
-        if self.err_ulp < 0:
+        if err_ulp < 0:
             raise ValueError("err_ulp must be >= 0")
+        return tuple.__new__(cls, (mantissa, bits, err_ulp))
+
+    # so that _make and _replace check their fields too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def eval_alpha(cf: ContinuedFraction, bits: int = DEFAULT_BITS) -> FixedPointReal:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import factorial, gcd
+from operator import mul
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -241,27 +242,30 @@ def _first_draws(seed: int, index, bits: int) -> List[int]:
 
 
 # 2^(u/2^B) for 0 < u < 2^B in integers at P = B + 64 fraction bits (a unit
-# is 2^-P): u = i 2^(B-8) + r with r < 2^(B-8) gives 2^(u/2^B) = 2^(i/256)
-# e^s with 0 <= s = r ln2/2^B < 2^-8.  Per B, with G = P + 16:
+# is 2^-P): with i_1, ..., i_4 the top four bytes of u and r < 2^(B-32) the
+# rest, 2^(u/2^B) = 2^(i_1/256) ... 2^(i_4/256^4) e^s, where 0 <= s
+# = r ln2/2^B < 2^-32.  Per B, with G = P + 16:
 # - ln 2 at g = G + 32 bits as sum_{k <= g} floor(2^g/(k 2^k)): the floors
 #   lose < g units there and the tail < 1, so L_G = that >> 32 is within
 #   1 + (g + 1) 2^-32 < 2 units (at G) of 2^G ln2 for g < 2^32, and
 #   L = L_G >> 16 within 2 (at P);
 # - exp(t) = sum_{j <= n} c_j (t/2^prec)^j by Horner, c_j = floor(2^prec/j!)
-#   and n + 1 the least m with 2^(8m) m! >= 2^(prec+1), so the dropped tail
-#   is < 2 s^m/m! < 1 unit for s < 2^-8.  Each step loses < 1 to c_j and < 1
-#   to its floor, and the steps after it scale that by s, so Horner is
-#   within 2/(1 - 2^-8) of the polynomial: < 3.02 units in all, plus
-#   e^s |t - t*| for an argument t off the true t* = 2^prec s;
-# - T1 = exp(L_G >> 8) at G: t is within 1 + 2^-7 of 2^G ln2/256, so T1 is
-#   within 3.02 + 1.003 * 1.008 < 5 units of 2^G 2^(1/256);
-# - T_i = T_(i-1) T1 >> G: with T_(i-1) < 2^(G+1), e_i <= 1.003 e_(i-1)
+#   and n + 1 the least m with 2^(wm) m! >= 2^(prec+1), so for s < 2^-w
+#   the dropped tail is < 2 s^m/m! < 1 unit.  Each step loses < 1 to c_j
+#   and < 1 to its floor, and the steps after it scale that by s, so Horner
+#   is within 2/(1 - 2^-w) of the polynomial: < 3.02 units in all (w >= 8),
+#   plus e^s |t - t*| for an argument t off the true t* = 2^prec s;
+# - level l = 1..4, w = 8: T1 = exp(L_G >> 8l) at G, its argument within
+#   1 + 2^-7, is within 3.02 + 1.003 * 1.008 < 5 units of 2^G 2^(1/256^l).
+#   T_i = T_(i-1) T1 >> G: with T_(i-1) < 2^(G+1), e_i <= 1.003 e_(i-1)
 #   + 2 * 5 + 1, so e_255 < 11 * 383 < 2^13 units at G, and the table
-#   T_i >> 16 is within 1 + 2^-3 units (at P) of 2^P 2^(i/256).
-# Then t = r L >> B is within 1 + 2^-7 units of 2^P s, A = exp(t) within
-# 3.02 + 1.003 * 1.008 < 5, and v = T_i A >> P within 1.13 * 1.003
-# + 2 * 5 + 1 < 13 of 2^P 2^(u/2^B): _POW2_ERR = 16 units bounds it.
-_POW2_ERR = 16
+#   T_i >> 16 is within 1 + 2^-3 units (at P) of 2^P 2^(i/256^l).
+# Then, w = 32: t = r L >> B is within 1 + 2^-31 of 2^P s, A = exp(t) within
+# 3.02 + 1.01 < 4.03.  The product of the four entries and A, >> P after
+# each factor, stays below 2^(P+1); a factor below 1.003 (level >= 2)
+# takes its error e to <= 1.003 e + 2 * 1.125 + 1, so e < 11 after level 4
+# and < 1.0001 * 11 + 2 * 4.03 + 1 < 21 units after A: _POW2_ERR.
+_POW2_ERR = 21
 
 
 def _exp_fixed(t: int, prec: int, coeffs: tuple) -> int:
@@ -274,31 +278,37 @@ def _exp_fixed(t: int, prec: int, coeffs: tuple) -> int:
 
 @lru_cache(maxsize=8)
 def _pow2_tables(bits: int):
-    """(P, Horner coefficients at P, ln 2 at P, 2^(i/256) at P for i < 256),
-    as derived above."""
+    """(P, Horner coefficients at P for s < 2^-32, ln 2 at P, and the tables
+    2^(i/256^l) at P for i < 256, l = 1..4), as derived above."""
     P = bits + 64
     G = P + 16
 
-    def coeffs(prec):
+    def coeffs(prec, w):
         m = 1
-        while (factorial(m) << 8 * m) < 1 << (prec + 1):
+        while (factorial(m) << w * m) < 1 << (prec + 1):
             m += 1
         return tuple((1 << prec) // factorial(j) for j in reversed(range(m)))
 
     g = G + 32
     ln2 = sum((1 << g) // (k << k) for k in range(1, g + 1)) >> 32
-    t1 = _exp_fixed(ln2 >> 8, G, coeffs(G))
-    table = [1 << G]
-    for _ in range(255):
-        table.append(table[-1] * t1 >> G)
-    return P, coeffs(P), ln2 >> 16, tuple(v >> 16 for v in table)
+    c8, tables = coeffs(G, 8), []
+    for level in range(1, 5):
+        t1, table = _exp_fixed(ln2 >> 8 * level, G, c8), [1 << G]
+        for _ in range(255):
+            table.append(table[-1] * t1 >> G)
+        tables.append(tuple(v >> 16 for v in table))
+    return P, coeffs(P, 32), ln2 >> 16, tables
 
 
 def _pow2_fixed(u: int, bits: int) -> int:
     """2^(u/2^bits) times 2^(bits+64), within _POW2_ERR, for 0 < u < 2^bits."""
-    P, coeffs, ln2, table = _pow2_tables(bits)
-    t = (u & ((1 << (bits - 8)) - 1)) * ln2 >> bits
-    return table[u >> (bits - 8)] * _exp_fixed(t, P, coeffs) >> P
+    P, coeffs, ln2, (t1, t2, t3, t4) = _pow2_tables(bits)
+    i = u >> (bits - 32)
+    v = t1[i >> 24] * t2[i >> 16 & 255] >> P
+    v = v * t3[i >> 8 & 255] >> P
+    v = v * t4[i & 255] >> P
+    t = (u & ((1 << (bits - 32)) - 1)) * ln2 >> bits
+    return v * _exp_fixed(t, P, coeffs) >> P
 
 
 def _gauss_mantissa(u: int, bits: int) -> int:
@@ -352,18 +362,13 @@ def sample_irrational(measure: str, bits: int = 256, seed: int = 0,
         raise ValueError("measure must be 'lebesgue' or 'gauss'")
     if bits < 128:
         raise ValueError("bits must be >= 128")
-
-    def mantissa(u):
-        return u if measure == "lebesgue" or not u else _gauss_mantissa(u, bits)
-
-    mant = first and mantissa(first)
-    if mant:
-        return Alpha.from_bits(mant, bits)
-    gen = _substream(seed, index)
+    u, gen = first, None
     while True:
-        mant = mantissa(_rand_bits(gen, bits))
+        mant = _gauss_mantissa(u, bits) if measure == "gauss" and u else u
         if mant:
             return Alpha.from_bits(mant, bits)
+        gen = gen or _substream(seed, index)
+        u = _rand_bits(gen, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +412,9 @@ class SweepConfig:
             raise ValueError("irrational mode needs N >= 2")
         if self.mode == "irrational" and self.bits < 128:
             raise ValueError("bits must be >= 128")
+        if (self.mode == "irrational"
+                and self.measure not in ("lebesgue", "gauss")):
+            raise ValueError("measure must be 'lebesgue' or 'gauss'")
 
 
 class SweepRow(NamedTuple):
@@ -442,15 +450,17 @@ def _levy_stat(alpha, N: int, estimator: str) -> Tuple[float, float]:
             LEVY_COEFF * ((hn * ld - ln * hd) / (ld * hd)) / logsq)
 
 
-def _map(fn, args: list, chunksize: int, threads: int) -> list:
+def _map(fn, args: list, threads: int) -> list:
     """fn over args, in a pool of up to threads processes (never more than
-    there are arguments or CPUs)."""
+    there are arguments or CPUs) that takes them in chunks of an eighth of
+    a worker's share: few enough to amortize pickling, enough to balance."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     workers = min(threads, len(args), os.cpu_count() or 1)
     if workers > 1:
+        chunk = max(1, len(args) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, args, chunksize=chunksize))
+            return list(ex.map(fn, args, chunksize=chunk))
     return [fn(a) for a in args]
 
 
@@ -492,13 +502,13 @@ def rational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
         raise ValueError("rational_sweep needs a farey mode")
     if cfg.estimator != "exact":
         return _sweep(_map(_rational_stat, [(p, q, cfg.estimator)
-                                            for p, q in fracs], 256, threads),
+                                            for p, q in fracs], threads),
                       cfg.estimator)
     by_q = {}  # the exact statistic takes all p of one q in one batch
     for p, q in fracs:
         by_q.setdefault(q, set()).add(p)
     stat = dict(chain.from_iterable(_map(_rational_exact, [
-        (q, sorted(by_q[q])) for q in sorted(by_q)], 1, threads)))
+        (q, sorted(by_q[q])) for q in sorted(by_q)], threads)))
     return _sweep([(f"{p}/{q}", stat[p, q], 0.0, 0) for p, q in fracs],
                   "exact")
 
@@ -512,10 +522,9 @@ def _irrational_stat(args) -> Tuple[str, float, float, int]:
         try:
             K = alpha.index_for(N)
             if estimator == "cf_moment":
-                st = alpha.stats(K)
-                return (alpha.label,
-                        MOMENT_COEFF_IRRATIONAL * st.sum_a2 / (K * K), 0.0,
-                        retries)
+                a = alpha.cf.body.known[:K]  # index_for grew it to >= K
+                return (alpha.label, MOMENT_COEFF_IRRATIONAL
+                        * sum(map(mul, a, a)) / (K * K), 0.0, retries)
             return (alpha.label, *_levy_stat(alpha, N, estimator), retries)
         except PrecisionExhausted:
             retries += 1
@@ -532,7 +541,7 @@ def irrational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     draws = _first_draws(cfg.seed, np.arange(cfg.M, dtype=np.uint32), cfg.bits)
     args = [(cfg.measure, cfg.bits, cfg.seed, i, cfg.N, cfg.estimator, u)
             for i, u in enumerate(draws)]
-    return _sweep(_map(_irrational_stat, args, 16, threads), cfg.estimator)
+    return _sweep(_map(_irrational_stat, args, threads), cfg.estimator)
 
 
 def trimmed_quotient_mean(measure: str, K: int, M: int, seed: int) -> float:

@@ -2,6 +2,7 @@
 running sums against the exact walk of the oracles."""
 
 import cmath
+import pickle
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -10,6 +11,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from latdisc.alphas import Alpha
 from latdisc.cf import PrecisionExhausted, QuadraticSurd, cf_of_bits, cf_of_rational, cf_of_surd, cf_rule
 from latdisc.discrepancy import _CHUNK, d2_exact_fast, realization_error
 from latdisc.fixedpoint import (
@@ -23,6 +25,32 @@ from latdisc.lattice import build_L, build_S, walk_data
 
 import oracles
 from oracles import e_fraction, norms, residues, sqrt_mantissa
+
+
+class TestFixedPointReal:
+    @pytest.mark.parametrize("mant, bits", [(-1, 64), (1 << 64, 64),
+                                            (1 << 200, 128)])
+    def test_mantissa_out_of_range(self, mant, bits):
+        msg = "^mantissa out of range for bit width$"
+        with pytest.raises(ValueError, match=msg):
+            FixedPointReal(mant, bits, 1)
+        with pytest.raises(ValueError, match=msg):
+            FixedPointReal(0, bits)._replace(mantissa=mant)
+
+    def test_negative_error(self):
+        with pytest.raises(ValueError, match="^err_ulp must be >= 0$"):
+            FixedPointReal(1, 64, -1)
+        with pytest.raises(ValueError, match="^err_ulp must be >= 0$"):
+            FixedPointReal(1, 64)._replace(err_ulp=-1)
+
+    def test_alpha_from_bits_checks_the_range_once(self):
+        for mant in (-1, 1 << 256):
+            with pytest.raises(ValueError, match="^mantissa out of range$"):
+                Alpha.from_bits(mant, 256)
+        alpha = Alpha.from_bits((1 << 256) - 1, 256)
+        assert type(alpha.value) is FixedPointReal
+        assert alpha.value == FixedPointReal((1 << 256) - 1, 256, 1)
+        assert pickle.loads(pickle.dumps(alpha.value)) == alpha.value
 
 
 class TestEvalAlpha:

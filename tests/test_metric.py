@@ -220,16 +220,21 @@ class TestSampling:
         assert sample_irrational("gauss", bits, seed, index).label == \
             f"bits:{mant:x}@{bits}"
 
-    # free u, small u, and u next to a table step i 2^(B-8)
-    @given(bits=st.sampled_from([128, 256, 320, 1000]),
+    # free u, small u, and u next to a step i 2^(B-8l) of table level l
+    @given(bits=st.sampled_from([128, 129, 256, 320, 1000]),
            u=st.integers(1, (1 << 1000) - 1), shift=st.integers(0, 999),
-           step=st.booleans(), i=st.integers(0, 256), d=st.integers(-2, 2))
-    @settings(max_examples=150, deadline=None)
-    def test_gauss_mantissa_matches_mpmath(self, bits, u, shift, step, i, d):
+           step=st.booleans(), level=st.integers(1, 4), i=st.integers(0, 256),
+           d=st.integers(-2, 2))
+    @example(bits=129, u=1, shift=0, step=True, level=4, i=255, d=2)
+    @example(bits=256, u=1, shift=0, step=True, level=4, i=256, d=-1)
+    @example(bits=1000, u=1, shift=0, step=True, level=3, i=128, d=0)
+    @settings(max_examples=200, deadline=None)
+    def test_gauss_mantissa_matches_mpmath(self, bits, u, shift, step, level,
+                                           i, d):
         import mpmath
         u = (u % (1 << bits)) >> (shift % bits)
         if step:
-            u = ((i << (bits - 8)) + d) % (1 << bits)
+            u = ((i << (bits - 8 * level)) + d) % (1 << bits)
         u = u or 1
         assert metric._gauss_mantissa(u, bits) == gauss_mantissa(u, bits)
         # the integer estimate is within its bound of 2^(u/2^B) 2^(B+64)
@@ -353,6 +358,14 @@ class TestSweeps:
         assert res.resampled == resampled
         assert (resampled > 0) == (bits == 128)
 
+    def test_unknown_measure_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(metric, "_first_draws",
+                            lambda *a: pytest.fail("drew before the check"))
+        with pytest.raises(ValueError,
+                           match="^measure must be 'lebesgue' or 'gauss'$"):
+            irrational_sweep(SweepConfig(mode="irrational", N=100, M=5,
+                                         measure="uniform"))
+
     def test_zero_first_draw_is_drawn_again(self, monkeypatch):
         cfg = SweepConfig(mode="irrational", N=1000, M=8, seed=4,
                           estimator="cf_moment")
@@ -372,7 +385,7 @@ class TestSweeps:
         assert keys == [(4, 3)]  # only sample 3 took the scalar path
 
     def test_pool_never_larger_than_rows_or_cpus(self, monkeypatch):
-        started = []
+        started, chunks = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -385,6 +398,7 @@ class TestSweeps:
                 return False
 
             def map(self, fn, args, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, args)
 
         monkeypatch.setattr(metric, "ProcessPoolExecutor", RecordingPool)
@@ -397,10 +411,16 @@ class TestSweeps:
         assert rational_sweep(cfg, threads=5000) == serial
         monkeypatch.setattr(metric.os, "cpu_count", lambda: None)
         assert rational_sweep(cfg, threads=5000) == serial
-        assert started == [rows, 3]
+        assert started == [rows, 3] and chunks == [1, 1]
         for threads in (0, -1):
             with pytest.raises(ValueError):
                 rational_sweep(cfg, threads=threads)
+        # each worker takes its share in about eight chunks
+        monkeypatch.setattr(metric.os, "cpu_count", lambda: 64)
+        icfg = SweepConfig(mode="irrational", N=100, M=50,
+                           estimator="cf_moment")
+        assert irrational_sweep(icfg, threads=2) == irrational_sweep(icfg)
+        assert started[-1] == 2 and chunks[-1] == 50 // 16
 
 
 class TestTrimmed:
