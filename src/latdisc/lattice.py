@@ -120,9 +120,8 @@ def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
     semiconvergents q_(k-2) + t q_(k-1) have d_(k-2) - t d_(k-1).
     """
     x = getattr(x, "value", x)
-    if isinstance(x, Fraction):
-        v = x % 1
-        return v.numerator, v.denominator, 0
+    if isinstance(x, Fraction):  # x % 1, without a second Fraction
+        return x.numerator % x.denominator, x.denominator, 0
     step, mod, err = x.mantissa, 1 << x.bits, x.err_ulp
     if N > 1 and err:
         if (N - 1) * err >= (1 << (x.bits // 2)):

@@ -12,7 +12,8 @@ with 0 <= xi_S <= twice the window sum, and a refined two-sided bracket for
 xi_S around the window sum itself.  The unsymmetrized version adds the exact
 block (1/N) sum (T_n^2 + T_n/2), a factor (1 - 1/(2N)) on the main sum, and
 the budget constants (1/8-weighted quotient sum, 2.78).  Every sum is exact
-for rational alpha over < 3000 terms, else an exact sum of 2^-64 brackets.
+for rational alpha over at most 3000 terms (over 0 <= m < q <= 2^8 from
+integer tables shared per modulus q), else an exact sum of 2^-64 brackets.
 The enclosure is assembled in integers and reduced once per endpoint.
 """
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -42,6 +45,7 @@ from .lattice import build_L, build_S, near, step_words
 
 _SCALE_BITS = 64
 _EXACT_TERM_LIMIT = 3000
+_TABLE_MOD = 1 << 8  # near 2^9 a table's sum costs what the tree does
 _BLOCK = 1 << 12  # 2^12 slices below 2^48 add up below 2^60
 _SLACK = 2.0 ** -50  # 8 rounding units: above each chain of <= 5 below
 _UP, _SIGN = np.array([[1 + _SLACK], [1 - _SLACK]]), np.array([[1.], [-1.]])
@@ -100,10 +104,22 @@ def _exact_sums(t: np.ndarray) -> List[int]:
     return sums
 
 
+@lru_cache(maxsize=2 * _TABLE_MOD)  # every mod <= _TABLE_MOD, both powers
+def _tables(mod: int, power: int):
+    """(A, B, D) with 1/(m^2 ||m step/mod||^power) = mod^power A_m B_v / D at
+    v = m step mod mod: A_m = (L/m)^2, B_v = (L'/min(v, mod - v))^power and
+    D = L^2 L'^power, L = lcm(1..mod-1), L' = lcm(1..mod//2); A_0 = B_0 = 0."""
+    L, L1 = lcm(*range(1, mod)), lcm(*range(1, mod // 2 + 1))
+    return ([0] + [(L // m) ** 2 for m in range(1, mod)],
+            [0] + [(L1 // min(v, mod - v)) ** power for v in range(1, mod)],
+            L * L * L1 ** power)
+
+
 def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
     """Certified sum of 1/(m^2 ||m alpha||^power), power 1 or 2, over
-    m_start <= m <= m_end, as described at dioph_sum2.  An exact sum goes up
-    a pairwise tree of unreduced fractions and is reduced once, at the root.
+    m_start <= m <= m_end, as described at dioph_sum2.  An exact sum over
+    0 <= m < mod <= _TABLE_MOD is sum A_m B_v over the _tables of mod, any
+    other a pairwise tree of unreduced fractions; either is reduced once.
 
     Otherwise the rows of _norm_rows, widened by _SLACK, give integers
     L_m <= 2^64/(m^2 ||m alpha||^power) <= H_m, which add up exactly; an m
@@ -112,16 +128,21 @@ def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
         return Interval.zero()
     step, mod, err0 = walk_data(alpha)
     if err0 == 0 and (m_end - m_start) < _EXACT_TERM_LIMIT:
-        h = mod >> 1
-        terms = [(1, m * m * (v if (v := m * step % mod) <= h else mod - v)
-                  ** power) for m in range(m_start, m_end + 1)]
-        if (1, 0) in terms:  # a term is 0 exactly where ||m alpha|| is
-            raise ZeroDivisionError(
-                f"||m alpha|| = 0 at m = {m_start + terms.index((1, 0))}")
-        while len(terms) > 1:
-            terms = [(n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2)
-                     in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
-        total = Fraction(mod ** power * terms[0][0], terms[0][1])
+        g = mod // gcd(step, mod)  # ||m alpha|| = 0 exactly where g | m
+        if (z := -(-m_start // g) * g) <= m_end:
+            raise ZeroDivisionError(f"||m alpha|| = 0 at m = {z}")
+        ms = range(m_start, m_end + 1)
+        if 0 <= m_start and m_end < mod <= _TABLE_MOD:
+            a, b, den = _tables(mod, power)
+            top = sum(a[m] * b[m * step % mod] for m in ms)
+        else:
+            t = [(1, m * m * min(v := m * step % mod, mod - v) ** power)
+                 for m in ms]
+            while len(t) > 1:
+                t = [(n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2)
+                     in zip(t[::2], t[1::2])] + t[len(t) & ~1:]
+            (top, den), = t
+        total = Fraction(mod ** power * top, den)
         return Interval(total, total)
     num = (mod ** power) << _SCALE_BITS
     lo = hi = 0

@@ -186,6 +186,20 @@ def test_trust_check_finds_a_semiconvergent():
     assert walk_data(x, 253) == (519, 1 << 16, 1)
 
 
+@given(p=st.integers(-(1 << 70), 1 << 70), q=st.integers(1, 1 << 40),
+       N=st.integers(1, 50))
+@example(p=-3, q=7, N=1)  # negative
+@example(p=23, q=7, N=1)  # above 1
+@example(p=-14, q=7, N=1)  # integral, below 0
+@example(p=5, q=1, N=3)  # integral, above 1
+@settings(max_examples=100, deadline=None)
+def test_walk_data_of_a_fraction_is_its_fractional_part(p, q, N):
+    x = Fraction(p, q)
+    v = x % 1
+    assert walk_data(x, N) == (v.numerator, v.denominator, 0)
+    assert walk_data(Alpha.from_rational(p, q), N) == walk_data(x)
+
+
 # mod = 2^B (a mantissa) or a rational q.  With near, step = floor(i mod/n0)
 # + t puts n0 step within n0 of a multiple of mod: inside the n0 mod/2^128
 # the two-limb realization cannot resolve once mod >= 2^128, and exactly on

@@ -19,7 +19,9 @@ from latdisc.lattice import build_L, build_S, walk_data
 from latdisc.parseval import (
     dioph_inequalities,
     _EXACT_TERM_LIMIT,
+    _TABLE_MOD,
     _min_weighted_sum,
+    _tables,
     _tail_min_sum,
     dioph_sum,
     dioph_sum1,
@@ -220,6 +222,57 @@ class TestDiophSumProperties:
         for fn, power in ((dioph_sum1, 1), (dioph_sum2, 2)):
             iv = fn(alpha, 1, m_end)
             assert iv.lo == iv.hi == _direct_dioph_sum(alpha, 1, m_end, power)
+
+    # an exact alpha of modulus q <= 2^9, so on both sides of _TABLE_MOD, a
+    # dyadic one with an even mantissa included, and ranges from m >= 0 that
+    # end below q (inside) or up to 3q past their start; at most 3000 terms
+    @given(dyadic=st.booleans(), q=st.integers(1, 1 << 9),
+           p=st.integers(0, 1 << 9), start=st.integers(0, 3 << 9),
+           length=st.integers(0, 3 << 9), inside=st.booleans())
+    # past q, where a table read unguarded sums nothing: the sum is
+    # 3408783049/2650190400 for power 2
+    @example(dyadic=False, q=7, p=3, start=8, length=5, inside=False)
+    @example(dyadic=False, q=5, p=2, start=0, length=3, inside=True)  # m = 0
+    @example(dyadic=False, q=256, p=3, start=1, length=254, inside=True)
+    @example(dyadic=False, q=257, p=3, start=1, length=255, inside=True)
+    @example(dyadic=True, q=256, p=12, start=1, length=254, inside=True)
+    @example(dyadic=True, q=256, p=101, start=1, length=254, inside=True)
+    @settings(max_examples=80, deadline=None)
+    def test_exact_path_around_the_table_bound(self, dyadic, q, p, start,
+                                               length, inside):
+        if dyadic:  # bits <= 9, err 0: walk_data keeps an even mantissa
+            bits = min(q.bit_length() - 1, 9)
+            q, p = 1 << bits, p % (1 << bits)
+            alpha, value = FixedPointReal(p, bits, 0), Fraction(p, 1 << bits)
+        else:
+            alpha = value = Fraction(p, q)
+        m_start = start % (q if inside else 3 * q + 1)
+        m_end = m_start + length % (q - m_start if inside else 3 * q + 1)
+        zero = next((m for m in range(m_start, m_end + 1)
+                     if m * value % 1 == 0), None)
+        for fn, power in ((dioph_sum1, 1), (dioph_sum2, 2)):
+            if zero is not None:  # the exact path's message, first zero m
+                with pytest.raises(ZeroDivisionError, match=re.escape(
+                        f"||m alpha|| = 0 at m = {zero}") + "$"):
+                    fn(alpha, m_start, m_end)
+            else:
+                iv = fn(alpha, m_start, m_end)
+                assert iv.lo == iv.hi == _direct_dioph_sum(value, m_start,
+                                                           m_end, power)
+
+    def test_tables_are_bounded_and_hold_no_modulus_above_the_bound(self):
+        assert _tables.cache_info().maxsize == 2 * _TABLE_MOD
+        _tables.cache_clear()
+        for q in range(_TABLE_MOD - 2, _TABLE_MOD + 5):
+            for fn in (dioph_sum1, dioph_sum2):
+                fn(Fraction(1, q), 1, q - 1)
+                fn(FixedPointReal(1, 9, 0), 1, q - 1)
+        assert _tables.cache_info().currsize == 2 * 3
+        # 2 * 2^8 tables, every modulus to the bound at both powers, fit
+        for q in range(1, _TABLE_MOD + 1):
+            for fn in (dioph_sum1, dioph_sum2):
+                fn(Fraction(1, q), 1, q - 1)
+        assert _tables.cache_info().currsize == 2 * _TABLE_MOD - 2
 
     @given(p=st.integers(1, 20000), q=st.integers(_EXACT_TERM_LIMIT + 2, 20000),
            data=st.data())
