@@ -136,15 +136,13 @@ class Alpha:
             if len(body.grow(K, N)) > n and body.state:
                 return len(body.known)
         try:
-            for a in self.cf.quotients(K):
-                q.append(a * q[-1] + q[-2])
-                if q[-1] >= N:
-                    return K
+            while self.q(K) < N:
                 K += 1
         except ExpansionExhausted:
             raise ValueError(
                 f"no q_K with K >= 1 reaches {N}: the expansion of "
                 f"{self.label} ends at K = {K - 1}")
+        return K
 
     def stats(self, K: int):
         return cf_stats(self.cf, K)

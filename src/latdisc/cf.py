@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 from math import inf, isqrt
 from operator import mul
 from typing import Callable, Iterator, List, NamedTuple, Optional, Union
@@ -131,11 +130,6 @@ class ContinuedFraction(NamedTuple):
                 return body.preperiod[k - 1]
             return body.period[(k - 1 - r) % len(body.period)]
         return body.fn(k)
-
-    def quotients(self, k: int = 1) -> Iterator[int]:
-        """a_k, a_(k+1), ... (k >= 1); past the end of the expansion the
-        iteration raises as quotient() does."""
-        return map(self.quotient, count(k))
 
     @property
     def length(self) -> Optional[int]:

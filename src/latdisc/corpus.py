@@ -8,6 +8,7 @@ both places.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
 from .alphas import Alpha
@@ -39,7 +40,6 @@ def named_alphas() -> List[Alpha]:
 
 def random_rational_alphas(count: int = 20) -> List[Alpha]:
     """count reduced p/q with 20 <= q <= 500, from seed 20240."""
-    from math import gcd
     out = []
     i = 0
     while len(out) < count:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -113,7 +114,6 @@ def starred_sums(p: int, q: int) -> BirkhoffSums:
     """Exact rational sums T*_n = sum_{l=0}^{n} (1/2 - 1/(2q) - {l p/q})
     = T_n - (n+1)/(2q) for n < q, with average E*_q = E_q - (q+1)/(4q).
     Requires gcd(p, q) = 1."""
-    from math import gcd
     if q < 1 or gcd(p, q) != 1:
         raise ValueError("need q >= 1 and gcd(p, q) = 1")
     b = birkhoff_sums(Fraction(p, q), q)

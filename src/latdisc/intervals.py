@@ -29,7 +29,7 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        if self.lo > self.hi:
+        if self.lo is not self.hi and self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod

@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import factorial, gcd
 from operator import mul
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -472,26 +471,26 @@ def _sweep(outs, estimator: str) -> SweepResult:
     return SweepResult(rows, ks, resampled=sum(o[3] for o in outs))
 
 
-def _rational_stat(args) -> Tuple[str, float, float, int]:
-    p, q, estimator = args
-    source = f"{p}/{q}"
+def _rational_rows(args) -> List[Tuple[float, float]]:
+    """(stat, width) of S(p/q, q) for every p of one q: the exact statistic
+    in one batch, the others row by row."""
+    q, ps, estimator = args
+    logsq = math.log(q) ** 2
+    if estimator == "exact":
+        return [(LEVY_COEFF * float(v) / logsq, 0.0)
+                for v in d2_exact_lattices(ps, q, q, True)]
     if estimator == "cf_moment":
-        s2 = sum(a * a for a in _cf_quotients_of_fraction(p, q))
-        return source, MOMENT_COEFF_RATIONAL * s2 / math.log(q) ** 2, 0.0, 0
-    return (source, *_levy_stat(Alpha.from_rational(p, q), q, estimator), 0)
-
-
-def _rational_exact(args) -> list:
-    """The exact statistic of S(p/q, q) for every p of one q, in one batch."""
-    q, ps = args
-    return [((p, q), LEVY_COEFF * float(v) / math.log(q) ** 2)
-            for p, v in zip(ps, d2_exact_lattices(ps, q, q, True))]
+        return [(MOMENT_COEFF_RATIONAL * sum(
+            a * a for a in _cf_quotients_of_fraction(p, q)) / logsq, 0.0)
+            for p in ps]
+    return [_levy_stat(Alpha.from_rational(p, q), q, estimator) for p in ps]
 
 
 def rational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
     """Normalized statistic 5 pi^3 D2^2(S(p/q,q)) / log^2 q over a Farey set
     (or a uniform sample of it) against the Levy law.  Denominator-1 entries
     carry log^2 q = 0 and are excluded (full mode) or redrawn (sample mode).
+    Each distinct p/q is scored once, all p of one q in one task.
     """
     if cfg.mode == "farey_full":
         fracs = [(p, q) for p, q in farey_enumerate(cfg.Q) if q >= 2]
@@ -500,17 +499,14 @@ def rational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
                  for i in range(cfg.M)]
     else:
         raise ValueError("rational_sweep needs a farey mode")
-    if cfg.estimator != "exact":
-        return _sweep(_map(_rational_stat, [(p, q, cfg.estimator)
-                                            for p, q in fracs], threads),
-                      cfg.estimator)
-    by_q = {}  # the exact statistic takes all p of one q in one batch
+    by_q = {}
     for p, q in fracs:
         by_q.setdefault(q, set()).add(p)
-    stat = dict(chain.from_iterable(_map(_rational_exact, [
-        (q, sorted(by_q[q])) for q in sorted(by_q)], threads)))
-    return _sweep([(f"{p}/{q}", stat[p, q], 0.0, 0) for p, q in fracs],
-                  "exact")
+    tasks = [(q, sorted(by_q[q]), cfg.estimator) for q in sorted(by_q)]
+    score = {(p, q): s for (q, ps, _), out in zip(
+        tasks, _map(_rational_rows, tasks, threads)) for p, s in zip(ps, out)}
+    return _sweep([(f"{p}/{q}", *score[p, q], 0) for p, q in fracs],
+                  cfg.estimator)
 
 
 def _irrational_stat(args) -> Tuple[str, float, float, int]:

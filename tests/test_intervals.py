@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from latdisc.intervals import Interval
@@ -38,3 +39,16 @@ def test_mul_every_sign_pattern_on_a_grid():
     for a in ivs:
         for b in ivs:
             assert a * b == _four_products(a, b)
+
+
+@given(a=ends, b=ends)
+@settings(max_examples=200, deadline=None)
+def test_only_an_empty_interval_is_refused(a, b):
+    # distinct objects of one value, and one object at both ends, are points
+    for lo, hi in ((a, Fraction(a)), (a, a)):
+        assert Interval(lo, hi) == Interval(a, a)
+    if a > b:
+        with pytest.raises(ValueError, match=f"empty interval \\[{a}, {b}\\]"):
+            Interval(a, b)
+    else:
+        assert Interval(a, b).hi == b

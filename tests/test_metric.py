@@ -8,6 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latdisc import metric
+from latdisc.alphas import Alpha
+from latdisc.discrepancy import d2_exact_fast
+from latdisc.lattice import build_S
 from latdisc.metric import (
     ESTIMATORS,
     SweepConfig,
@@ -268,6 +271,22 @@ class TestSampling:
         assert sorted(ls)[len(ls) // 2] >= 50
 
 
+def lone_score(p, q, estimator):
+    """(stat, width) of one fraction p/q, 2 <= q, scored on its own."""
+    logsq = math.log(q) ** 2
+    alpha = Alpha.from_rational(p, q)
+    if estimator == "exact":
+        d2sq = d2_exact_fast(build_S(alpha, q)).d2_squared
+        return metric.LEVY_COEFF * float(d2sq) / logsq, 0.0
+    if estimator == "cf_moment":
+        _, terms = oracles.quotients_of_fraction(Fraction(p, q), q)
+        s2 = sum(a * a for a in terms)
+        return metric.MOMENT_COEFF_RATIONAL * s2 / logsq, 0.0
+    lo, hi, _, _ = oracles.enclosure_fraction(alpha, q, None, True)
+    return (metric.LEVY_COEFF * float((lo + hi) / 2) / logsq,
+            metric.LEVY_COEFF * float(hi - lo) / logsq)
+
+
 class TestSweeps:
     def test_rational_small(self):
         res = rational_sweep(SweepConfig(mode="farey_full", Q=30))
@@ -285,6 +304,43 @@ class TestSweeps:
         res = rational_sweep(cfg)
         assert res.n == 40
         assert all(int(r.source.split("/")[1]) >= 2 for r in res.rows)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_sample_scores_each_fraction_once(self, monkeypatch, estimator):
+        cfg = SweepConfig(mode="farey_sample", Q=60, M=300, seed=3,
+                          estimator=estimator)
+        draws = [metric._farey_draw(metric._substream(3, i), 60, 2)
+                 for i in range(300)]
+        distinct = sorted(set(draws))
+        assert len(distinct) == 261 and len({q for _, q in distinct}) == 55
+        scored, batches = [], []
+        levy, lattices, cf = (metric._levy_stat, metric.d2_exact_lattices,
+                              metric.cf_of_rational)
+
+        def levy_stat(alpha, N, est):
+            scored.append((alpha.value.numerator, N))
+            return levy(alpha, N, est)
+
+        def d2_exact_lattices(steps, mod, N, sym):
+            batches.append(mod)
+            scored.extend((p, mod) for p in steps)
+            return lattices(steps, mod, N, sym)
+
+        def cf_of_rational(p, q):
+            scored.append((p, q))
+            return cf(p, q)
+
+        monkeypatch.setattr(metric, "_levy_stat", levy_stat)
+        monkeypatch.setattr(metric, "d2_exact_lattices", d2_exact_lattices)
+        monkeypatch.setattr(metric, "cf_of_rational", cf_of_rational)
+        res = rational_sweep(cfg)
+        monkeypatch.undo()
+        assert sorted(scored) == distinct
+        assert len(batches) == (55 if estimator == "exact" else 0)
+        assert [r.source for r in res.rows] == [f"{p}/{q}" for p, q in draws]
+        for row, (p, q) in zip(res.rows, draws):
+            assert (row.stat, row.enclosure_width) == lone_score(p, q,
+                                                                 estimator)
 
     def test_estimators_consistent(self):
         cfg_e = SweepConfig(mode="farey_full", Q=40, estimator="exact")
@@ -403,7 +459,7 @@ class TestSweeps:
 
         monkeypatch.setattr(metric, "ProcessPoolExecutor", RecordingPool)
         cfg = SweepConfig(mode="farey_full", Q=5, estimator="cf_moment")
-        rows = farey_count(5) - 2
+        tasks = 4  # one per denominator q = 2..5
         serial = rational_sweep(cfg, threads=1)
         monkeypatch.setattr(metric.os, "cpu_count", lambda: 64)
         assert rational_sweep(cfg, threads=5000) == serial
@@ -411,7 +467,7 @@ class TestSweeps:
         assert rational_sweep(cfg, threads=5000) == serial
         monkeypatch.setattr(metric.os, "cpu_count", lambda: None)
         assert rational_sweep(cfg, threads=5000) == serial
-        assert started == [rows, 3] and chunks == [1, 1]
+        assert started == [tasks, 3] and chunks == [1, 1]
         for threads in (0, -1):
             with pytest.raises(ValueError):
                 rational_sweep(cfg, threads=threads)
