@@ -24,13 +24,7 @@ from .cf import (
     optimality_stats,
 )
 from .discrepancy import DiscrepancyValue, d2_exact_fast, d2_exact_quadratic
-from .fixedpoint import (
-    BirkhoffSums,
-    FixedPointReal,
-    birkhoff_sums,
-    eval_alpha,
-    starred_sums,
-)
+from .fixedpoint import FixedPointReal, eval_alpha
 from .intervals import Interval
 from .lattice import LatticePointSet, build_L, build_S
 from .metric import (

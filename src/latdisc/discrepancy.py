@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, lcm
 from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -81,74 +81,144 @@ def _dot(a: np.ndarray, b: np.ndarray, a_bits: int, b_bits: int):
 # elements (rows x indices) of one block of the streamed sums
 _CHUNK = 1 << 14
 # the rows of _lattice_sums' first pass
-_SUMS = ("tFk", "tFz", "kFk", "kFz", "zFk", "zFz", "kw", "ku", "ke", "zw",
-         "zu", "ze", "kte", "kke", "zte", "zke")
+_SUMS = ("tF", "F", "kH", "kte", "kke")
+
+
+def _cubic_sum(f, n: int):
+    """sum_(i<n) f(i), exactly, for a tuple-valued f cubic in i: Newton's
+    forward differences at 0, sum_d C(n, d + 1) D^d f(0), from f(0..3)."""
+    vals = np.array([f(i) for i in range(min(n, 4))], object)
+    return sum(comb(n, d + 1) * np.diff(vals, d, axis=0)[0]
+               for d in range(len(vals)))
+
+
+def _multiples(step: int, mod: int, N: int, k: np.ndarray, b: int):
+    """What the multiples d = j q' of q' = mod/gcd(step, mod) in 0 < d < N
+    add to the pair and t2 terms of S (see d2_exact_lattices), in O(q').
+
+    With s' = step/gcd, k_(j q' + r) = j s' + k_r, so the sums of k_t and
+    t k_t over t < a q' + r (r <= q') are polynomials in a whose
+    coefficients are those sums over r < q' and over r < N mod q', each an
+    exact limb dot; every term is then cubic in j."""
+    g = gcd(step, mod)
+    qp, sp = mod // g, step // g
+    n0, r0 = divmod(N, qp)
+    (K0, K1), (R0, R1) = (
+        map(int, _dot(np.stack((np.ones(x, np.int64), np.arange(x))), k[:x],
+                      b, b)) for x in (qp, r0))
+
+    def prefix(a, r, Kr0, Kr1):
+        T = a * (a - 1) // 2
+        return (a * K0 + qp * sp * T + a * sp * r + Kr0,
+                qp * qp * sp * T * (2 * a - 1) // 3 + a * K1 + Kr1
+                + (qp * K0 + sp * qp * (qp - 1) // 2) * T
+                + a * qp * (a * sp * r + Kr0) + a * sp * r * (r - 1) // 2)
+
+    def terms(i):
+        j = i + 1
+        d, x = j * qp, N - j * qp
+        A, _ = prefix(j, 1, 0, 0)  # sum of k_t over t <= d
+        B0, B1 = prefix(n0 - j, r0, R0, R1)  # over t < x
+        Tx = x * (x + 1) // 2
+        # sum_(t<=d) g_t (N-d) - sum_(t<x) g_t (x-t) - g_d T(x), g = k, t
+        Dk = x * (A - B0) + B1 - j * sp * Tx
+        Dt = x * d * (d + 1) // 2 - (x + 1) * x * (x - 1) // 6 - d * Tx
+        return (mod * (N * (N + 1) - d * (d + 1) + x * (2 * d + 1) + 2 * Dk)
+                - 2 * step * Dt,
+                mod * (mod * (1 + 2 * j * sp) - 2 * step * d) * (N * N - d * d))
+
+    return _cubic_sum(terms, (N - 1) // qp)
 
 
 def _lattice_sums(steps: Sequence[int], mod: int, N: int,
                   sym: bool) -> List[dict]:
-    """Per step, the sums of floors times integer weights that
+    """Per step, the sums of floors k times integer weights that
     d2_exact_lattices needs, as Python ints, in O(N).  Only the floors and
-    four prefix sums are held at full length; the weights are made one block
-    of indices at a time, and each block's sums are exact int64 limb dots.
+    two prefix sums of k are held at full length; the weights are made one
+    block of indices at a time, and each block's sums are exact int64 limb
+    dots.  z = [mod does not divide m step] = 1 - [q' | m] is never formed:
+    the sums S reads of it are closed forms in N, sums of k here, and the
+    sums over the multiples of q' below N that _multiples adds (none when
+    q' >= N, as for every fixed-point alpha and every S(p/q, q)).
 
     What reaches a dot or a floor division is below 4 N^2; _dot splits the
     products k t and k k against e = N^2 - t^2 into limbs.  The prefix sums
-    of m f_m, V and (1 + k) V_1 reach about N^3 and may wrap, but they only
-    enter sums, differences and products, which int64 gets right modulo
-    2^64; the F and g they make are < 2 N^2.
+    of m k_m, V and k V_1 reach about N^3 and may wrap, but they only enter
+    sums, differences and products, which int64 gets right modulo 2^64; the
+    F, H and g they make are < 5 N^2.
     """
-    B, M = len(steps), 2 * N - 1 if sym else N
-    KZ = floors(steps, mod, M)
+    B = len(steps)
+    K = floors(steps, mod, 2 * N if sym else N)[0]
     m = np.arange(N)
-    # S0[f, :, j], S1[f, :, j]: sums of f_m and m f_m over m < j, f = k, z
-    S0, S1 = np.zeros((2, 2, B, N + 1), np.int64)
-    np.cumsum(KZ[..., :N], axis=-1, out=S0[..., 1:])
-    np.cumsum(KZ[..., :N] * m, axis=-1, out=S1[..., 1:])
-    b = N.bit_length() + 2  # bits of n, k_m (m < 2N) and 2 k + z
+    # S[0, :, o + j], S[1, :, o + j]: sums of k_m and m k_m over m < j <= N;
+    # for S the symmetric pass reads them at o + j for -N < j <= 2N, clamped
+    # to 0 <= j <= N by N zero columns before and N copies of j = N after
+    o = N if sym else 0
+    S = np.zeros((2, B, N + 1 + 2 * o), np.int64)
+    P0, P1 = S[:, :, o:o + N + 1]
+    np.cumsum(K[:, :N], axis=-1, out=P0[:, 1:])
+    np.cumsum(K[:, :N] * m, axis=-1, out=P1[:, 1:])
+    b = N.bit_length() + 2  # bits of s < 2N, of k_s and of k + 1
     width = max(1, _CHUNK // B)
+    t1 = np.array((m, np.ones_like(m)))[:, None]
     acc = 0
     for lo in range(0, N, width):
         t = m[lo:lo + width]
         hi = lo + len(t)
         Nt, e = N - t, N * N - t * t
-        kz = KZ[..., lo:hi]
+        k = K[:, lo:hi]
         rev = slice(N - lo, N - hi, -1)  # prefix index N - t
-        # F_t(f) = H(t) - G(N - t) - f_t T(N - t) for f = k and z, with
-        # G(j) = sum_(m<j) (j - m) f_m and H(t) = sum_(t<=m<N) (N - m) f_m
-        F = (N * (S0[..., N:] - S0[..., lo:hi]) - S1[..., N:]
-             + S1[..., lo:hi] - Nt * S0[..., rev] + S1[..., rev]
-             - kz * (Nt * (Nt + 1) // 2))
-        W = np.array([Nt * (2 * t + 1), N * (N + 1) // 2 - t * (t + 1) // 2,
-                      e])
-        tk = np.stack((np.broadcast_to(t, kz[0].shape), kz[0]))
-        acc += np.concatenate([x.reshape(-1, B) for x in (
-            _dot(t, F, b, 2 * b), _dot(kz[:, None], F, b, 2 * b),
-            _dot(kz[:, None], W[:, None], b, 2 * b),
-            _dot(kz[:, None] * tk, e, 2 * b, 2 * b))])
-    sums = [dict(zip(_SUMS, col)) for col in acc.T]
+        # F_t = R(t) - G(N - t) - k_t T(N - t), with G(j) = sum_(m<j)
+        # (j - m) k_m and R(t) = sum_(t<=m<N) (N - m) k_m
+        F = (N * (P0[:, N:] - P0[:, lo:hi]) - P1[:, N:] + P1[:, lo:hi]
+             - Nt * P0[:, rev] + P1[:, rev] - k * (Nt * (Nt + 1) // 2))
+        # H_t: the weight of k_t in the pair sum, F_t's folded in; for S,
+        # (t + 1)(N - t) = T(N) - T(t) - T(N - t - 1) gathers the weights
+        # of k_t that the reflected walk's z-sums leave (d2_exact_lattices)
+        H = Nt * (t + 1) + 2 * F if sym else Nt * (2 * t + 1) - 2 * F
+        acc += np.concatenate((
+            _dot(t1[..., lo:hi], F, b, 2 * b), _dot(k, H, b, 2 * b)[None],
+            _dot(np.array((k * t, k * (k + sym))), e, 2 * b, 2 * b)))
+    sums = [dict(zip(_SUMS, col), dpair=0, dt2=0) for col in acc.T]
     if not sym:
         return sums
-    # S0[0] and S1[0] become the prefix sums of f = 2 k + z and of m f
-    for P in (S0, S1):
-        P[0] *= 2
-        P[0] += P[1]
-    P0, P1 = S0[0], S1[0]
+    # S becomes the prefix sums of f = 2 k - [q' | m], so that g = k V_1 -
+    # V_f: m = 0 for every step, the other multiples where q' < N
+    P0 *= 2
+    P1 *= 2
+    P0[:, 1:] -= 1
+    for i, (d, step) in enumerate(zip(sums, steps)):
+        qp = mod // gcd(step, mod)
+        if qp < N:
+            d["dpair"], d["dt2"] = _multiples(step, mod, N, K[i], b)
+            c = m // qp
+            P0[i, 1:] -= c
+            P1[i, 1:] -= qp * c * (c + 1) // 2
+    S[:, :, o + N + 1:] = S[:, :, o + N:o + N + 1]
+    # C[f, :, p, j] = S[f, :, j + p]: the reads at c = ceil(s/2) for the
+    # even (p = 0) and odd (p = 1) s of a block, as slices
+    C = np.ndarray(S.shape[:2] + (2, S.shape[2] - 1), np.int64, S, 0,
+                   S.strides + (8,))
     acc = 0
-    for lo in range(0, M, width):
-        s = np.arange(lo, min(lo + width, M))
+    half = max(1, width // 2)
+    for i in range(0, N, half):
+        n = min(half, N - i)
+        lo, hi = 2 * i, 2 * (i + n)
         # V_f(s) = sum_(l<=m<c) (N - s + m) f_m + sum_(c<=m<h) (N - m) f_m
         # over the m + n = s with m, n < N: l = max(0, s - N + 1),
-        # c = ceil(s/2) and h = min(s + 1, N).  V_1 <= N^2.
-        c, h = (s + 1) // 2, np.minimum(s + 1, N)
-        l = s + 1 - h
-        V = (2 * P1[:, c] - s * P0[:, c] + N * P0[:, h] - P1[:, h]
-             - (N - s) * P0[:, l] - P1[:, l])
-        V1 = (c * (c - 1) - s * c + N * h - h * (h - 1) // 2
-              - (N - s) * l - l * (l - 1) // 2)
-        k = KZ[0, :, lo:lo + len(s)]
-        g = (1 + k) * V1 - V
-        acc += np.array([_dot(s, g, b, 2 * b), _dot(k, g, b, 2 * b)])
+        # c = ceil(s/2) and h = min(s + 1, N), read at o + c, o + s + 1 and
+        # s + 1; even s, then odd s.  V_1 <= N^2.
+        s = np.arange(lo, hi).reshape(n, 2).T
+        c0, c1 = C[..., o + i:o + i + n]
+        (h0, h1), (l0, l1) = (S[..., a + 1:a + hi - lo + 1].reshape(
+            2, B, n, 2).swapaxes(2, 3) for a in (o + lo, lo))
+        V = 2 * c1 - s * c0 + N * h0 - h1 - (N - s) * l0 - l1
+        u = np.minimum(s, 2 * N - 2 - s)
+        V1 = (u + 1) * (N - np.minimum(s, N - 1)) + u * u // 4
+        sk = np.empty((2, B, 2, n), np.int64)
+        sk[0], sk[1] = s, K[:, lo:hi].reshape(B, n, 2).swapaxes(1, 2)
+        g = sk[1] * V1 - V
+        acc += _dot(sk.reshape(2, B, -1), g.reshape(B, -1), b, 2 * b)
     for d, sg, kg in zip(sums, *acc):
         d["sg"], d["kg"] = sg, kg
     return sums
@@ -175,7 +245,16 @@ def d2_exact_lattices(steps: Sequence[int], mod: int, N: int,
             - sum_(s<2N-1) r_s [(1 + k_s) V_1(s) - V_(2k+z)(s)],
         V_f(s) = sum_(m+n=s; m,n<N) (N - max(m, n)) f_m.
 
-    A sum of r_n w_n is step sum n w - mod sum k w.
+    A sum of r_n w_n is step sum n w - mod sum k w.  z = 1 - delta, where
+    delta_m = [q' | m] and q' = mod/gcd(step, mod), and F_t(k) = 0 on the
+    multiples D of q' below N, so sum z_t F_t(k) = sum F_t(k) and
+
+        F_t(z) = -T(N - t) + sum_(i<N-t) (delta_i + delta_t
+                                          - delta_(i+t))(N - i - t):
+
+    every z-sum is a closed form in N or a sum of k, minus a sum over D.
+    D = {0} unless q' < N; then the sums over its d = j q' > 0 are cubic in
+    j (_multiples).
     """
     if not 1 <= N < 1 << 30 or not all(0 <= s < mod for s in steps):
         raise ValueError("need 1 <= N < 2^30 and 0 <= step < mod")
@@ -190,20 +269,22 @@ def d2_exact_lattices(steps: Sequence[int], mod: int, N: int,
     w = 2 * N * p1 + N * N - 2 * p2 - p1  # sum (N - n)(2n + 1)
     e, ne = N ** 3 - p2, N * N * p2 - p4  # sums of N^2 - n^2, n^2 (N^2 - n^2)
     TN = N * (N + 1) // 2
-    u, nu = N * TN - (p2 + p1) // 2, TN * p1 - (p3 + p2) // 2
+    nu = TN * p1 - (p3 + p2) // 2  # sum n (T(N) - T(n))
     out = []
     for a, d in zip(steps, _lattice_sums(steps, mod, N, sym)):
         if not sym:
-            pair = (q * (w + d["kw"] - 2 * d["kFk"] - 2 * d["zFk"])
+            pair = (q * (w - 2 * d["F"] + d["kH"])
                     - a * (2 * N * p2 + N * p1 - 2 * p3 - p2)
-                    + 2 * a * d["tFk"])
+                    + 2 * a * d["tF"])
             t2 = q * q * (e - d["kke"]) - a * a * ne + 2 * a * q * d["kte"]
         else:
-            pair = (q * (2 * (w + u - d["ku"] - d["zu"] + d["kg"]) - d["zw"]
-                         - 4 * d["kFk"] - 2 * d["zFk"] - 2 * d["kFz"])
-                    + 2 * a * (2 * d["tFk"] + d["tFz"] + nu - d["sg"]))
-            t2 = (q * q * (2 * e - 2 * d["kke"] - 2 * d["zke"] - d["ze"])
-                  - 2 * a * a * ne + 2 * a * q * (2 * d["kte"] + d["zte"]))
+            # sum_(t<N) t T(N - t - 1) = C(N + 1, 4)
+            pair = (q * (w + 2 * TN + N + 2 * d["kg"] - 2 * d["F"]
+                         - 2 * d["kH"])
+                    + 2 * a * (2 * d["tF"] - comb(N + 1, 4) + nu - d["sg"])
+                    + d["dpair"])
+            t2 = (q * q * (e + N * N - 2 * d["kke"]) - 2 * a * a * ne
+                  + 2 * a * q * (2 * d["kte"] + N * N * p1 - p3) + d["dt2"])
         out.append(_combine(pair, t2, N << sym, mod, N))
     return out
 

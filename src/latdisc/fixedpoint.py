@@ -9,9 +9,7 @@ path, which is what the rational lattice experiments rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -69,23 +67,6 @@ def eval_alpha(cf: ContinuedFraction, bits: int = DEFAULT_BITS) -> FixedPointRea
     return FixedPointReal(mant, bits, 2)
 
 
-@dataclass(frozen=True)
-class BirkhoffSums:
-    """T_0..T_{N-1} and their average E_N, exact in the representation.
-
-    For fixed-point alpha the entries are the exact values computed from the
-    stored mantissa; err_bound limits how far each can sit from the true T_n.
-    """
-
-    N: int
-    T: tuple
-    E: Fraction
-    err_bound: Fraction
-
-    def __post_init__(self):
-        assert self.E * self.N == sum(self.T)
-
-
 def _running_sums(value, N: int):
     """int64 a_n = n + 1 + 2 sum_(l<=n) floor(l step/mod) and nn_n = n(n+1),
     both at most N^2, with T_n = (mod a_n - step nn_n)/(2 mod) for n < N; the
@@ -98,27 +79,6 @@ def _running_sums(value, N: int):
     a = n + 1 + 2 * np.cumsum(floors([step], mod, N)[0, 0])
     # each {l*alpha} is off by <= l*err ulps, so T_n is off by <= n^2 * err ulps
     return a, n * (n + 1), step, mod, Fraction(err_ulp * N * N, mod)
-
-
-def birkhoff_sums(value, N: int) -> BirkhoffSums:
-    """Running sums T_n = sum_{l=0}^{n} (1/2 - {l alpha}) for n < N, and
-    their average.  O(N), exact for rational alpha."""
-    a, nn, step, mod, err = _running_sums(value, N)
-    u = [mod * x - step * y for x, y in zip(a.tolist(), nn.tolist())]
-    D = mod << 1
-    return BirkhoffSums(N, tuple(Fraction(x, D) for x in u),
-                        Fraction(sum(u), D * N), err)
-
-
-def starred_sums(p: int, q: int) -> BirkhoffSums:
-    """Exact rational sums T*_n = sum_{l=0}^{n} (1/2 - 1/(2q) - {l p/q})
-    = T_n - (n+1)/(2q) for n < q, with average E*_q = E_q - (q+1)/(4q).
-    Requires gcd(p, q) = 1."""
-    if q < 1 or gcd(p, q) != 1:
-        raise ValueError("need q >= 1 and gcd(p, q) = 1")
-    b = birkhoff_sums(Fraction(p, q), q)
-    T = tuple(t - Fraction(n, 2 * q) for n, t in enumerate(b.T, 1))
-    return BirkhoffSums(q, T, b.E - Fraction(q + 1, 4 * q), Fraction(0))
 
 
 def birkhoff_quad_block(value, N: int):

@@ -1,23 +1,26 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately written against different machinery than the
-library paths it checks: symbolic cell integration and an x-sorted merge
-sweep for the discrepancy, term-by-term big-integer Diophantine sums,
-exact factorial/sine series for e and tan 1, integer square roots for
-surds, adaptive quadrature for the Levy law, a point-by-point loop for
-its Kolmogorov distance, and reduced Fraction arithmetic for the assembly
-of the D2^2 enclosures.
+library paths it checks: symbolic cell integration, an x-sorted merge
+sweep and a sort-free pairwise sum in numpy for the discrepancy,
+term-by-term big-integer Diophantine sums, exact factorial/sine series for
+e and tan 1, integer square roots for surds, adaptive quadrature for the
+Levy law, a point-by-point loop for its Kolmogorov distance, and reduced
+Fraction arithmetic for the assembly of the D2^2 enclosures.  It also
+holds the running sums T_n as exact Fraction tuples (birkhoff_sums,
+starred_sums), which only the tests read.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
 from latdisc.cf import PrecisionExhausted
-from latdisc.fixedpoint import birkhoff_quad_block as block_of
+from latdisc.fixedpoint import _running_sums, birkhoff_quad_block as block_of
 from latdisc.intervals import INV_2PI4, INV_4PI4, ZETA3_16PI4, Interval
 from latdisc.lattice import walk_data
 from latdisc.parseval import dioph_sum2
@@ -77,6 +80,44 @@ def trust_check(x, N: int):
             raise PrecisionExhausted(
                 f"{{n alpha}} within its error of an integer at n = {n}")
     return step, mod, err_ulp
+
+
+@dataclass(frozen=True)
+class BirkhoffSums:
+    """T_0..T_{N-1} and their average E_N, exact in the representation.
+
+    For fixed-point alpha the entries are the exact values computed from the
+    stored mantissa; err_bound limits how far each can sit from the true T_n.
+    """
+
+    N: int
+    T: tuple
+    E: Fraction
+    err_bound: Fraction
+
+    def __post_init__(self):
+        assert self.E * self.N == sum(self.T)
+
+
+def birkhoff_sums(value, N: int) -> BirkhoffSums:
+    """Running sums T_n = sum_{l=0}^{n} (1/2 - {l alpha}) for n < N, and
+    their average.  O(N), exact for rational alpha."""
+    a, nn, step, mod, err = _running_sums(value, N)
+    u = [mod * x - step * y for x, y in zip(a.tolist(), nn.tolist())]
+    D = mod << 1
+    return BirkhoffSums(N, tuple(Fraction(x, D) for x in u),
+                        Fraction(sum(u), D * N), err)
+
+
+def starred_sums(p: int, q: int) -> BirkhoffSums:
+    """Exact rational sums T*_n = sum_{l=0}^{n} (1/2 - 1/(2q) - {l p/q})
+    = T_n - (n+1)/(2q) for n < q, with average E*_q = E_q - (q+1)/(4q).
+    Requires gcd(p, q) = 1."""
+    if q < 1 or gcd(p, q) != 1:
+        raise ValueError("need q >= 1 and gcd(p, q) = 1")
+    b = birkhoff_sums(Fraction(p, q), q)
+    T = tuple(t - Fraction(n, 2 * q) for n, t in enumerate(b.T, 1))
+    return BirkhoffSums(q, T, b.E - Fraction(q + 1, 4 * q), Fraction(0))
 
 
 def birkhoff_quad_block(value, N: int):
@@ -207,6 +248,77 @@ def merge_sweep_d2sq(points) -> Fraction:
                  np.int64 if n * B < 1 << 61 else object)
     c = (2 * _dominance(w) + w).tolist()
     pair = sum((A - X[j]) * int(cj) for j, cj in zip(order, c))
+    diag = sum((A * A - x * x) * (B * B - y * y) for x, y in zip(X, Y))
+    return (Fraction(pair, A * B) - Fraction(n * diag, 2 * A * A * B * B)
+            + Fraction(n * n, 9))
+
+
+def _words(v, size: int) -> list:
+    """Rows of the size-bit words of the integers v >= 0, least significant
+    first, as many words as the largest needs."""
+    count = max(1, -(-max(v).bit_length() // size))
+    return [[x >> (size * i) & ((1 << size) - 1) for i in range(count)]
+            for x in v]
+
+
+def _less(W, rows):
+    """lt[i, j] = [value rows[i] < value j] of uint64 word rows W (most
+    significant first): the first word decides all pairs but the few whose
+    first words tie, which the later words decide one by one."""
+    a = W[rows]
+    lt = a[:, None, 0] < W[None, :, 0]
+    if W.shape[1] == 1:
+        return lt
+    ii, jj = np.divmod(np.flatnonzero(a[:, None, 0] == W[None, :, 0]),
+                       len(W))
+    for w in range(1, W.shape[1]):
+        x, y = a[ii, w], W[jj, w]
+        lt[ii, jj] = x < y
+        ii, jj = ii[x == y], jj[x == y]
+    return lt
+
+
+def pairwise_d2sq(points) -> Fraction:
+    """Exact D2^2 of a point list by the pairwise Warnock sum, O(n^2) in
+    numpy, with no sort and no merge.  Over common denominators x = X/A,
+    y = Y/B, with u = A - X, v = B - Y and gx[i, j] = [X_i >= X_j] (so
+    A - max(X_i, X_j) is u_i where gx holds, u_j where not), each block of
+    rows i sums
+
+        (A - max X)(B - max Y) = u_i v_i [gx gy] + u_i v_j [gx, not gy]
+                                 + u_j v_i [not gx, gy] + u_j v_j [neither]
+
+    over j as masked float64 matrix products with 32-bit words of v, u and
+    u v: every partial sum is an integer below n 2^32 <= 2^53."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    n = len(pts)
+    if not 0 < n <= 1 << 21:
+        raise ValueError("need 1 <= n <= 2^21 points")
+    A = lcm(*(x.denominator for x, _ in pts))
+    B = lcm(*(y.denominator for _, y in pts))
+    X = [x.numerator * (A // x.denominator) for x, _ in pts]
+    Y = [y.numerator * (B // y.denominator) for _, y in pts]
+    u = np.array([A - x for x in X], object)
+    v = np.array([B - y for y in Y], object)
+    WX, WY = (np.array(_words(Z, 64), np.uint64)[:, ::-1] for Z in (X, Y))
+    # 32-bit words of v, u and u v, and their place values
+    parts = [(np.array(words, np.float64), np.array(
+        [1 << (32 * i) for i in range(len(words[0]))], object))
+        for words in (_words(z, 32) for z in (v, u, u * v))]
+
+    def dot(mask, part):  # sum_j mask[i, j] z_j, per row i, as Python ints
+        words, scale = part
+        return (mask.astype(np.float64) @ words).astype(np.int64).astype(
+            object) @ scale
+
+    pair = 0
+    for lo in range(0, n, 128):
+        r = np.arange(lo, min(lo + 128, n))
+        gx, gy = ~_less(WX, r), ~_less(WY, r)
+        pair += (u[r] * v[r] @ np.count_nonzero(gx & gy, axis=1).astype(object)
+                 + u[r] @ dot(gx & ~gy, parts[0])
+                 + v[r] @ dot(~gx & gy, parts[1])
+                 + dot(~(gx | gy), parts[2]).sum())
     diag = sum((A * A - x * x) * (B * B - y * y) for x, y in zip(X, Y))
     return (Fraction(pair, A * B) - Fraction(n * diag, 2 * A * A * B * B)
             + Fraction(n * n, 9))

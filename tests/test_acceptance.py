@@ -40,6 +40,7 @@ from oracles import (
     cell_integration_d2sq,
     e_fraction,
     merge_sweep_d2sq,
+    pairwise_d2sq,
     quotients_of_fraction,
     tan1_fraction,
 )
@@ -72,11 +73,13 @@ def test_01_oracle_equivalence(corpus):
     rng = random.Random(16180)
     mismatches = 0
     sets = 0
-    # 10^3 random rational point sets, sizes up to 200: the merge sweep
+    # 10^3 random rational point sets, sizes up to 200: the merge sweep and
+    # the numpy pairwise sum
     for _ in range(1000):
         pts = random_rational_points(rng, rng.randrange(1, 201))
         sets += 1
-        if merge_sweep_d2sq(pts) != d2_exact_quadratic(pts).d2_squared:
+        want = d2_exact_quadratic(pts).d2_squared
+        if merge_sweep_d2sq(pts) != want or pairwise_d2sq(pts) != want:
             mismatches += 1
     # every corpus alpha at a moderate lattice size, both variants
     for alpha in corpus:
@@ -87,13 +90,14 @@ def test_01_oracle_equivalence(corpus):
             sets += 1
             if d2_exact_fast(P).d2_squared != d2_exact_quadratic(P).d2_squared:
                 mismatches += 1
-    # larger instances, still within the N <= 10^4 envelope
+    # larger instances, still within the N <= 10^4 envelope: the pairwise
+    # sum in numpy
     for alpha, N in ((Alpha.from_surd(-1, 5, 2), 6765),
                      (Alpha.from_rule("euler_e"), 1001)):
         for build in ((build_S,) if N > 2000 else (build_L, build_S)):
             P = build(alpha, N)
             sets += 1
-            if d2_exact_fast(P).d2_squared != d2_exact_quadratic(P).d2_squared:
+            if d2_exact_fast(P).d2_squared != pairwise_d2sq(P.points()):
                 mismatches += 1
     # symbolic piecewise integration agrees on every tiny set
     cell_checked = 0

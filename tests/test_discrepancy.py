@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latdisc.alphas import Alpha
-from latdisc.discrepancy import (d2_exact_fast, d2_exact_lattices,
+from latdisc.discrepancy import (_CHUNK, d2_exact_fast, d2_exact_lattices,
                                  d2_exact_quadratic)
 from latdisc.fixedpoint import FixedPointReal
 from latdisc.lattice import build_L, build_S
@@ -172,6 +172,11 @@ alphas = st.one_of(
 @given(alpha=alphas, N=st.integers(1, 60), sym=st.booleans())
 @example(alpha=([0], 1), N=7, sym=True)
 @example(alpha=([3, 7], 10), N=25, sym=True)  # q < N: tied x
+# rows with q' = mod/gcd(step, mod) of 1, 4, 8 and 2, each with several
+# multiples below N, where z_m = 1 - [q' | m]
+@example(alpha=([0, 2, 3, 4], 8), N=41, sym=True)
+@example(alpha=([0, 2, 3, 4], 8), N=41, sym=False)
+@example(alpha=([6, 9, 10], 12), N=60, sym=True)
 @settings(max_examples=150, deadline=None)
 def test_closed_form_equals_quadratic_property(alpha, N, sym):
     steps, mod = alpha
@@ -193,6 +198,18 @@ def test_closed_form_equals_merge_oracle_property(q, p, fixed, use_fixed, N,
     x = FixedPointReal(fixed, 256) if use_fixed else Fraction(p % q, q)
     P = (build_S if sym else build_L)(x, N)
     assert d2_exact_fast(P).d2_squared == merge_sweep_d2sq(P.points())
+
+
+# q' = 8192/gcd(2730, 8192) = 4096 <= N/3: the multiples of q' below N sit
+# on both sides of the first pass's block edge at _CHUNK (N = _CHUNK + 1
+# puts the multiple _CHUNK in the second block) and across the symmetric
+# pass's blocks
+@pytest.mark.parametrize("N", [_CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("sym", [True, False])
+def test_multiples_of_the_reduced_modulus_across_blocks(N, sym):
+    v, = d2_exact_lattices([2730], 8192, N, sym)
+    P = (build_S if sym else build_L)(Fraction(2730, 8192), N)
+    assert v == merge_sweep_d2sq(P.points())
 
 
 # sha256 of "numerator/denominator" of D2^2 of S and L(12/13, 3.5 * 10^6),

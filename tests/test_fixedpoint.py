@@ -14,17 +14,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from latdisc.alphas import Alpha
 from latdisc.cf import PrecisionExhausted, QuadraticSurd, cf_of_bits, cf_of_rational, cf_of_surd, cf_rule
 from latdisc.discrepancy import _CHUNK, d2_exact_fast, realization_error
-from latdisc.fixedpoint import (
-    FixedPointReal,
-    birkhoff_quad_block,
-    birkhoff_sums,
-    eval_alpha,
-    starred_sums,
-)
+from latdisc.fixedpoint import FixedPointReal, birkhoff_quad_block, eval_alpha
 from latdisc.lattice import build_L, build_S, walk_data
 
 import oracles
-from oracles import e_fraction, norms, residues, sqrt_mantissa
+from oracles import (birkhoff_sums, e_fraction, norms, residues, sqrt_mantissa,
+                     starred_sums)
 
 
 class TestFixedPointReal:

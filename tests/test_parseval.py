@@ -786,7 +786,7 @@ class TestDiagnostics:
         assert max(abs(r) for r in res[8:]) <= max(abs(r) for r in res[:8]) + 0.5
 
     def test_birkhoff_step_identity(self, phi):
-        from latdisc.fixedpoint import birkhoff_sums
+        from oracles import birkhoff_sums
         b = birkhoff_sums(phi.value, 40)
         step, mod, _ = walk_data(phi)
         for n in range(1, 40):
