@@ -15,13 +15,11 @@ from .cf import (
     ExpansionExhausted,
     PrecisionExhausted,
     QuadraticSurd,
-    alternate_expansion,
     cf_of_bits,
     cf_of_rational,
     cf_of_surd,
     cf_rule,
     cf_stats,
-    optimality_stats,
 )
 from .discrepancy import DiscrepancyValue, d2_exact_fast, d2_exact_quadratic
 from .fixedpoint import FixedPointReal, eval_alpha
@@ -36,10 +34,8 @@ from .metric import (
     irrational_sweep,
     kolmogorov_distance,
     levy_cdf,
-    quotient_tail_count,
     rational_sweep,
     sample_irrational,
-    trimmed_quotient_mean,
 )
 from .parseval import (
     Enclosure,
@@ -47,11 +43,6 @@ from .parseval import (
     dioph_sum,
     enclosure_L,
     enclosure_S,
-    mean_check,
-    quotient_gap_check,
-    ratio_check,
-    variance_check,
-    xi_direct,
 )
 from .quadratic import (
     alternation_constant,

@@ -222,22 +222,6 @@ def cf_of_rational(p: int, q: int) -> ContinuedFraction:
     return ContinuedFraction(0, Finite(tuple(terms)))
 
 
-def alternate_expansion(cf: ContinuedFraction) -> ContinuedFraction:
-    """The other expansion of a rational: split a_r >= 2 as (a_r - 1, 1),
-    or merge a trailing 1 back.  Lengths of the two forms differ by one."""
-    if not isinstance(cf.body, Finite):
-        raise ValueError("alternate expansion is defined for finite expansions")
-    terms = cf.body.terms
-    if not terms:
-        raise ValueError("zero has a unique (empty) expansion")
-    if terms[-1] >= 2:
-        return ContinuedFraction(cf.a0, Finite(terms[:-1] + (terms[-1] - 1, 1)))
-    if len(terms) == 1:
-        # [a0;1] is a0 + 1 exactly
-        return ContinuedFraction(cf.a0 + 1, Finite(()))
-    return ContinuedFraction(cf.a0, Finite(terms[:-2] + (terms[-2] + 1,)))
-
-
 def _floor_surd(P: int, D: int, Q: int) -> int:
     # floor((P + sqrt(D)) / Q) for nonsquare D, exact in integers
     s = isqrt(D)
@@ -361,9 +345,3 @@ def cf_stats(cf: ContinuedFraction, K: int) -> CFStats:
     return CFStats(K, sum(a), sum(map(mul, a, a)),
                    sum(a[1::2]) - sum(a[::2]), max(a))
 
-
-def optimality_stats(cf: ContinuedFraction, K: int):
-    """The two trajectories that decide optimal L2 discrepancy:
-    (sum of a_k^2)/K and |alternating sum of a_k| / sqrt(K)."""
-    st = cf_stats(cf, K)
-    return st.sum_a2 / K, abs(st.alt_sum) / K ** 0.5

@@ -148,7 +148,7 @@ def _lattice_sums(steps: Sequence[int], mod: int, N: int,
     F, H and g they make are < 5 N^2.
     """
     B = len(steps)
-    K = floors(steps, mod, 2 * N if sym else N)[0]
+    K = floors(steps, mod, 2 * N if sym else N)
     m = np.arange(N)
     # S[0, :, o + j], S[1, :, o + j]: sums of k_m and m k_m over m < j <= N;
     # for S the symmetric pass reads them at o + j for -N < j <= 2N, clamped

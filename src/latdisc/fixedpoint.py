@@ -76,7 +76,7 @@ def _running_sums(value, N: int):
         raise ValueError("N must be >= 1 and < 2^31")
     step, mod, err_ulp = walk_data(value, N)
     n = np.arange(N)
-    a = n + 1 + 2 * np.cumsum(floors([step], mod, N)[0, 0])
+    a = n + 1 + 2 * np.cumsum(floors([step], mod, N)[0])
     # each {l*alpha} is off by <= l*err ulps, so T_n is off by <= n^2 * err ulps
     return a, n * (n + 1), step, mod, Fraction(err_ulp * N * N, mod)
 

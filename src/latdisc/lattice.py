@@ -39,7 +39,7 @@ class LatticePointSet:
     def x_num(self) -> tuple:
         """x numerators over mod, in point order; y_i = (i >> sym)/N."""
         xs = [m * self.step - k * self.mod for m, k in
-              enumerate(floors([self.step], self.mod, self.N)[0, 0].tolist())]
+              enumerate(floors([self.step], self.mod, self.N)[0].tolist())]
         if self.sym:
             return tuple(v for x in xs for v in (x, -x % self.mod))
         return tuple(xs)
@@ -78,25 +78,21 @@ def near(n, low, inexact):
 
 
 def floors(steps: Sequence[int], mod: int, M: int):
-    """kz[0, b, m] = floor(m steps[b]/mod) and kz[1, b, m] = [mod does not
-    divide m steps[b]] as int64, for m < M <= 2^32 and 0 <= steps[b] < mod:
-    the one realization of {m alpha} = (m step - k mod)/mod.
+    """k[b, m] = floor(m steps[b]/mod) as int64, for m < M <= 2^32 and
+    0 <= steps[b] < mod: the one realization of {m alpha} =
+    (m step - k mod)/mod.
 
     With r = floor(2^128 step/mod), 2^128 m step/mod lies in [m r, m r + m),
-    so k is exact and z is [(mid, low) != 0] off the near set.  Its few m
-    are recomputed exactly, in int64 when mod M < 2^63."""
-    kz = np.empty((2, len(steps), M), np.int64)
-    k, z = kz
+    so k is the top word off the near set.  Its few m are recomputed
+    exactly, in int64 when mod M < 2^63."""
+    k = np.empty((len(steps), M), np.int64)
     dt = np.int64 if mod * M < 1 << 63 else object
-    for lo, n, kb, mid, low, inexact in step_words(steps, mod, 0, M,
-                                                   1 << 16):
+    for lo, n, kb, _, low, inexact in step_words(steps, mod, 0, M, 1 << 16):
         k[:, lo:lo + len(n)] = kb.view(np.int64)
-        z[:, lo:lo + len(n)] = (mid | low) != 0
         b, m = np.nonzero(near(n, low, inexact))
         m += lo
-        ms = m.astype(dt) * np.array(steps, dt)[b]
-        k[b, m], z[b, m] = ms // mod, ms % mod != 0
-    return kz
+        k[b, m] = m.astype(dt) * np.array(steps, dt)[b] // mod
+    return k
 
 
 def walk_data(x, N: int = 1) -> Tuple[int, int, int]:

@@ -12,7 +12,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 from operator import mul
@@ -99,27 +98,6 @@ def farey_enumerate(Q: int) -> Iterator[Tuple[int, int]]:
         k = (Q + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
         yield a, b
-
-
-def _cf_quotients_of_fraction(p: int, q: int) -> tuple:
-    """Canonical quotients of p/q in [0,1] written as [0;a_1,...,a_r];
-    the endpoint 1/1 is [0;1], and 0/1 has the empty list."""
-    return (1,) if p == q else cf_of_rational(p, q).body.terms
-
-
-def quotient_tail_count(Q: int, k: int, t: int) -> Tuple[int, Fraction]:
-    """Exact count of p/q in F_Q with a_k >= t, and the bound 2Q^2/t it is
-    guaranteed not to exceed.  Full enumeration; keep Q <= 3000."""
-    if Q > 3000:
-        raise ValueError("enumeration guard: Q <= 3000")
-    if k < 1 or t < 1:
-        raise ValueError("need k >= 1 and t >= 1")
-    count = 0
-    for p, q in farey_enumerate(Q):
-        terms = _cf_quotients_of_fraction(p, q)
-        if len(terms) >= k and terms[k - 1] >= t:
-            count += 1
-    return count, Fraction(2 * Q * Q, t)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +459,7 @@ def _rational_rows(args) -> List[Tuple[float, float]]:
                 for v in d2_exact_lattices(ps, q, q, True)]
     if estimator == "cf_moment":
         return [(MOMENT_COEFF_RATIONAL * sum(
-            a * a for a in _cf_quotients_of_fraction(p, q)) / logsq, 0.0)
+            a * a for a in cf_of_rational(p, q).body.terms) / logsq, 0.0)
             for p in ps]
     return [_levy_stat(Alpha.from_rational(p, q), q, estimator) for p in ps]
 
@@ -539,22 +517,3 @@ def irrational_sweep(cfg: SweepConfig, threads: int = 1) -> SweepResult:
             for i, u in enumerate(draws)]
     return _sweep(_map(_irrational_stat, args, threads), cfg.estimator)
 
-
-def trimmed_quotient_mean(measure: str, K: int, M: int, seed: int) -> float:
-    """Monte Carlo mean of (sum_{k<=K} a_k - max_k a_k) / (K log K); the
-    trimmed-sum law puts the limit at 1/log 2 = 1.4427."""
-    if K < 2 or M < 1:
-        raise ValueError("need K >= 2 and M >= 1")
-    # ~3.4 bits of mantissa per quotient, plus the 64-bit safety margin
-    bits = max(256, 4 * K + 128)
-    total = 0.0
-    for i in range(M):
-        while True:
-            alpha = sample_irrational(measure, bits, seed, i)
-            try:
-                st = alpha.stats(K)
-                break
-            except PrecisionExhausted:
-                bits *= 2
-        total += (st.sum_a - st.max_a) / (K * math.log(K))
-    return total / M

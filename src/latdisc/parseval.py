@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .cf import PrecisionExhausted
-from .discrepancy import d2_exact_fast
 from .fixedpoint import birkhoff_quad_block, walk_data
 from .intervals import (
     INV_2PI4,
@@ -41,7 +40,7 @@ from .intervals import (
     _QUANTUM_BITS,
     ceil_div,
 )
-from .lattice import build_L, build_S, near, step_words
+from .lattice import near, step_words
 
 _SCALE_BITS = 64
 _EXACT_TERM_LIMIT = 3000
@@ -349,35 +348,6 @@ def dioph_inequalities(alpha, K: int, n: int, N: int) -> DiophBounds:
 # Window term xi and the enclosures
 # ---------------------------------------------------------------------------
 
-# the most N * (window length) terms xi_direct evaluates
-_XI_TERM_GUARD = 10 ** 9
-
-
-def xi_direct(alpha, N: int, K: int, sym: bool) -> float:
-    """Direct evaluation of the window term
-
-        xi = (1/N) sum_{n<N} sum_{m=q_{K-1}}^{q_K-1}
-             sin^2(c_n m pi alpha) / (2 pi^4 m^2 ||m alpha||^2)
-
-    with c_n = 2n+1 for the symmetrized lattice (sym) and n+1 otherwise.
-    Double precision, intended for small instances (guarded by term count).
-    """
-    if K < 1 or N < 1:
-        raise ValueError("need K >= 1 and N >= 1")
-    m_lo, m_hi = alpha.q(K - 1), alpha.q(K) - 1
-    if N * (m_hi - m_lo + 1) > _XI_TERM_GUARD:
-        raise ValueError("instance too large for direct window evaluation")
-    ns = 2.0 * np.arange(N) + 1.0 if sym else np.arange(N) + 1.0
-    total = 0.0
-    for ms, xs in _norm_floats(*walk_data(alpha)[:2], m_lo, m_hi):
-        for m, x in zip(ms.tolist(), xs.tolist()):
-            # sin^2(pi c x) = sin^2(pi c (1 - x)) for integer c, so the
-            # phase may start from ||m alpha|| in place of {m alpha}
-            ssum = float(np.sum(np.sin(np.pi * np.mod(x * ns, 1.0)) ** 2))
-            total += ssum / (2 * np.pi ** 4 * m * m * x * x)
-    return total / N
-
-
 @dataclass(frozen=True)
 class Enclosure(Interval):
     """Certified interval around D2^2, with the index K used and a part
@@ -486,50 +456,9 @@ def enclosure_L(alpha, N: int, K: Optional[int] = None) -> Enclosure:
 # Diagnostics tied to the same expansion
 # ---------------------------------------------------------------------------
 
-def quotient_gap_check(alpha, K: int) -> Tuple[Interval, Fraction]:
-    """Gap sum_{m<q_K} 1/(m^2||m a||^2) - (pi^4/90) sum a_k^2, and the
-    certified bound 152 sum a_k it must stay within."""
-    return _quotient_gap(alpha, K, dioph_sum2(alpha, 1, alpha.q(K) - 1))
-
-
 def _quotient_gap(alpha, K: int, s2: Interval) -> Tuple[Interval, Fraction]:
-    """quotient_gap_check with the sum over m < q_K already in s2."""
+    """The gap s2 - (pi^4/90) sum a_k^2, s2 the sum of 1/(m^2 ||m a||^2)
+    over m < q_K, and the certified bound 152 sum a_k it must stay within."""
     st = alpha.stats(K)
     return s2 - (PI4 * Fraction(st.sum_a2, 90)), Fraction(152 * st.sum_a)
 
-
-def ratio_check(alpha, K: int) -> Tuple[float, float]:
-    """Exact D2^2 at N = q_K against the quotient sums it is comparable to:
-    (D2^2(S)/sum a_k^2, D2^2(L)/(sum a_k^2 + (alt sum)^2))."""
-    qK = alpha.q(K)
-    st = alpha.stats(K)
-    ds = float(d2_exact_fast(build_S(alpha, qK)).d2_squared)
-    dl = float(d2_exact_fast(build_L(alpha, qK)).d2_squared)
-    return ds / st.sum_a2, dl / (st.sum_a2 + st.alt_sum ** 2)
-
-
-def variance_check(alpha, N: int):
-    """(1/N) sum (T_n - E_N)^2 against sum_{m<q_K} 1/(8 pi^4 m^2 ||m a||^2).
-
-    Returns (lhs, rhs, residual) as floats; no assertion is made since the
-    comparison carries an unknown O(.) constant.
-    """
-    K = alpha.index_for(N)
-    _, _, var, _ = birkhoff_quad_block(alpha, N)
-    rhs = dioph_sum2(alpha, 1, alpha.q(K) - 1) * INV_8PI4
-    lhs = float(var)
-    r = float(rhs.mid)
-    return lhs, r, lhs - r
-
-
-def mean_check(alpha, K: int) -> Tuple[Fraction, Fraction, float]:
-    """E_{q_K} against its alternating-quotient main term; returns
-    (E, main, residual).
-
-    With T_n = sum (1/2 - {l alpha}), the bounded-residual statement is
-    E_{q_K} = (1/12) sum_k (-1)^(k+1) a_k + O(1): e.g. alpha = 1/q gives
-    E_q = (q+1)(q+2)/(12q), matching +a_1/12 and not -a_1/12.
-    """
-    _, E, _, _ = birkhoff_quad_block(alpha, alpha.q(K))
-    main = -Fraction(alpha.stats(K).alt_sum, 12)
-    return E, main, float(E - main)

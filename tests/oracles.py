@@ -8,22 +8,42 @@ e and tan 1, integer square roots for surds, adaptive quadrature for the
 Levy law, a point-by-point loop for its Kolmogorov distance, and reduced
 Fraction arithmetic for the assembly of the D2^2 enclosures.  It also
 holds the running sums T_n as exact Fraction tuples (birkhoff_sums,
-starred_sums), which only the tests read.
+starred_sums), and the quotient statistics and paper-lemma checks that
+only the tests read, which call the library directly: the other expansion
+of a rational, the optimality trajectories, the Farey tail count and the
+trimmed quotient mean, the window term xi in double precision, and the
+ratio, variance and mean checks of D2^2 and T_n against the quotient sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import Tuple
 
 import numpy as np
 
-from latdisc.cf import PrecisionExhausted
+from latdisc.cf import (
+    ContinuedFraction,
+    Finite,
+    PrecisionExhausted,
+    cf_of_rational,
+    cf_stats,
+)
+from latdisc.discrepancy import d2_exact_fast
 from latdisc.fixedpoint import _running_sums, birkhoff_quad_block as block_of
-from latdisc.intervals import INV_2PI4, INV_4PI4, ZETA3_16PI4, Interval
-from latdisc.lattice import walk_data
-from latdisc.parseval import dioph_sum2
+from latdisc.intervals import (
+    INV_2PI4,
+    INV_4PI4,
+    INV_8PI4,
+    ZETA3_16PI4,
+    Interval,
+)
+from latdisc.lattice import build_L, build_S, walk_data
+from latdisc.metric import farey_enumerate, sample_irrational
+from latdisc.parseval import _norm_floats, dioph_sum2
 
 
 def residues(step: int, mod: int, start: int, stop: int):
@@ -523,7 +543,6 @@ def sqrt_mantissa(D: int, bits: int) -> int:
 def levy_cdf_quadrature(t: float) -> float:
     """CDF of the standard Levy law by adaptive quadrature of the density."""
     from scipy.integrate import quad
-    import math
     if t <= 0:
         return 0.0
     val, _ = quad(
@@ -543,3 +562,128 @@ def kolmogorov_distance(samples) -> float:
         fx = levy_cdf(x)
         d = max(d, abs(i / n - fx), abs((i - 1) / n - fx))
     return d
+
+
+def alternate_expansion(cf: ContinuedFraction) -> ContinuedFraction:
+    """The other expansion of a rational: split a_r >= 2 as (a_r - 1, 1),
+    or merge a trailing 1 back.  Lengths of the two forms differ by one."""
+    if not isinstance(cf.body, Finite):
+        raise ValueError("alternate expansion is defined for finite expansions")
+    terms = cf.body.terms
+    if not terms:
+        raise ValueError("zero has a unique (empty) expansion")
+    if terms[-1] >= 2:
+        return ContinuedFraction(cf.a0, Finite(terms[:-1] + (terms[-1] - 1, 1)))
+    if len(terms) == 1:
+        # [a0;1] is a0 + 1 exactly
+        return ContinuedFraction(cf.a0 + 1, Finite(()))
+    return ContinuedFraction(cf.a0, Finite(terms[:-2] + (terms[-2] + 1,)))
+
+
+def optimality_stats(cf: ContinuedFraction, K: int):
+    """The two trajectories that decide optimal L2 discrepancy:
+    (sum of a_k^2)/K and |alternating sum of a_k| / sqrt(K)."""
+    st = cf_stats(cf, K)
+    return st.sum_a2 / K, abs(st.alt_sum) / K ** 0.5
+
+
+def quotient_tail_count(Q: int, k: int, t: int) -> Tuple[int, Fraction]:
+    """Exact count of p/q in F_Q with a_k >= t, and the bound 2Q^2/t it is
+    guaranteed not to exceed.  Full enumeration; keep Q <= 3000."""
+    if Q > 3000:
+        raise ValueError("enumeration guard: Q <= 3000")
+    if k < 1 or t < 1:
+        raise ValueError("need k >= 1 and t >= 1")
+    count = 0
+    for p, q in farey_enumerate(Q):
+        # [0;a_1,...,a_r]; the endpoint 1/1 is [0;1], and 0/1 is empty
+        terms = (1,) if p == q else cf_of_rational(p, q).body.terms
+        if len(terms) >= k and terms[k - 1] >= t:
+            count += 1
+    return count, Fraction(2 * Q * Q, t)
+
+
+def trimmed_quotient_mean(measure: str, K: int, M: int, seed: int) -> float:
+    """Monte Carlo mean of (sum_{k<=K} a_k - max_k a_k) / (K log K); the
+    trimmed-sum law puts the limit at 1/log 2 = 1.4427."""
+    if K < 2 or M < 1:
+        raise ValueError("need K >= 2 and M >= 1")
+    # ~3.4 bits of mantissa per quotient, plus the 64-bit safety margin
+    bits = max(256, 4 * K + 128)
+    total = 0.0
+    for i in range(M):
+        while True:
+            alpha = sample_irrational(measure, bits, seed, i)
+            try:
+                st = alpha.stats(K)
+                break
+            except PrecisionExhausted:
+                bits *= 2
+        total += (st.sum_a - st.max_a) / (K * math.log(K))
+    return total / M
+
+
+# the most N * (window length) terms xi_direct evaluates
+_XI_TERM_GUARD = 10 ** 9
+
+
+def xi_direct(alpha, N: int, K: int, sym: bool) -> float:
+    """Direct evaluation of the window term
+
+        xi = (1/N) sum_{n<N} sum_{m=q_{K-1}}^{q_K-1}
+             sin^2(c_n m pi alpha) / (2 pi^4 m^2 ||m alpha||^2)
+
+    with c_n = 2n+1 for the symmetrized lattice (sym) and n+1 otherwise.
+    Double precision, intended for small instances (guarded by term count).
+    """
+    if K < 1 or N < 1:
+        raise ValueError("need K >= 1 and N >= 1")
+    m_lo, m_hi = alpha.q(K - 1), alpha.q(K) - 1
+    if N * (m_hi - m_lo + 1) > _XI_TERM_GUARD:
+        raise ValueError("instance too large for direct window evaluation")
+    ns = 2.0 * np.arange(N) + 1.0 if sym else np.arange(N) + 1.0
+    total = 0.0
+    for ms, xs in _norm_floats(*walk_data(alpha)[:2], m_lo, m_hi):
+        for m, x in zip(ms.tolist(), xs.tolist()):
+            # sin^2(pi c x) = sin^2(pi c (1 - x)) for integer c, so the
+            # phase may start from ||m alpha|| in place of {m alpha}
+            ssum = float(np.sum(np.sin(np.pi * np.mod(x * ns, 1.0)) ** 2))
+            total += ssum / (2 * np.pi ** 4 * m * m * x * x)
+    return total / N
+
+
+def ratio_check(alpha, K: int) -> Tuple[float, float]:
+    """Exact D2^2 at N = q_K against the quotient sums it is comparable to:
+    (D2^2(S)/sum a_k^2, D2^2(L)/(sum a_k^2 + (alt sum)^2))."""
+    qK = alpha.q(K)
+    st = alpha.stats(K)
+    ds = float(d2_exact_fast(build_S(alpha, qK)).d2_squared)
+    dl = float(d2_exact_fast(build_L(alpha, qK)).d2_squared)
+    return ds / st.sum_a2, dl / (st.sum_a2 + st.alt_sum ** 2)
+
+
+def variance_check(alpha, N: int):
+    """(1/N) sum (T_n - E_N)^2 against sum_{m<q_K} 1/(8 pi^4 m^2 ||m a||^2).
+
+    Returns (lhs, rhs, residual) as floats; no assertion is made since the
+    comparison carries an unknown O(.) constant.
+    """
+    K = alpha.index_for(N)
+    _, _, var, _ = block_of(alpha, N)
+    rhs = dioph_sum2(alpha, 1, alpha.q(K) - 1) * INV_8PI4
+    lhs = float(var)
+    r = float(rhs.mid)
+    return lhs, r, lhs - r
+
+
+def mean_check(alpha, K: int) -> Tuple[Fraction, Fraction, float]:
+    """E_{q_K} against its alternating-quotient main term; returns
+    (E, main, residual).
+
+    With T_n = sum (1/2 - {l alpha}), the bounded-residual statement is
+    E_{q_K} = (1/12) sum_k (-1)^(k+1) a_k + O(1): e.g. alpha = 1/q gives
+    E_q = (q+1)(q+2)/(12q), matching +a_1/12 and not -a_1/12.
+    """
+    _, E, _, _ = block_of(alpha, alpha.q(K))
+    main = -Fraction(alpha.stats(K).alt_sum, 12)
+    return E, main, float(E - main)

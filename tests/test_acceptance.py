@@ -30,19 +30,20 @@ from latdisc.metric import (
     SweepConfig,
     farey_enumerate,
     irrational_sweep,
-    quotient_tail_count,
     rational_sweep,
     sample_irrational,
 )
-from latdisc.parseval import dioph_inequalities, enclosure_S, xi_direct
+from latdisc.parseval import dioph_inequalities, enclosure_S
 
 from oracles import (
     cell_integration_d2sq,
     e_fraction,
     merge_sweep_d2sq,
     pairwise_d2sq,
+    quotient_tail_count,
     quotients_of_fraction,
     tan1_fraction,
+    xi_direct,
 )
 
 C_GOLDEN = 1 / (30 * math.sqrt(5) * math.log((1 + math.sqrt(5)) / 2))
@@ -175,7 +176,7 @@ def test_04_certified_inequalities_and_tail_counts(named):
         for (k, t), c in counts.items():
             if c > Fraction(2 * Q * Q, t):
                 failures.append((Q, k, t))
-    # the batch counter must agree with the public operation
+    # the batch counter must agree with quotient_tail_count
     for (Q, k, t) in ((50, 1, 5), (200, 2, 10), (200, 3, 2)):
         c1, bound = quotient_tail_count(Q, k, t)
         c2 = 0

@@ -14,20 +14,18 @@ from latdisc.cf import (
     Finite,
     Periodic,
     QuadraticSurd,
-    alternate_expansion,
     cf_of_bits,
     cf_of_rational,
     cf_of_surd,
     cf_rule,
     cf_stats,
     iter_convergents,
-    optimality_stats,
 )
 from latdisc.fixedpoint import eval_alpha
 from latdisc.quadratic import period_matrix
 
 import oracles
-from oracles import sqrt_mantissa
+from oracles import alternate_expansion, optimality_stats, sqrt_mantissa
 
 
 def quotient_list(cf, K):

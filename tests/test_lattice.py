@@ -224,9 +224,8 @@ def test_realization_matches_exact_walk(B, q, dyadic, m, near, n0, t, N):
     step, mod, _ = walk_data(alpha)
     walk = residues(step, mod, 0, N)
     L, S = build_L(alpha, N), build_S(alpha, N)
-    k, z = floors([step], mod, 2 * N - 1)[:, 0].tolist()
+    k = floors([step], mod, 2 * N - 1)[0].tolist()
     assert k == [n * step // mod for n in range(2 * N - 1)]
-    assert z == [int(n * step % mod != 0) for n in range(2 * N - 1)]
     assert L.x_num == tuple(walk)
     assert S.x_num == tuple(chain.from_iterable((x, -x % mod) for x in walk))
     for build in (build_L, build_S):
@@ -244,10 +243,9 @@ def test_realization_matches_exact_walk(B, q, dyadic, m, near, n0, t, N):
 def test_floors_of_dyadic_steps_match_divmod(B, m, M):
     mod = 1 << B
     step = (m << max(0, B - 128)) % mod
-    kz = floors([step, (mod - step) % mod], mod, M)
-    for (k, z), s in zip(kz.transpose(1, 0, 2).tolist(), (step, -step % mod)):
+    ks = floors([step, (mod - step) % mod], mod, M)
+    for k, s in zip(ks.tolist(), (step, -step % mod)):
         assert k == [n * s // mod for n in range(M)]
-        assert z == [int(n * s % mod != 0) for n in range(M)]
 
 
 # the m next to an integer are recomputed in int64 while mod M < 2^63, else
@@ -266,6 +264,5 @@ def test_floors_next_to_integers_match_divmod(g, t, j, e, M, side, over):
         t = (1 << (62 + over)) // (M * g) + side
     mod = g * t
     step = (j * t + e) % mod
-    k, z = floors([step], mod, M)[:, 0].tolist()
+    k = floors([step], mod, M)[0].tolist()
     assert k == [n * step // mod for n in range(M)]
-    assert z == [int(n * step % mod != 0) for n in range(M)]

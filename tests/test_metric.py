@@ -20,14 +20,18 @@ from latdisc.metric import (
     irrational_sweep,
     kolmogorov_distance,
     levy_cdf,
-    quotient_tail_count,
     rational_sweep,
     sample_irrational,
-    trimmed_quotient_mean,
 )
 
 import oracles
-from oracles import gauss_mantissa, levy_cdf_quadrature
+from oracles import (
+    alternate_expansion,
+    gauss_mantissa,
+    levy_cdf_quadrature,
+    quotient_tail_count,
+    trimmed_quotient_mean,
+)
 
 
 class TestLevy:
@@ -106,7 +110,7 @@ class TestFarey:
         # permutation statement lives on the doubled set carrying both
         # expansions of every fraction: there each value appears exactly
         # twice as an image, always with the same denominator.
-        from latdisc.cf import alternate_expansion, cf_of_rational
+        from latdisc.cf import cf_of_rational
 
         def reversed_value(terms):
             val = Fraction(0)

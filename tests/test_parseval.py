@@ -21,6 +21,7 @@ from latdisc.parseval import (
     _EXACT_TERM_LIMIT,
     _TABLE_MOD,
     _min_weighted_sum,
+    _quotient_gap,
     _tables,
     _tail_min_sum,
     dioph_sum,
@@ -29,19 +30,18 @@ from latdisc.parseval import (
     dioph_sum2_float,
     enclosure_L,
     enclosure_S,
-    mean_check,
-    quotient_gap_check,
-    ratio_check,
     tail_min_bound,
-    variance_check,
-    xi_direct,
 )
 import oracles
 from oracles import (
+    mean_check,
     min_weighted_sum,
     quotients_of_fraction,
+    ratio_check,
     scaled_dioph_sum,
     tail_min_sum,
+    variance_check,
+    xi_direct,
 )
 
 
@@ -713,7 +713,7 @@ class TestEnclosures:
 
 class TestDiagnostics:
     def test_gap_contained(self, phi):
-        gap, bound = quotient_gap_check(phi, 10)
+        gap, bound = _quotient_gap(phi, 10, dioph_sum2(phi, 1, phi.q(10) - 1))
         assert -bound <= gap.lo and gap.hi <= bound
 
     def test_mean_check_half(self):

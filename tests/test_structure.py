@@ -1,10 +1,19 @@
-"""Import layout of the package: every module's imports sit at its top, and
-the realization of m alpha in lattice depends on nothing above it."""
+"""Layout of the package: every module's imports sit at its top, the
+realization of m alpha in lattice depends on nothing above it, and every
+top-level definition has a reader in the package itself."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).parents[1] / "src" / "latdisc"
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src" / "latdisc"
+
+# the top-level definitions that nothing under src/ reads, each with the
+# file outside src/ that does
+OUTSIDE_READERS = {
+    "metric.farey_count": "perfbench/workloads.py",
+    "metric.farey_sample": "tests/test_metric.py",
+}
 
 
 # the one import inside a function: mpmath stays out of `import latdisc`
@@ -34,3 +43,39 @@ def test_lattice_imports_only_cf():
     assert {(node.module, alias.name) for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.level
             for alias in node.names} == {("cf", "PrecisionExhausted")}
+
+
+def defined(node):
+    """The names a top-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign) else
+               [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
+def read(node):
+    """The names a statement reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_definition_is_read_in_src():
+    # __init__ only re-exports, so an export alone is no reader
+    nodes = [(path.stem, node) for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"
+             for node in ast.parse(path.read_text()).body]
+    reads = [read(node) for _, node in nodes]
+    unread = [f"{module}.{name}" for i, (module, node) in enumerate(nodes)
+              for name in defined(node)
+              if not any(name in r for j, r in enumerate(reads) if j != i)]
+    assert sorted(unread) == sorted(OUTSIDE_READERS)
+    for qualified, reader in OUTSIDE_READERS.items():
+        assert qualified.split(".")[1] in (ROOT / reader).read_text()
+
+
+def test_parseval_imports_nothing_from_discrepancy():
+    tree = ast.parse((SRC / "parseval.py").read_text())
+    assert "discrepancy" not in {node.module for node in ast.walk(tree)
+                                 if isinstance(node, ast.ImportFrom)}
