@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cf import ContinuedFraction, Finite, PrecisionExhausted, iter_convergents
-from .discrepancy import _CHUNK, _dot
+from .discrepancy import _running_dots
 from .lattice import floors, walk_data
 
 DEFAULT_BITS = 256
@@ -88,13 +88,10 @@ def birkhoff_quad_block(value, N: int):
     Returns (block, E, var, err) where block and var = (1/N) sum (T_n - E)^2
     are exact Fractions of the representation and err bounds the drift of the
     block for fixed-point alpha (zero for rationals).  Sums of 2 mod T_n =
-    mod a_n - step nn_n and its square take limb dots of a with 1, a and nn.
+    mod a_n - step nn_n and its square read the sums of a, a nn and a^2.
     """
     a, nn, step, mod, err = _running_sums(value, N)
-    bits = 2 * N.bit_length()
-    X = np.stack((np.ones_like(a), a, nn))
-    sa, saa, san = sum(_dot(a[i:i + _CHUNK], X[:, i:i + _CHUNK], bits, bits)
-                       for i in range(0, N, _CHUNK))
+    sa, san, saa = _running_dots(a[None])[:, 0]
     p1 = (N - 1) * N * (N + 1) // 3  # sums of nn_n and nn_n^2
     p2 = p1 * (3 * N * N - 2) // 5
     su = mod * sa - step * p1

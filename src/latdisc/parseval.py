@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .cf import PrecisionExhausted
-from .fixedpoint import birkhoff_quad_block, walk_data
+from .fixedpoint import birkhoff_quad_block
 from .intervals import (
     INV_2PI4,
     INV_4PI4,
@@ -40,7 +40,7 @@ from .intervals import (
     _QUANTUM_BITS,
     ceil_div,
 )
-from .lattice import near, step_words
+from .lattice import near, step_words, walk_data
 
 _SCALE_BITS = 64
 _EXACT_TERM_LIMIT = 3000

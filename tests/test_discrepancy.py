@@ -177,6 +177,10 @@ alphas = st.one_of(
 @example(alpha=([0, 2, 3, 4], 8), N=41, sym=True)
 @example(alpha=([0, 2, 3, 4], 8), N=41, sym=False)
 @example(alpha=([6, 9, 10], 12), N=60, sym=True)
+# a 2^256 modulus with q' of 1, 2 and 4: the closed forms over the
+# multiples of q' under a fixed-point-sized modulus
+@example(alpha=([0, 1 << 255, 3 << 254], 1 << 256), N=33, sym=True)
+@example(alpha=([0, 1 << 255, 3 << 254], 1 << 256), N=33, sym=False)
 @settings(max_examples=150, deadline=None)
 def test_closed_form_equals_quadratic_property(alpha, N, sym):
     steps, mod = alpha
@@ -200,11 +204,13 @@ def test_closed_form_equals_merge_oracle_property(q, p, fixed, use_fixed, N,
     assert d2_exact_fast(P).d2_squared == merge_sweep_d2sq(P.points())
 
 
-# q' = 8192/gcd(2730, 8192) = 4096 <= N/3: the multiples of q' below N sit
-# on both sides of the first pass's block edge at _CHUNK (N = _CHUNK + 1
-# puts the multiple _CHUNK in the second block) and across the symmetric
-# pass's blocks
-@pytest.mark.parametrize("N", [_CHUNK, _CHUNK + 1])
+# q' = 8192/gcd(2730, 8192) = 4096 <= N/2: x_t = 0 on the multiples of q'
+# below N, which J = ceil(N/q') counts.  The floors are dotted in blocks of
+# _CHUNK: S reads 2N - 1 of them, which end one short of the block edge at
+# _CHUNK for N = _CHUNK/2 and one past it for N = _CHUNK/2 + 1; L reads N,
+# which end on that edge for N = _CHUNK and one past it for N = _CHUNK + 1
+@pytest.mark.parametrize("N", [_CHUNK // 2, _CHUNK // 2 + 1, _CHUNK,
+                               _CHUNK + 1])
 @pytest.mark.parametrize("sym", [True, False])
 def test_multiples_of_the_reduced_modulus_across_blocks(N, sym):
     v, = d2_exact_lattices([2730], 8192, N, sym)
@@ -214,8 +220,9 @@ def test_multiples_of_the_reduced_modulus_across_blocks(N, sym):
 
 # sha256 of "numerator/denominator" of D2^2 of S and L(12/13, 3.5 * 10^6),
 # recorded with an independent count of earlier points per x value (no
-# floor identities).  There the prefix sums of m k_m and V pass 2^63 and
-# wrap in int64, and t e needs its two limbs.
+# floor identities).  There the products in the limb dots (omega against
+# k (k + 1) and t k; for L also a against a and n(n + 1)) pass 2^63, so
+# _dot takes them in limbs, and a_n reaches 2^43.
 @pytest.mark.parametrize("sym,digest", [
     (True, "4effbe73a2c027b1426bf27cf213fa5240d8ae665360de60b677cd4c462f4de4"),
     (False, "79d960017c48ee5f9f3a01ad5db2051d687c309c6d735ebff2baa50f0d06dbf5"),

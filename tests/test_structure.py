@@ -61,6 +61,21 @@ def read(node):
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def test_every_import_names_its_home():
+    # `from .m import name` takes name from the module that defines it at
+    # top level, never from one that only imports it
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    homes = {m: {name for node in tree.body for name in defined(node)}
+             for m, tree in trees.items()}
+    strays = [f"{m}: from .{node.module} import {alias.name}"
+              for m, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level
+              and node.module for alias in node.names
+              if alias.name not in homes[node.module]]
+    assert strays == []
+
+
 def test_every_definition_is_read_in_src():
     # __init__ only re-exports, so an export alone is no reader
     nodes = [(path.stem, node) for path in sorted(SRC.glob("*.py"))
