@@ -36,12 +36,6 @@ class DiscrepancyValue:
 PointsLike = Union[LatticePointSet, Iterable[Tuple[Fraction, Fraction]]]
 
 
-def _combine(pair_term: int, diag_term2: int, n: int, A: int, B: int) -> Fraction:
-    # pair_term is at scale A*B, diag_term2 at scale A^2*B^2
-    num = 18 * A * B * pair_term - 9 * n * diag_term2 + 2 * n * n * A * A * B * B
-    return Fraction(num, 18 * A * A * B * B)
-
-
 def d2_exact_quadratic(P: PointsLike) -> DiscrepancyValue:
     """Pairwise O(n^2) evaluation over common denominators, x_i = X_i/A and
     y_i = Y_i/B; the reference for the fast path."""
@@ -62,7 +56,10 @@ def d2_exact_quadratic(P: PointsLike) -> DiscrepancyValue:
             acc += (A - (xi if xi >= u else u)) * (B - (yi if yi >= v else v))
         pair += 2 * acc + (A - xi) * (B - yi)
     t2 = sum((A * A - x * x) * (B * B - y * y) for x, y in zip(X, Y))
-    return DiscrepancyValue(_combine(pair, t2, len(X), A, B))
+    # pair is at scale A B, t2 at scale A^2 B^2
+    n, AB = len(X), A * B
+    return DiscrepancyValue(Fraction(
+        18 * AB * pair - 9 * n * t2 + 2 * n * n * AB * AB, 18 * AB * AB))
 
 
 def _dot(a: np.ndarray, b: np.ndarray, a_bits: int, b_bits: int):

@@ -67,30 +67,26 @@ def eval_alpha(cf: ContinuedFraction, bits: int = DEFAULT_BITS) -> FixedPointRea
     return FixedPointReal(mant, bits, 2)
 
 
-def _running_sums(value, N: int):
-    """int64 a_n = n + 1 + 2 sum_(l<=n) floor(l step/mod) and nn_n = n(n+1),
-    both at most N^2, with T_n = (mod a_n - step nn_n)/(2 mod) for n < N; the
-    realization step/mod; and the drift bound of each T_n that walk_data's
-    trust check makes sound."""
-    if not 1 <= N < 1 << 31:
-        raise ValueError("N must be >= 1 and < 2^31")
-    step, mod, err_ulp = walk_data(value, N)
-    n = np.arange(N)
-    a = n + 1 + 2 * np.cumsum(floors([step], mod, N)[0])
-    # each {l*alpha} is off by <= l*err ulps, so T_n is off by <= n^2 * err ulps
-    return a, n * (n + 1), step, mod, Fraction(err_ulp * N * N, mod)
-
-
 def birkhoff_quad_block(value, N: int):
     """(1/N) sum_n (T_n^2 + T_n/2) together with sum statistics; value is an
     Alpha, a Fraction or a FixedPointReal.
 
     Returns (block, E, var, err) where block and var = (1/N) sum (T_n - E)^2
     are exact Fractions of the representation and err bounds the drift of the
-    block for fixed-point alpha (zero for rationals).  Sums of 2 mod T_n =
-    mod a_n - step nn_n and its square read the sums of a, a nn and a^2.
+    block for fixed-point alpha (zero for rationals).  With the realization
+    step/mod, 2 mod T_n = mod a_n - step nn_n for n < N over the int64
+    a_n = n + 1 + 2 sum_(l<=n) floor(l step/mod) and nn_n = n(n+1), both at
+    most N^2; the sums of 2 mod T_n and its square read the sums of a, a nn
+    and a^2.
     """
-    a, nn, step, mod, err = _running_sums(value, N)
+    if not 1 <= N < 1 << 31:
+        raise ValueError("N must be >= 1 and < 2^31")
+    step, mod, err_ulp = walk_data(value, N)
+    n = np.arange(N)
+    a = n + 1 + 2 * np.cumsum(floors([step], mod, N)[0])
+    # each {l*alpha} is off by <= l*err ulps, so T_n is off by <= n^2 * err
+    # ulps, a bound that walk_data's trust check makes sound
+    err = Fraction(err_ulp * N * N, mod)
     sa, san, saa = _running_dots(a[None])[:, 0]
     p1 = (N - 1) * N * (N + 1) // 3  # sums of nn_n and nn_n^2
     p2 = p1 * (3 * N * N - 2) // 5
@@ -105,6 +101,7 @@ def birkhoff_quad_block(value, N: int):
         # ratio, the product and the difference each round by at most
         # 2^-53 of their size: under 8 N^2 2^-53 in all, so the n whose
         # float |2 T_n| is within twice that of the largest hold max |u_n|
+        nn = n * (n + 1)
         t = np.abs(a - nn * (step / mod))
         cand = np.flatnonzero(t >= t.max() - N * N * 2.0 ** -49)
         umax = max(abs(mod * int(a[n]) - step * int(nn[n])) for n in cand)

@@ -124,14 +124,15 @@ def _rand_bits(gen: np.random.Generator, bits: int) -> int:
 
 # _rand_bits(_substream(seed, i), bits) for many i at once.  numpy keys
 # Philox by SeedSequence, whose uint32 hash is O'Neill's seed_seq scheme:
-# the entropy words are the seed's 32-bit words, padded with zeros to 4
-# because a spawn key follows, then the key word i.  The first 4 are hashed
-# into a 4-word pool, the pool words are mixed with each other, and every
-# further word is mixed into each pool word; generate_state(2, uint64)
-# hashes the pool into the two Philox key words.  Philox4x64-10 (Salmon et
-# al., SC 2011) then fills its buffer from counters 1, 2, ...  The hash
-# constants run through a fixed sequence, so only the mix of i and what
-# follows it depend on i.
+# the seed's 32-bit words, padded with zeros to 4 because a spawn key
+# follows, then the key word i.  numpy mixes the seed: the pool of
+# SeedSequence(seed) holds every seed word (unpadded, its missing words
+# hash as 0 all the same), and the hash constant has stepped by the
+# multiplier once per hash, 4 max(4, w) times for w seed words (4 first
+# hashes, 12 cross-mixes, 4 per word past the fourth).  The code here mixes
+# i into each pool word, hashes the pool into the two Philox key words as
+# generate_state(2, uint64) does, and runs Philox4x64-10 (Salmon et al.,
+# SC 2011) from counters 1, 2, ... for every i in one numpy pass.
 _M32 = 0xFFFFFFFF
 _HASH_A = (0x43B0D7E5, 0x931E8875)  # pool mixing: first constant, multiplier
 _HASH_B = (0x8B51F9DD, 0x58F38DED)  # generate_state
@@ -152,33 +153,6 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _absorb(pool: list, h: int, w) -> int:
-    """Mix one more entropy word w into every pool word; the next constant."""
-    for d in range(4):
-        v, h = _hash(w, h, _HASH_A[1])
-        pool[d] = _mix(pool[d], v)
-    return h
-
-
-def _seed_pool(seed: int) -> Tuple[list, int]:
-    """SeedSequence's pool once the words of seed >= 0 are mixed in, and the
-    hash constant reached there."""
-    words = [seed >> s & _M32 for s in range(0, max(32, seed.bit_length()), 32)]
-    words += [0] * (4 - len(words))
-    pool, h = [], _HASH_A[0]
-    for w in words[:4]:
-        v, h = _hash(w, h, _HASH_A[1])
-        pool.append(v)
-    for s in range(4):
-        for d in range(4):
-            if s != d:
-                v, h = _hash(pool[s], h, _HASH_A[1])
-                pool[d] = _mix(pool[d], v)
-    for w in words[4:]:
-        h = _absorb(pool, h, w)
-    return pool, h
-
-
 def _mulhilo(m: int, x: np.ndarray):
     """The high and low 64-bit words of m * x, over 32-bit halves."""
     m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & _M32)
@@ -192,8 +166,12 @@ def _first_draws(seed: int, index, bits: int) -> List[int]:
     """[_rand_bits(_substream(seed, i), bits) for i in index], for seed >= 0
     and every i < 2^32, in one numpy pass."""
     i = np.asarray(index, dtype=np.uint32)
-    pool, h = _seed_pool(seed)
-    _absorb(pool, h, i)
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    w = -(-seed.bit_length() // 32)
+    h = _HASH_A[0] * pow(_HASH_A[1], 4 * max(4, w), 1 << 32) & _M32
+    for d in range(4):
+        v, h = _hash(i, h, _HASH_A[1])
+        pool[d] = _mix(pool[d], v)
     h = _HASH_B[0]
     for d in range(4):
         pool[d], h = _hash(pool[d], h, _HASH_B[1])

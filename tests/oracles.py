@@ -33,7 +33,7 @@ from latdisc.cf import (
     cf_stats,
 )
 from latdisc.discrepancy import d2_exact_fast
-from latdisc.fixedpoint import _running_sums, birkhoff_quad_block as block_of
+from latdisc.fixedpoint import birkhoff_quad_block as block_of
 from latdisc.intervals import (
     INV_2PI4,
     INV_4PI4,
@@ -43,7 +43,7 @@ from latdisc.intervals import (
 )
 from latdisc.lattice import build_L, build_S, walk_data
 from latdisc.metric import farey_enumerate, sample_irrational
-from latdisc.parseval import _norm_floats, dioph_sum2
+from latdisc.parseval import dioph_sum2
 
 
 def residues(step: int, mod: int, start: int, stop: int):
@@ -121,12 +121,19 @@ class BirkhoffSums:
 
 def birkhoff_sums(value, N: int) -> BirkhoffSums:
     """Running sums T_n = sum_{l=0}^{n} (1/2 - {l alpha}) for n < N, and
-    their average.  O(N), exact for rational alpha."""
-    a, nn, step, mod, err = _running_sums(value, N)
-    u = [mod * x - step * y for x, y in zip(a.tolist(), nn.tolist())]
+    their average, from u_n = D T_n, D = 2 mod: each step of the walk of
+    residues adds mod - 2 v_l.  O(N), exact for rational alpha; err_bound
+    is N^2 err_ulp/mod, sound once walk_data's trust check passes."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    step, mod, err_ulp = walk_data(value, N)
+    u, s = [], 0
+    for v in residues(step, mod, 0, N):
+        s += mod - 2 * v
+        u.append(s)
     D = mod << 1
     return BirkhoffSums(N, tuple(Fraction(x, D) for x in u),
-                        Fraction(sum(u), D * N), err)
+                        Fraction(sum(u), D * N), Fraction(err_ulp * N * N, mod))
 
 
 def starred_sums(p: int, q: int) -> BirkhoffSums:
@@ -641,14 +648,17 @@ def xi_direct(alpha, N: int, K: int, sym: bool) -> float:
     m_lo, m_hi = alpha.q(K - 1), alpha.q(K) - 1
     if N * (m_hi - m_lo + 1) > _XI_TERM_GUARD:
         raise ValueError("instance too large for direct window evaluation")
+    if m_hi >= 1 << 32:  # the domain of parseval's window sums
+        raise ValueError("the window needs 0 <= m < 2^32")
     ns = 2.0 * np.arange(N) + 1.0 if sym else np.arange(N) + 1.0
     total = 0.0
-    for ms, xs in _norm_floats(*walk_data(alpha)[:2], m_lo, m_hi):
-        for m, x in zip(ms.tolist(), xs.tolist()):
-            # sin^2(pi c x) = sin^2(pi c (1 - x)) for integer c, so the
-            # phase may start from ||m alpha|| in place of {m alpha}
-            ssum = float(np.sum(np.sin(np.pi * np.mod(x * ns, 1.0)) ** 2))
-            total += ssum / (2 * np.pi ** 4 * m * m * x * x)
+    step, mod = walk_data(alpha)[:2]
+    for m, d in enumerate(norms(step, mod, m_lo, m_hi + 1), m_lo):
+        x = d / mod  # ||m alpha||, correctly rounded
+        # sin^2(pi c x) = sin^2(pi c (1 - x)) for integer c, so the
+        # phase may start from ||m alpha|| in place of {m alpha}
+        ssum = float(np.sum(np.sin(np.pi * np.mod(x * ns, 1.0)) ** 2))
+        total += ssum / (2 * np.pi ** 4 * m * m * x * x)
     return total / N
 
 

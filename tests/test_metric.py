@@ -203,6 +203,11 @@ class TestSampling:
            count=st.integers(1, 30))
     @example(seed=1 << 200, bits=256, index=(1 << 32) - 1, count=2)
     @example(seed=(1 << 160) - 1, bits=129, index=0, count=3)
+    # seeds of w = 1, 4 and 5 words: the hash count 4 max(4, w) is 16, 16
+    # and 20
+    @example(seed=0, bits=128, index=0, count=1)
+    @example(seed=(1 << 128) - 1, bits=256, index=5, count=2)
+    @example(seed=1 << 128, bits=256, index=5, count=2)
     @settings(max_examples=60, deadline=None)
     def test_first_draws_are_the_substream_draws(self, seed, bits, index,
                                                  count):

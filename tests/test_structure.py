@@ -1,6 +1,7 @@
 """Layout of the package: every module's imports sit at its top, the
-realization of m alpha in lattice depends on nothing above it, and every
-top-level definition has a reader in the package itself."""
+realization of m alpha in lattice depends on nothing above it, every
+top-level definition has a reader in the package itself, and the test
+oracles read no private name of it."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,14 @@ def test_parseval_imports_nothing_from_discrepancy():
     tree = ast.parse((SRC / "parseval.py").read_text())
     assert "discrepancy" not in {node.module for node in ast.walk(tree)
                                  if isinstance(node, ast.ImportFrom)}
+
+
+def test_oracles_import_no_private_name():
+    # a reference that imports the library's private helpers shares the code
+    # it is meant to check
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("latdisc")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
