@@ -22,7 +22,6 @@ from .cf import (
     cf_of_rational,
     cf_of_surd,
     cf_rule,
-    cf_stats,
 )
 from .fixedpoint import DEFAULT_BITS, FixedPointReal, eval_alpha
 
@@ -106,9 +105,6 @@ class Alpha:
 
     # -- convergent cache ---------------------------------------------------
 
-    def a(self, k: int) -> int:
-        return self.cf.quotient(k)
-
     def q(self, k: int) -> int:
         """Convergent denominator q_k (k >= -1)."""
         q = self._q
@@ -143,6 +139,3 @@ class Alpha:
                 f"no q_K with K >= 1 reaches {N}: the expansion of "
                 f"{self.label} ends at K = {K - 1}")
         return K
-
-    def stats(self, K: int):
-        return cf_stats(self.cf, K)

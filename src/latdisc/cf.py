@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, isqrt
 from operator import mul
-from typing import Callable, Iterator, List, NamedTuple, Optional, Union
+from typing import Callable, Iterator, List, NamedTuple, Union
 
 
 class ExpansionExhausted(ValueError):
@@ -88,14 +88,6 @@ class Truncated:
         self.state = (a, b, q1, q, qmax) if b else None
         return known
 
-    def upto(self, k: int) -> List[int]:
-        """The prefix grown to at least k quotients, or the error."""
-        known = self.grow(k)
-        if len(known) < k:
-            raise PrecisionExhausted(
-                f"expansion truncated after {len(known)} quotients")
-        return known
-
     @property
     def terms(self) -> tuple:
         """The whole prefix."""
@@ -123,20 +115,17 @@ class ContinuedFraction(NamedTuple):
                 )
             return body.terms[k - 1]
         if isinstance(body, Truncated):
-            return body.upto(k)[k - 1]
+            known = body.grow(k)
+            if len(known) < k:
+                raise PrecisionExhausted(
+                    f"expansion truncated after {len(known)} quotients")
+            return known[k - 1]
         if isinstance(body, Periodic):
             r = len(body.preperiod)
             if k <= r:
                 return body.preperiod[k - 1]
             return body.period[(k - 1 - r) % len(body.period)]
         return body.fn(k)
-
-    @property
-    def length(self) -> Optional[int]:
-        """Number of available quotients after a0, or None if unbounded."""
-        if isinstance(self.body, (Finite, Truncated)):
-            return len(self.body.terms)
-        return None
 
     def render(self, max_terms: int = 20) -> str:
         """Render as "[a0;a1,a2,...]" with overline(...) marking a period;
@@ -340,8 +329,7 @@ def cf_stats(cf: ContinuedFraction, K: int) -> CFStats:
     """Exact sums of a_k, a_k^2, (-1)^k a_k and max a_k over k = 1..K."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    a = (cf.body.upto(K)[:K] if isinstance(cf.body, Truncated)
-         else [cf.quotient(k) for k in range(1, K + 1)])
+    a = [cf.quotient(k) for k in range(1, K + 1)]
     return CFStats(K, sum(a), sum(map(mul, a, a)),
                    sum(a[1::2]) - sum(a[::2]), max(a))
 

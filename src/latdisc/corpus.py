@@ -83,8 +83,8 @@ def _spread(values: Sequence[int], count: int) -> List[int]:
     return sorted(picks)
 
 
-def enclosure_instances(alpha: Alpha, max_K: int = 14, size_cap: int = 20000,
-                        K_count: int = 5) -> List[Tuple[int, int]]:
+def enclosure_instances(alpha: Alpha, max_K: int, size_cap: int,
+                        K_count: int) -> List[Tuple[int, int]]:
     """(K, N) pairs with N in {q_{K-1}, q_{K-1}+1, mid, q_K} for a spread of
     feasible K values."""
     out = []
@@ -103,15 +103,11 @@ class ContainmentRecord:
     K: int
     N: int
     variant: str
-    lo: float
-    hi: float
-    exact: float
     ok: bool
 
 
-def containment_sweep(alphas: Iterable[Alpha], max_K: int = 14,
-                      size_cap: int = 20000, K_count: int = 5
-                      ) -> List[ContainmentRecord]:
+def containment_sweep(alphas: Iterable[Alpha], max_K: int, size_cap: int,
+                      K_count: int) -> List[ContainmentRecord]:
     """Exact D2^2 of the stored points against the certified enclosure,
     widened by how far the stored points can sit from the ideal lattice, for
     every corpus instance, both lattices.  Any ok=False entry is an
@@ -124,16 +120,15 @@ def containment_sweep(alphas: Iterable[Alpha], max_K: int = 14,
                 P = build(alpha, N)
                 enc = enclose(alpha, N, K=K)
                 pad = realization_error(P)
-                lo, hi = enc.lo - pad, enc.hi + pad
                 exact = d2_exact_fast(P).d2_squared
                 records.append(ContainmentRecord(
-                    alpha.label, K, N, variant, float(lo), float(hi),
-                    float(exact), lo <= exact <= hi))
+                    alpha.label, K, N, variant,
+                    enc.lo - pad <= exact <= enc.hi + pad))
     return records
 
 
 def inequality_sweep(alphas: Iterable[Alpha],
-                     size_cap: int = 20000) -> List[Tuple[str, int, bool]]:
+                     size_cap: int) -> List[Tuple[str, int, bool]]:
     """The three certified quotient-sum inequalities on a per-alpha grid of
     K <= 8 (small n)."""
     out = []
@@ -145,8 +140,8 @@ def inequality_sweep(alphas: Iterable[Alpha],
     return out
 
 
-def gap_sweep(alphas: Iterable[Alpha], max_K: int = 20,
-              sum_cap: int = 300000) -> List[Tuple[str, int, bool]]:
+def gap_sweep(alphas: Iterable[Alpha], max_K: int,
+              sum_cap: int) -> List[Tuple[str, int, bool]]:
     """|sum 1/(m^2||m a||^2) - (pi^4/90) sum a_k^2| <= 152 sum a_k for all
     feasible K (sum length capped for desk-scale runtimes)."""
     out = []
@@ -154,7 +149,7 @@ def gap_sweep(alphas: Iterable[Alpha], max_K: int = 20,
         # one running sum per alpha, grown by the block [q_{K-1}, q_K): blocks
         # on the path of the whole sum add up to it exactly, and an exact
         # block of a scaled rational sum only narrows it
-        s2 = Interval.zero()
+        s2 = Interval.exact(0)
         for K in feasible_indices(alpha, max_K, sum_cap):
             s2 += dioph_sum2(alpha, alpha.q(K - 1), alpha.q(K) - 1)
             gap, bound = _quotient_gap(alpha, K, s2)
@@ -163,7 +158,7 @@ def gap_sweep(alphas: Iterable[Alpha], max_K: int = 20,
     return out
 
 
-def check_bounds(corpus: str = "small") -> Tuple[int, List[str]]:
+def check_bounds(corpus: str) -> Tuple[int, List[str]]:
     """Run the certified-inequality corpus; returns (checks, violations)."""
     if corpus == "small":
         alphas = named_alphas() + random_rational_alphas(5) \

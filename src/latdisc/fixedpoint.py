@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cf import ContinuedFraction, Finite, PrecisionExhausted, iter_convergents
+from .cf import ContinuedFraction, iter_convergents
 from .discrepancy import _running_dots
 from .lattice import floors, walk_data
 
@@ -53,31 +53,25 @@ def eval_alpha(cf: ContinuedFraction, bits: int = DEFAULT_BITS) -> FixedPointRea
         last = conv
         if conv.k >= 2 and conv.q * conv.q > target:
             break
-    else:
-        if isinstance(cf.body, Finite):
-            pf = last.p % last.q
-            num = pf << bits
-            mant, rem = divmod(num, last.q)
-            return FixedPointReal(mant, bits, 0 if rem == 0 else 1)
-        raise PrecisionExhausted(
-            f"expansion exhausted before reaching {bits} certified bits"
-        )
+    else:  # only a Finite body runs out, and its value is exact
+        pf = last.p % last.q
+        mant, rem = divmod(pf << bits, last.q)
+        return FixedPointReal(mant, bits, 0 if rem == 0 else 1)
     pf = last.p % last.q
     mant = (pf << bits) // last.q
     return FixedPointReal(mant, bits, 2)
 
 
 def birkhoff_quad_block(value, N: int):
-    """(1/N) sum_n (T_n^2 + T_n/2) together with sum statistics; value is an
-    Alpha, a Fraction or a FixedPointReal.
+    """(1/N) sum_n (T_n^2 + T_n/2); value is an Alpha, a Fraction or a
+    FixedPointReal.
 
-    Returns (block, E, var, err) where block and var = (1/N) sum (T_n - E)^2
-    are exact Fractions of the representation and err bounds the drift of the
-    block for fixed-point alpha (zero for rationals).  With the realization
-    step/mod, 2 mod T_n = mod a_n - step nn_n for n < N over the int64
-    a_n = n + 1 + 2 sum_(l<=n) floor(l step/mod) and nn_n = n(n+1), both at
-    most N^2; the sums of 2 mod T_n and its square read the sums of a, a nn
-    and a^2.
+    Returns (block, err): block is an exact Fraction of the representation,
+    and err bounds its drift for fixed-point alpha (zero for rationals).
+    With the realization step/mod, 2 mod T_n = mod a_n - step nn_n for n < N
+    over the int64 a_n = n + 1 + 2 sum_(l<=n) floor(l step/mod) and
+    nn_n = n(n+1), both at most N^2; the sums of 2 mod T_n and its square
+    read the sums of a, a nn and a^2.
     """
     if not 1 <= N < 1 << 31:
         raise ValueError("N must be >= 1 and < 2^31")
@@ -94,8 +88,6 @@ def birkhoff_quad_block(value, N: int):
     su2 = mod * mod * saa - 2 * mod * step * san + step * step * p2
     D = mod << 1
     block = Fraction(2 * su2 + D * su, 2 * D * D * N)
-    E = Fraction(su, D * N)
-    var = Fraction(su2, D * D * N) - E * E
     if err:
         # 2 T_n = a_n - nn_n step/mod; in floats a_n and nn_n (<= N^2), the
         # ratio, the product and the difference each round by at most
@@ -106,4 +98,4 @@ def birkhoff_quad_block(value, N: int):
         cand = np.flatnonzero(t >= t.max() - N * N * 2.0 ** -49)
         umax = max(abs(mod * int(a[n]) - step * int(nn[n])) for n in cand)
         err = (2 * Fraction(umax, D) + err + Fraction(1, 2)) * err
-    return block, E, var, err
+    return block, err

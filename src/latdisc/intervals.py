@@ -37,10 +37,6 @@ class Interval:
         f = Fraction(x)
         return cls(f, f)
 
-    @classmethod
-    def zero(cls) -> "Interval":
-        return cls.exact(0)
-
     def __add__(self, other):
         other = _as_interval(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -55,21 +51,11 @@ class Interval:
 
     def __mul__(self, other):
         other = _as_interval(other)
-        if self.lo >= 0 and other.lo >= 0:  # every enclosure product
-            return Interval(self.lo * other.lo, self.hi * other.hi)
         cands = (self.lo * other.lo, self.lo * other.hi,
                  self.hi * other.lo, self.hi * other.hi)
         return Interval(min(cands), max(cands))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_interval(other)
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("interval divisor straddles zero")
-        cands = (self.lo / other.lo, self.lo / other.hi,
-                 self.hi / other.lo, self.hi / other.hi)
-        return Interval(min(cands), max(cands))
 
     def quantized(self) -> "Interval":
         """Outward-round endpoints to denominator 2^_QUANTUM_BITS."""
@@ -99,10 +85,13 @@ def _as_interval(x) -> Interval:
 
 def _const(digits: str) -> Interval:
     """Interval from a truncated decimal string: [value, value + 1 last ulp]."""
-    intpart, fracpart = digits.split(".")
-    den = 10 ** len(fracpart)
-    num = int(intpart) * den + int(fracpart)
-    return Interval(Fraction(num, den), Fraction(num + 1, den))
+    lo = Fraction(digits)
+    return Interval(lo, lo + Fraction(1, 10 ** len(digits.split(".")[1])))
+
+
+def _inverse(x: Interval) -> Interval:
+    """1/x for a bracket x of positive reals."""
+    return Interval(1 / x.hi, 1 / x.lo)
 
 
 PI = _const("3.141592653589793238462643383279502884197169399375")
@@ -111,9 +100,8 @@ ZETA3 = _const("1.202056903159594285399738161511449990764986292340")
 PI2 = (PI * PI).quantized()
 PI4 = (PI2 * PI2).quantized()
 
-ONE = Interval.exact(1)
-INV_PI2 = (ONE / PI2).quantized()
-INV_4PI4 = (ONE / (4 * PI4)).quantized()
-INV_2PI4 = (ONE / (2 * PI4)).quantized()
-INV_8PI4 = (ONE / (8 * PI4)).quantized()
-ZETA3_16PI4 = (ZETA3 / (16 * PI4)).quantized()
+INV_PI2 = _inverse(PI2).quantized()
+INV_4PI4 = _inverse(4 * PI4).quantized()
+INV_2PI4 = _inverse(2 * PI4).quantized()
+INV_8PI4 = _inverse(8 * PI4).quantized()
+ZETA3_16PI4 = (ZETA3 * _inverse(16 * PI4)).quantized()

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .cf import PrecisionExhausted
+from .cf import PrecisionExhausted, cf_stats
 from .fixedpoint import birkhoff_quad_block
 from .intervals import (
     INV_2PI4,
@@ -124,7 +124,7 @@ def _dioph_sum(alpha, m_start: int, m_end: int, power: int) -> Interval:
     L_m <= 2^64/(m^2 ||m alpha||^power) <= H_m, which add up exactly; an m
     with no positive lower bound takes the exact formula, which may raise."""
     if m_end < m_start:
-        return Interval.zero()
+        return Interval.exact(0)
     step, mod, err0 = walk_data(alpha)
     if err0 == 0 and (m_end - m_start) < _EXACT_TERM_LIMIT:
         g = mod // gcd(step, mod)  # ||m alpha|| = 0 exactly where g | m
@@ -245,7 +245,7 @@ class BoundPair:
 
 def _quotient_denoms(alpha, K: int) -> List[Tuple[int, int]]:
     """[(a_{k+1}, q_k) for k = 0..K-1]."""
-    return [(alpha.a(k + 1), alpha.q(k)) for k in range(K)]
+    return [(alpha.cf.quotient(k + 1), alpha.q(k)) for k in range(K)]
 
 
 def first_power_bound(alpha, K: int) -> BoundPair:
@@ -272,7 +272,7 @@ def tail_min_bound(alpha, K: int, n: int) -> BoundPair:
     rhs = Interval.exact(Fraction(112, 100) * Fraction(n, qK)
                          + Fraction(61, 100) * Fraction(n * n, qK * qK))
     if n == 0:
-        return BoundPair(Interval.zero(), rhs)
+        return BoundPair(Interval.exact(0), rhs)
     m_max = 8 * qK * n
     lhs = _tail_min_sum(alpha, qK, m_max, n) * (INV_PI2 * Fraction(1, 2))
     rem = (Fraction(n * n, 2 * (m_max - 1)) * INV_PI2).hi
@@ -420,7 +420,7 @@ def _enclosure(alpha, N: int, K: Optional[int], sym: bool) -> Enclosure:
     hi = _add(_add(main_hi, xi_hi), budget)
     parts = {}
     if not sym:
-        block, _, _, err = birkhoff_quad_block(alpha, N)
+        block, err = birkhoff_quad_block(alpha, N)
         block2 = (block.numerator << Q, block.denominator)  # over 2^192
         err2 = (err.numerator << Q + 1, err.denominator)  # 2 err
         raw_lo = _add(raw_lo, _add(block2, err2, -1))
@@ -459,6 +459,6 @@ def enclosure_L(alpha, N: int, K: Optional[int] = None) -> Enclosure:
 def _quotient_gap(alpha, K: int, s2: Interval) -> Tuple[Interval, Fraction]:
     """The gap s2 - (pi^4/90) sum a_k^2, s2 the sum of 1/(m^2 ||m a||^2)
     over m < q_K, and the certified bound 152 sum a_k it must stay within."""
-    st = alpha.stats(K)
+    st = cf_stats(alpha.cf, K)
     return s2 - (PI4 * Fraction(st.sum_a2, 90)), Fraction(152 * st.sum_a)
 

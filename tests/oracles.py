@@ -148,9 +148,11 @@ def starred_sums(p: int, q: int) -> BirkhoffSums:
 
 
 def birkhoff_quad_block(value, N: int):
-    """(block, E, var, err) as fixedpoint.birkhoff_quad_block defines them,
-    from the running sums u_n = D T_n, D = 2 mod, of the walk: each step adds
-    mod - 2 v_l, and err bounds the drift from the exact max |u_n|."""
+    """(block, E, var, err): the block and err of
+    fixedpoint.birkhoff_quad_block, with the mean E = (1/N) sum T_n and
+    var = (1/N) sum (T_n - E)^2, from the running sums u_n = D T_n,
+    D = 2 mod, of the walk: each step adds mod - 2 v_l, and err bounds the
+    drift from the exact max |u_n|."""
     step, mod, err_ulp = walk_data(value, N)
     u, s = [], 0
     for v in residues(step, mod, 0, N):
@@ -427,7 +429,7 @@ def enclosure_fraction(alpha, N: int, K, sym: bool):
     main = dioph_sum2(alpha, 1, q_lo - 1) * INV_4PI4
     window = dioph_sum2(alpha, q_lo, q_hi - 1)
     tq = window * INV_4PI4
-    pairs = [(alpha.a(k + 1), alpha.q(k)) for k in range(K)]
+    pairs = [(alpha.cf.quotient(k + 1), alpha.q(k)) for k in range(K)]
     cubes = [(a + 2) ** 3 * qk for a, qk in pairs]
     pad = ZETA3_16PI4.hi * Fraction(cubes[-1], N)
     if sym:
@@ -446,7 +448,7 @@ def enclosure_fraction(alpha, N: int, K, sym: bool):
     hi = main.hi + xi.hi + budget
     parts = {}
     if not sym:
-        block, _, _, block_err = block_of(alpha, N)
+        block, block_err = block_of(alpha, N)
         raw_lo += block - 2 * block_err
         hi += block + 2 * block_err
         parts["t_block"] = float(block)
@@ -622,7 +624,7 @@ def trimmed_quotient_mean(measure: str, K: int, M: int, seed: int) -> float:
         while True:
             alpha = sample_irrational(measure, bits, seed, i)
             try:
-                st = alpha.stats(K)
+                st = cf_stats(alpha.cf, K)
                 break
             except PrecisionExhausted:
                 bits *= 2
@@ -666,7 +668,7 @@ def ratio_check(alpha, K: int) -> Tuple[float, float]:
     """Exact D2^2 at N = q_K against the quotient sums it is comparable to:
     (D2^2(S)/sum a_k^2, D2^2(L)/(sum a_k^2 + (alt sum)^2))."""
     qK = alpha.q(K)
-    st = alpha.stats(K)
+    st = cf_stats(alpha.cf, K)
     ds = float(d2_exact_fast(build_S(alpha, qK)).d2_squared)
     dl = float(d2_exact_fast(build_L(alpha, qK)).d2_squared)
     return ds / st.sum_a2, dl / (st.sum_a2 + st.alt_sum ** 2)
@@ -679,7 +681,7 @@ def variance_check(alpha, N: int):
     comparison carries an unknown O(.) constant.
     """
     K = alpha.index_for(N)
-    _, _, var, _ = block_of(alpha, N)
+    _, _, var, _ = birkhoff_quad_block(alpha, N)
     rhs = dioph_sum2(alpha, 1, alpha.q(K) - 1) * INV_8PI4
     lhs = float(var)
     r = float(rhs.mid)
@@ -694,6 +696,6 @@ def mean_check(alpha, K: int) -> Tuple[Fraction, Fraction, float]:
     E_{q_K} = (1/12) sum_k (-1)^(k+1) a_k + O(1): e.g. alpha = 1/q gives
     E_q = (q+1)(q+2)/(12q), matching +a_1/12 and not -a_1/12.
     """
-    _, E, _, _ = block_of(alpha, alpha.q(K))
-    main = -Fraction(alpha.stats(K).alt_sum, 12)
+    _, E, _, _ = birkhoff_quad_block(alpha, alpha.q(K))
+    main = -Fraction(cf_stats(alpha.cf, K).alt_sum, 12)
     return E, main, float(E - main)

@@ -21,6 +21,7 @@ from latdisc.cf import (
     cf_stats,
     iter_convergents,
 )
+from latdisc.corpus import feasible_indices
 from latdisc.fixedpoint import eval_alpha
 from latdisc.quadratic import period_matrix
 
@@ -247,6 +248,8 @@ class TestConvergentFolds:
             m = matmul(m, ((0, 1), (1, a)))
         cf = ContinuedFraction(a0, Periodic(tuple(pre), tuple(period)))
         assert period_matrix(cf) == m[0] + m[1]
+        assert [cf.quotient(k) for k in range(len(pre) + 2 * len(period) + 1)
+                ] == [a0] + pre + 2 * period
 
 
 class TestTruncated:
@@ -292,7 +295,7 @@ class TestTruncated:
                     cf.quotient(k)
         assert cf.render(shown) == "[0;%s,...]" % ",".join(
             map(str, eager[:shown]))
-        assert cf.body.terms == eager and cf.length == len(eager)
+        assert cf.body.terms == eager
         with pytest.raises(PrecisionExhausted, match=past):
             cf.quotient(len(eager) + 1)
 
@@ -361,15 +364,16 @@ class TestTruncated:
             k = x % 40 + 1
             if k > len(eager):
                 with pytest.raises(PrecisionExhausted, match=past):
-                    alpha.stats(k) if op == "stats" else alpha.a(k)
+                    (cf_stats(alpha.cf, k) if op == "stats"
+                     else alpha.cf.quotient(k))
             elif op == "stats":
                 head = eager[:k]
-                assert alpha.stats(k) == (
+                assert cf_stats(alpha.cf, k) == (
                     k, sum(head), sum(a * a for a in head),
                     sum((-1) ** i * a for i, a in enumerate(head, 1)),
                     max(head))
             else:
-                assert alpha.a(k) == eager[k - 1]
+                assert alpha.cf.quotient(k) == eager[k - 1]
             assert len(alpha.cf.body.known) == max(before, min(k, len(eager)))
         assert alpha.cf.body.terms == eager
 
@@ -394,10 +398,10 @@ class TestStats:
 
     def test_field_invariants(self, corpus):
         for alpha in corpus:
-            K = min(10, alpha.cf.length or 10)
+            K = len(feasible_indices(alpha, 10, 1 << 256))  # no q_K cap
             if K < 1:
                 continue
-            st = alpha.stats(K)
+            st = cf_stats(alpha.cf, K)
             assert abs(st.alt_sum) <= st.sum_a <= st.sum_a2
             assert st.max_a ** 2 <= st.sum_a2
 

@@ -362,6 +362,22 @@ def test_check_bounds_counts_each_check_once(monkeypatch):
     assert corpus.check_bounds("small") == (5 + 3 * 4 + 3, [])
 
 
+def test_check_bounds_reports_each_violation_and_exits_4(monkeypatch, capsys):
+    from latdisc import corpus
+    monkeypatch.setattr(corpus, "containment_sweep", lambda *a, **k: [
+        corpus.ContainmentRecord("3/7", 2, 5, "L", False)])
+    monkeypatch.setattr(corpus, "inequality_sweep",
+                        lambda *a, **k: [("3/7", 2, False)])
+    monkeypatch.setattr(corpus, "gap_sweep",
+                        lambda *a, **k: [("3/7", 3, False)])
+    violations = ["containment L 3/7 K=2 N=5", "inequalities 3/7 K=2",
+                  "quotient gap 3/7 K=3"]
+    assert corpus.check_bounds("small") == (5, violations)
+    assert main(["check-bounds"]) == 4
+    assert json.loads(capsys.readouterr().out) == {
+        "checks": 5, "violations": violations}
+
+
 # recorded stdout of the README's CLI commands, the two sweeps shrunk to desk
 # size: a refactor that keeps results must keep these bytes
 GOLDEN = {

@@ -185,7 +185,7 @@ class TestBirkhoff:
     def test_golden_mean_bounded(self):
         from latdisc.alphas import Alpha
         phi = Alpha.from_surd(-1, 5, 2)
-        _, E, _, _ = birkhoff_quad_block(phi.value, 89)
+        _, E, _, _ = oracles.birkhoff_quad_block(phi.value, 89)
         # alternating quotient sum vanishes for the golden ratio
         assert abs(float(E)) <= 2
 
@@ -284,7 +284,7 @@ def test_quad_block_matches_the_walk(rational, q, p, n0, j, sign, err, N):
         with pytest.raises(PrecisionExhausted):
             birkhoff_quad_block(alpha, N)
         return
-    assert birkhoff_quad_block(alpha, N) == want
+    assert birkhoff_quad_block(alpha, N) == (want[0], want[3])
 
 
 def test_budget_overflow_message_names_the_walk_not_a_lattice():
@@ -328,5 +328,5 @@ def test_realization_bounds_hold_for_every_admitted_alpha(bits, err, N, p, n0,
         return
     bt = birkhoff_sums(true, N)
     assert all(abs(x - y) <= b.err_bound for x, y in zip(bt.T, b.T))
-    block, _, _, block_err = birkhoff_quad_block(stored, N)
+    block, block_err = birkhoff_quad_block(stored, N)
     assert abs(birkhoff_quad_block(true, N)[0] - block) <= block_err

@@ -732,13 +732,10 @@ class TestDiagnostics:
             assert abs(r) < 1.5
 
     def test_mean_check_corpus_residuals_bounded(self, corpus=None):
-        from latdisc.corpus import full_corpus
+        from latdisc.corpus import feasible_indices, full_corpus
         worst = 0.0
         for alpha in full_corpus():
-            Kmax = alpha.cf.length or 12
-            for K in range(1, min(Kmax, 12) + 1):
-                if alpha.q(K) > 20000:
-                    break
+            for K in feasible_indices(alpha, 12, 20000):
                 worst = max(worst, abs(mean_check(alpha, K)[2]))
         assert worst <= 1.5  # frozen: observed 0.563
 

@@ -1,7 +1,7 @@
 """Layout of the package: every module's imports sit at its top, the
 realization of m alpha in lattice depends on nothing above it, every
-top-level definition has a reader in the package itself, and the test
-oracles read no private name of it."""
+top-level definition and every method has a reader in the package itself,
+and the test oracles read no private name of it."""
 
 import ast
 from pathlib import Path
@@ -14,6 +14,11 @@ SRC = ROOT / "src" / "latdisc"
 OUTSIDE_READERS = {
     "metric.farey_count": "perfbench/workloads.py",
     "metric.farey_sample": "tests/test_metric.py",
+}
+
+# the same for the methods and properties of classes under src/
+OUTSIDE_METHOD_READERS = {
+    "intervals.Interval.contains": "perfbench/workloads.py",
 }
 
 
@@ -89,6 +94,28 @@ def test_every_definition_is_read_in_src():
     assert sorted(unread) == sorted(OUTSIDE_READERS)
     for qualified, reader in OUTSIDE_READERS.items():
         assert qualified.split(".")[1] in (ROOT / reader).read_text()
+
+
+def test_every_method_is_read_in_src():
+    # a method read only by its own body, or only by tests, has no reader
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    names = [n for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))]
+    methods = [(f"{module}.{cls.name}.{fn.name}", fn)
+               for module, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    unread = []
+    for qualified, fn in methods:
+        own = set(map(id, ast.walk(fn)))
+        if not any(id(n) not in own and fn.name == (
+                n.id if isinstance(n, ast.Name) else n.attr) for n in names):
+            unread.append(qualified)
+    assert sorted(unread) == sorted(OUTSIDE_METHOD_READERS)
+    for qualified, reader in OUTSIDE_METHOD_READERS.items():
+        assert qualified.split(".")[2] in (ROOT / reader).read_text()
 
 
 def test_parseval_imports_nothing_from_discrepancy():
