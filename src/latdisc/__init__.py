@@ -11,7 +11,6 @@ from .alphas import Alpha
 from .cf import (
     CFStats,
     ContinuedFraction,
-    Convergent,
     ExpansionExhausted,
     PrecisionExhausted,
     QuadraticSurd,

@@ -1,10 +1,10 @@
 """A realized rotation number: continued fraction plus a usable value.
 
 Alpha bundles an expansion with either an exact Fraction (rational case) or
-a certified FixedPointReal (irrational case) and caches convergents, which is
-what the lattice, enclosure and sweep code all consume.  The string grammar
-("p/q", "surd:P,D,Q", "rule:name", "bits:<hex>@B") round-trips exactly and is
-the CLI's --alpha format.
+a certified FixedPointReal (irrational case) and caches convergent
+denominators, which is what the lattice, enclosure and sweep code all
+consume.  The string grammar ("p/q", "surd:P,D,Q", "rule:name",
+"bits:<hex>@B") round-trips exactly and is the CLI's --alpha format.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .cf import (
     cf_of_rational,
     cf_of_surd,
     cf_rule,
+    denominators,
 )
 from .fixedpoint import DEFAULT_BITS, FixedPointReal, eval_alpha
 
@@ -106,10 +107,10 @@ class Alpha:
     # -- convergent cache ---------------------------------------------------
 
     def q(self, k: int) -> int:
-        """Convergent denominator q_k (k >= -1)."""
+        """The convergent denominator q_k (k >= -1)."""
         q = self._q
-        while len(q) - 2 < k:
-            q.append(self.cf.quotient(len(q) - 1) * q[-1] + q[-2])
+        if len(q) - 2 < k:
+            denominators(self.cf, k, q)
         return q[k + 1]
 
     def index_for(self, N: int) -> int:
@@ -129,7 +130,7 @@ class Alpha:
             # q_(K-1) < N: a prefix that grows here and goes on stopped at
             # the first q_j >= N, so j is its length (q fills on demand)
             n = len(body.known)
-            if len(body.grow(K, N)) > n and body.state:
+            if len(body.grow(K, N)) > n and body.state[1]:
                 return len(body.known)
         try:
             while self.q(K) < N:

@@ -4,7 +4,7 @@ Covers the four kinds of expansion the library needs: finite expansions of
 rationals, eventually periodic expansions of quadratic surds, rule-based
 infinite expansions (Euler's number, tan 1, and custom rules), and
 precision-bounded expansions read off a fixed-point mantissa.  Partial
-quotients, convergents and quotient statistics are all exact.
+quotients, convergent denominators and quotient statistics are all exact.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, isqrt
 from operator import mul
-from typing import Callable, Iterator, List, NamedTuple, Union
+from typing import Callable, List, NamedTuple, Union
 
 
 class ExpansionExhausted(ValueError):
@@ -57,24 +57,21 @@ class Truncated:
     """A known-correct prefix of an expansion; asking past it is an error.
 
     One call to grow runs as many Euclid steps (a, b) -> (b, a mod b), one
-    quotient t = a // b each, as its reader asks for.  The prefix ends
-    before the first convergent denominator t q_k + q_(k-1) whose square
-    exceeds limit: q_k runs inline as the stopping rule, compared with
-    isqrt(limit), which decides q^2 > limit exactly.  The state (a, b,
-    q_(k-1), q_k, isqrt(limit)), None once the prefix has ended, is plain
-    ints, so an expansion pickles part way through.
+    quotient t = a // b each, as its reader asks for.  After k quotients the
+    state (d_(k-1), d_k, q_(k-1), q_k, qmax) holds the last two remainders
+    and convergent denominators in plain ints, so an expansion pickles part
+    way through.  The prefix ends at a zero remainder, or before the first
+    denominator above qmax, where d_k is set to 0 and nothing else is read.
     """
 
-    def __init__(self, a: int, b: int, limit: int):
+    def __init__(self, a: int, b: int, qmax: int):
         self.known: List[int] = []
-        self.state = (a, b, 0, 1, _isqrt(limit))
+        self.state = (a, b, 0, 1, qmax)
 
     def grow(self, k, N: int = 0) -> List[int]:
         """The prefix, extended to at least k quotients and on to the first
         convergent denominator q_j >= N, or to its end."""
         known = self.known
-        if self.state is None:
-            return known
         append = known.append
         a, b, q1, q, qmax = self.state
         while (q < N or len(known) < k) and b:
@@ -85,7 +82,7 @@ class Truncated:
                 break
             append(t)
             a, b = b, r
-        self.state = (a, b, q1, q, qmax) if b else None
+        self.state = (a, b, q1, q, qmax)
         return known
 
     @property
@@ -147,12 +144,6 @@ class ContinuedFraction(NamedTuple):
         return "[%d;%s,...]" % (self.a0, shown)
 
 
-class Convergent(NamedTuple):
-    k: int
-    p: int
-    q: int
-
-
 class CFStats(NamedTuple):
     """Exact partial-quotient statistics over k = 1..K."""
 
@@ -202,13 +193,7 @@ def cf_of_rational(p: int, q: int) -> ContinuedFraction:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    terms = []
-    a, b = q, p % q
-    while b:
-        t, r = divmod(a, b)
-        terms.append(t)
-        a, b = b, r
-    return ContinuedFraction(0, Finite(tuple(terms)))
+    return ContinuedFraction(0, Finite(Truncated(q, p % q, q).terms))
 
 
 def _floor_surd(P: int, D: int, Q: int) -> int:
@@ -293,36 +278,31 @@ def cf_of_bits(mantissa: int, bits: int) -> ContinuedFraction:
 
     The Euclidean algorithm on (2^bits, mantissa), run as far as the
     quotients are read, stops as soon as the next convergent denominator q
-    would have q^2 > 2^(bits-64); up to that point the quotients agree with
-    those of any real within one ulp of mantissa / 2^bits.
+    would have q > isqrt(2^(bits-64)); up to that point the quotients agree
+    with those of any real within one ulp of mantissa / 2^bits.
     """
     if bits < 128:
         raise ValueError("bits must be >= 128")
     if not 0 <= mantissa < (1 << bits):
         raise ValueError("mantissa out of range")
     return ContinuedFraction(
-        0, Truncated(1 << bits, mantissa, 1 << (bits - 64)))
+        0, Truncated(1 << bits, mantissa, _isqrt(1 << (bits - 64))))
 
 
 # ---------------------------------------------------------------------------
-# Convergents and statistics
+# Denominators and statistics
 # ---------------------------------------------------------------------------
 
-def iter_convergents(cf: ContinuedFraction) -> Iterator[Convergent]:
-    """Yield convergents from k = 0 until the expansion runs out."""
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = cf.a0, 1
-    yield Convergent(0, p_cur, q_cur)
-    k = 1
-    while True:
-        try:
-            a = cf.quotient(k)
-        except ExpansionExhausted:
-            return
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-        yield Convergent(k, p_cur, q_cur)
-        k += 1
+def denominators(cf: ContinuedFraction, k: int, q=None) -> List[int]:
+    """The convergent denominators [q_-1, q_0, ..., q_j], j >= k: the list
+    q, extended in place by q_(j+1) = a_(j+1) q_j + q_(j-1), or a new one
+    from [0, 1].  The numerators need no recurrence of their own: p_j
+    q_(j-1) - p_(j-1) q_j = (-1)^(j-1) gives p_j mod q_j."""
+    if q is None:
+        q = [0, 1]
+    while len(q) - 2 < k:
+        q.append(cf.quotient(len(q) - 1) * q[-1] + q[-2])
+    return q
 
 
 def cf_stats(cf: ContinuedFraction, K: int) -> CFStats:

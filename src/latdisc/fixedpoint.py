@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cf import ContinuedFraction, iter_convergents
+from .cf import ContinuedFraction, ExpansionExhausted, denominators
 from .discrepancy import _running_dots
 from .lattice import floors, walk_data
 
@@ -41,25 +41,24 @@ class FixedPointReal(NamedTuple("FixedPointReal", [
 def eval_alpha(cf: ContinuedFraction, bits: int = DEFAULT_BITS) -> FixedPointReal:
     """Fractional part of the value of an expansion, certified to 2^(1-bits).
 
-    Convergents are expanded until q_k^2 > 2^(bits+8), at which point
-    |alpha - p_k/q_k| < 1/q_k^2 gives well under one ulp of error; the floor
-    in the final division costs at most one more ulp.  Finite expansions are
-    converted exactly.  A Truncated expansion that runs out first raises
-    PrecisionExhausted.
+    Denominators are expanded until q_k^2 > 2^(bits+8), k >= 2, at which
+    point |alpha - p_k/q_k| < 1/q_k^2 gives well under one ulp of error; the
+    floor in the final division costs at most one more ulp.  Finite
+    expansions are converted exactly.  A Truncated expansion that runs out
+    first raises PrecisionExhausted.  The numerator of {p_k/q_k} is p_k mod
+    q_k = (-1)^(k-1) q_(k-1)^(-1) mod q_k.
     """
-    target = 1 << (bits + 8)
-    last = None
-    for conv in iter_convergents(cf):
-        last = conv
-        if conv.k >= 2 and conv.q * conv.q > target:
-            break
-    else:  # only a Finite body runs out, and its value is exact
-        pf = last.p % last.q
-        mant, rem = divmod(pf << bits, last.q)
-        return FixedPointReal(mant, bits, 0 if rem == 0 else 1)
-    pf = last.p % last.q
-    mant = (pf << bits) // last.q
-    return FixedPointReal(mant, bits, 2)
+    q = [0, 1]
+    err = 2
+    try:
+        while len(q) < 4 or q[-1] * q[-1] <= 1 << (bits + 8):
+            denominators(cf, len(q) - 1, q)
+    except ExpansionExhausted:  # only a Finite body runs out: exact value
+        err = 0
+    k, q1, qk = len(q) - 2, q[-2], q[-1]
+    pf = (-1) ** (k + 1) * pow(q1, -1, qk) % qk  # (-1)^(k+1) = (-1)^(k-1)
+    mant, rem = divmod(pf << bits, qk)
+    return FixedPointReal(mant, bits, err or int(rem > 0))
 
 
 def birkhoff_quad_block(value, N: int):

@@ -4,9 +4,10 @@ L(alpha, N) is the N-point set {({n alpha}, n/N)}; S(alpha, N) adds the
 reflections ({-n alpha}, n/N) with multiplicity (n = 0 gives (0, 0) twice).
 A set is stored as alpha's realization step/mod (q for rational alpha, 2^B
 for fixed point), N and the variant.  This module is the one home of that
-realization: walk_data() gives step/mod and its trust check on Euclid's
-remainders, step_words() the 128-bit words of m step/mod, near() the m they
-may not place, and floors() the floors of m step/mod.
+realization: walk_data() gives step/mod and its trust check, whose least n
+is read off the state (d_(k-1), d_k, q_(k-1), q_k) of a cf.Truncated Euclid,
+step_words() the 128-bit words of m step/mod, near() the m they may not
+place, and floors() the floors of m step/mod.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .cf import PrecisionExhausted
+from .cf import PrecisionExhausted, Truncated
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +110,13 @@ def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
     (N-1)*err_ulp reaches 2^(bits/2).  ||m alpha|| is continuous mod 1 and
     needs no such check.
 
-    The least n is a best approximation, so a convergent p_k/q_k of
-    step/modulus or a semiconvergent just before the first convergent inside
-    (Khinchin, Continued Fractions, sec. 6): Euclid on (step, modulus) gives
-    q_k and the remainders d_k = |q_k step - p_k mod|, and the
-    semiconvergents q_(k-2) + t q_(k-1) have d_(k-2) - t d_(k-1).
+    The least n is a best approximation, so a convergent or a semiconvergent
+    just before the first convergent within the error (Khinchin, Continued
+    Fractions, sec. 6).  A Truncated(modulus, step, modulus) read one step at
+    a time holds (d_(k-1), d_k, q_(k-1), q_k), d_k = |q_k step - p_k
+    modulus|; at the first k with d_k <= q_k err_ulp the semiconvergent
+    q_k - s q_(k-1) has remainder d_k + s d_(k-1), and n takes the largest s
+    within the error.
     """
     x = getattr(x, "value", x)
     if isinstance(x, Fraction):  # x % 1, without a second Fraction
@@ -123,22 +126,17 @@ def walk_data(x, N: int = 1) -> Tuple[int, int, int]:
         if (N - 1) * err >= (1 << (x.bits // 2)):
             raise PrecisionExhausted(
                 "error budget overflow walking {n alpha}, n < N")
-        # (q, d) of the convergents k - 2 and k - 1, from (1, step) and
-        # (0, mod); the last remainder is 0, so the loop always breaks
-        q2, d2, q1, d1 = 1, step, 0, mod
-        while True:
-            a, d = divmod(d2, d1)
-            q = a * q1 + q2
-            if d <= q * err:
-                # the least t >= 0 with d2 - t d1 <= (q2 + t q1) err
-                n = q2 - (q2 * err - d2) // (d1 + q1 * err) * q1
-                if n < N:
-                    raise PrecisionExhausted(
-                        f"{{n alpha}} within its error of an integer at n = {n}")
-                break
-            if q >= N:
-                break
-            q2, d2, q1, d1 = q1, d1, q, d
+        euclid = Truncated(mod, step, mod)  # its cap mod never binds
+        d1, d, q1, q, _ = euclid.state  # k = 0: (mod, step, 0, 1)
+        while d > q * err and q < N:  # the last remainder is 0
+            euclid.grow(len(euclid.known) + 1)
+            d1, d, q1, q, _ = euclid.state
+        # the largest s with d + s d1 <= (q - s q1) err; if d > q err, then
+        # s < 0 and n >= q >= N
+        n = q - (q * err - d) // (d1 + q1 * err) * q1
+        if n < N:
+            raise PrecisionExhausted(
+                f"{{n alpha}} within its error of an integer at n = {n}")
     return step, mod, err
 
 

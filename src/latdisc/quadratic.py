@@ -17,7 +17,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .alphas import Alpha
-from .cf import ContinuedFraction, Finite, Periodic, iter_convergents
+from .cf import ContinuedFraction, Finite, Periodic, denominators
 from .discrepancy import d2_exact_fast
 from .lattice import build_L, build_S
 from .parseval import dioph_sum2_float
@@ -46,10 +46,13 @@ def alternation_constant(cf: ContinuedFraction) -> Fraction:
 
 def period_matrix(cf: ContinuedFraction) -> Tuple[int, int, int, int]:
     """Product over one period of [[0,1],[1,a]], row-major: the matrix
-    [[p_{r-1}, p_r], [q_{r-1}, q_r]] of the convergents of [0; period]."""
-    body = _require_periodic(cf)
-    *_, prev, last = iter_convergents(ContinuedFraction(0, Finite(body.period)))
-    return prev.p, last.p, prev.q, last.q
+    [[p_{r-1}, p_r], [q_{r-1}, q_r]] of the convergents of [0; period].
+    p_k of [0; a_1, ..., a_k] is q_(k-1) of [0; a_2, ..., a_k]."""
+    period = _require_periodic(cf).period
+    r = len(period)
+    p = denominators(ContinuedFraction(0, Finite(period[1:])), r - 1)
+    q = denominators(ContinuedFraction(0, Finite(period)), r)
+    return p[-2], p[-1], q[-2], q[-1]
 
 
 def growth_constant(cf: ContinuedFraction) -> Tuple[int, int, float]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 from typing import Tuple
 
@@ -513,6 +514,20 @@ def quotients_of_fraction(x: Fraction, count: int):
         out.append(t)
         num, den = den, r
     return a0, out
+
+
+def convergents(cf: ContinuedFraction):
+    """(p_k, q_k) for k = 0, 1, ..., to the end of a finite expansion: the
+    two-row recurrence on numerators and denominators together, where the
+    library carries the denominators alone."""
+    body = cf.body
+    terms = body.terms if isinstance(body, Finite) else map(cf.quotient,
+                                                            count(1))
+    p1, q1, p, q = 1, 0, cf.a0, 1
+    yield p, q
+    for a in terms:
+        p1, q1, p, q = p, q, a * p + p1, a * q + q1
+        yield p, q
 
 
 def cf_of_bits(mantissa: int, bits: int) -> tuple:

@@ -19,7 +19,6 @@ from latdisc.cf import (
     cf_of_surd,
     cf_rule,
     cf_stats,
-    iter_convergents,
 )
 from latdisc.corpus import feasible_indices
 from latdisc.fixedpoint import eval_alpha
@@ -34,14 +33,14 @@ def quotient_list(cf, K):
 
 
 def convergents(cf, K):
-    """p_k/q_k for k = 0..K."""
-    return list(islice(iter_convergents(cf), K + 1))
+    """(p_k, q_k) for k = 0..K."""
+    return list(islice(oracles.convergents(cf), K + 1))
 
 
 def value(cf):
     """The value of a finite expansion: its last convergent."""
-    *_, last = iter_convergents(cf)
-    return Fraction(last.p, last.q)
+    *_, (p, q) = oracles.convergents(cf)
+    return Fraction(p, q)
 
 
 class TestRational:
@@ -166,15 +165,15 @@ class TestRules:
 class TestConvergents:
     def test_fibonacci(self):
         cv = convergents(cf_rule("constant(1)"), 5)
-        assert [c.q for c in cv] == [1, 1, 2, 3, 5, 8]
+        assert [q for _, q in cv] == [1, 1, 2, 3, 5, 8]
 
     def test_rational_example(self):
         cv = convergents(cf_of_rational(13, 30), 3)
-        assert [(c.p, c.q) for c in cv] == [(0, 1), (1, 2), (3, 7), (13, 30)]
+        assert cv == [(0, 1), (1, 2), (3, 7), (13, 30)]
 
     def test_sqrt3_denominators(self):
         cv = convergents(cf_of_surd(QuadraticSurd.make(0, 3, 1)), 4)
-        assert [c.q for c in cv] == [1, 1, 3, 4, 11]
+        assert [q for _, q in cv] == [1, 1, 3, 4, 11]
 
     def test_coprime_and_increasing(self):
         rng = random.Random(31)
@@ -182,9 +181,9 @@ class TestConvergents:
             q = rng.randrange(2, 10 ** 6)
             p = rng.randrange(1, q)
             cv = convergents(cf_of_rational(p, q), len(cf_of_rational(p, q).body.terms))
-            for c in cv:
-                assert gcd(c.p, c.q) == 1
-            qs = [c.q for c in cv[1:]]
+            for p_k, q_k in cv:
+                assert gcd(p_k, q_k) == 1
+            qs = [q_k for _, q_k in cv[1:]]
             assert qs == sorted(qs)
 
     def test_approximation_quality_rational(self):
@@ -199,8 +198,8 @@ class TestConvergents:
             cv = convergents(cf, len(cf.body.terms))
             # equality is attained at the second-to-last convergent of a
             # rational, so the exact statement is <=
-            for a, b in zip(cv, cv[1:]):
-                assert abs(a.q * x - a.p) <= Fraction(1, b.q)
+            for (p_k, q_k), (_, q_next) in zip(cv, cv[1:]):
+                assert abs(q_k * x - p_k) <= Fraction(1, q_next)
 
     def test_approximation_quality_fixed_point(self):
         for spec in ((1, 5, 2), (0, 3, 1), (0, 2, 1)):
@@ -209,9 +208,9 @@ class TestConvergents:
             lo = Fraction(fp.mantissa - fp.err_ulp, 1 << 256) + cf.a0
             hi = Fraction(fp.mantissa + fp.err_ulp, 1 << 256) + cf.a0
             cv = convergents(cf, 21)
-            for a, b in zip(cv[:20], cv[1:21]):
-                err = max(abs(a.q * lo - a.p), abs(a.q * hi - a.p))
-                assert err < Fraction(1, b.q)
+            for (p_k, q_k), (_, q_next) in zip(cv[:20], cv[1:21]):
+                err = max(abs(q_k * lo - p_k), abs(q_k * hi - p_k))
+                assert err < Fraction(1, q_next)
 
 
 def horner(a0, terms):
@@ -250,6 +249,41 @@ class TestConvergentFolds:
         assert period_matrix(cf) == m[0] + m[1]
         assert [cf.quotient(k) for k in range(len(pre) + 2 * len(period) + 1)
                 ] == [a0] + pre + 2 * period
+
+
+expansions = st.one_of(
+    st.builds(lambda a0, terms: ContinuedFraction(a0, Finite(tuple(terms))),
+              st.integers(-50, 50),
+              st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10 ** 6)),
+                       max_size=30)),
+    st.builds(lambda a0, pre, period: ContinuedFraction(
+                  a0, Periodic(tuple(pre), tuple(period))),
+              st.integers(-50, 50), st.lists(st.integers(1, 50), max_size=4),
+              st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=12)),
+    st.sampled_from(["euler_e", "tan_one", "pow2_spikes", "constant(1)",
+                     "constant(7)"]).map(cf_rule))
+
+
+class TestEvalAlphaFold:
+    """eval_alpha reads p_k mod q_k off q_(k-1) and q_k alone; the oracle
+    carries p_k through its own recurrence."""
+
+    @given(cf=expansions, bits=st.integers(8, 320))
+    @settings(max_examples=200, deadline=None)
+    @example(cf=ContinuedFraction(3, Finite(())), bits=8)  # k = 0: q_0 = 1
+    @example(cf=ContinuedFraction(-2, Finite((1,))), bits=8)  # k = 1: q_1 = 1
+    @example(cf=ContinuedFraction(-7, Finite((5,))), bits=8)  # k = 1
+    @example(cf=ContinuedFraction(0, Finite((2, 1))), bits=16)  # ends in 1
+    def test_eval_alpha_is_the_floor_of_the_last_convergent(self, cf, bits):
+        # the first k >= 2 with q_k^2 > 2^(bits+8), else the last k of a
+        # finite expansion, whose value is exact
+        err = None
+        for k, (p, q) in enumerate(oracles.convergents(cf)):
+            if k >= 2 and q * q > 1 << (bits + 8):
+                err = 2
+                break
+        mant, rem = divmod((p % q) << bits, q)
+        assert eval_alpha(cf, bits) == (mant, bits, err or int(rem > 0))
 
 
 class TestTruncated:

@@ -1,6 +1,7 @@
 """Layout of the package: every module's imports sit at its top, the
 realization of m alpha in lattice depends on nothing above it, every
 top-level definition and every method has a reader in the package itself,
+Euclid's algorithm and the convergent recurrence are each written once,
 and the test oracles read no private name of it."""
 
 import ast
@@ -48,7 +49,47 @@ def test_lattice_imports_only_cf():
     tree = ast.parse((SRC / "lattice.py").read_text())
     assert {(node.module, alias.name) for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.level
-            for alias in node.names} == {("cf", "PrecisionExhausted")}
+            for alias in node.names} == {("cf", "PrecisionExhausted"),
+                                          ("cf", "Truncated")}
+
+
+def loops_calling(kind, call):
+    """'module.Class.function' of each function under src/ with a loop of
+    the given kind (For, While) whose body or test calls call(node)."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for loop in ast.walk(tree):
+            if not (isinstance(loop, kind) and any(
+                    isinstance(n, ast.Call) and call(n.func)
+                    for part in loop.body + [getattr(loop, "test", None)]
+                    if part
+                    for n in ast.walk(part))):
+                continue
+            names, node = [], loop
+            while node in parent:
+                node = parent[node]
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names.append(node.name)
+            found.add(".".join([path.stem, *reversed(names)]))
+    return sorted(found)
+
+
+def test_one_euclid_loop():
+    # Euclid's algorithm is written once: the other readers of partial
+    # quotients and remainders, rational or fixed point, run cf.Truncated
+    assert loops_calling((ast.For, ast.While), lambda f: isinstance(
+        f, ast.Name) and f.id == "divmod") == ["cf.Truncated.grow"]
+
+
+def test_one_convergent_recurrence():
+    # q_(k+1) = a_(k+1) q_k + q_(k-1) is written once, and no numerator
+    # recurrence is kept beside it
+    assert loops_calling(ast.While, lambda f: isinstance(
+        f, ast.Attribute) and f.attr == "quotient") == ["cf.denominators"]
 
 
 def defined(node):
